@@ -1,0 +1,16 @@
+"""Make the benchmark's modules and the program importable.
+
+Run from the root of a checkout::
+
+    python3 -m pytest perfbench/tests
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
