@@ -103,16 +103,10 @@ class NetworkModel:
         servers = self._servers
         if not servers:
             return inject_time + self.spec.latency + occupancy
-        # Earliest-free server, first index on ties (as min() would pick).
-        soonest = 0
-        free_at = servers[0]
-        for i in range(1, len(servers)):
-            t = servers[i]
-            if t < free_at:
-                soonest = i
-                free_at = t
+        # Earliest-free server, first index on ties.
+        free_at = min(servers)
         start = inject_time if inject_time > free_at else free_at
-        servers[soonest] = start + occupancy
+        servers[servers.index(free_at)] = start + occupancy
         return start + self.spec.latency + occupancy
 
     def transfer_time(self, nbytes: int, *, same_node: bool = False) -> float:

@@ -74,6 +74,16 @@ class NodeState:
         # Idle power is queried once per simulated event but only changes
         # on gear or disk-speed shifts; cache it between shifts.
         self._idle_power: float | None = None
+        # compute_cost() memo: one block -> cost table per (gear index,
+        # disk speed index) state, and the table of the current state.
+        self._cost_tables: dict[
+            tuple[int, int | None], dict[ComputeBlock, tuple[float, float, float]]
+        ] = {}
+        self._costs = self._cost_table()
+
+    def _cost_table(self) -> dict[ComputeBlock, tuple[float, float, float]]:
+        speed = self._disk_speed.index if self._disk_speed is not None else None
+        return self._cost_tables.setdefault((self._gear.index, speed), {})
 
     @property
     def gear(self) -> Gear:
@@ -84,6 +94,7 @@ class NodeState:
         """Shift to another gear (validated against the gear table)."""
         self._gear = self.spec.gears[gear_index]
         self._idle_power = None
+        self._costs = self._cost_table()
 
     @property
     def disk_speed(self) -> DiskSpeed | None:
@@ -105,6 +116,7 @@ class NodeState:
             return 0.0
         self._disk_speed = target
         self._idle_power = None
+        self._costs = self._cost_table()
         return model.spec.transition_time
 
     def _disk_idle_power(self) -> float:
@@ -142,6 +154,25 @@ class NodeState:
             )
             + self._disk_idle_power()
         )
+
+    def compute_cost(self, block: ComputeBlock) -> tuple[float, float, float]:
+        """``(duration, power, cycles)`` of ``block`` at the current state.
+
+        Exactly :meth:`compute_duration`, :meth:`compute_power` and the
+        duration times the gear's clock, memoized per block value at each
+        (gear, disk speed): iterative programs run the same blocks over
+        and over, and each evaluation walks the memory model three times.
+        """
+        cost = self._costs.get(block)
+        if cost is None:
+            duration = self.compute_duration(block)
+            cost = (
+                duration,
+                self.compute_power(block),
+                duration * self._gear.frequency_hz,
+            )
+            self._costs[block] = cost
+        return cost
 
     def idle_power(self) -> float:
         """System power while blocked/idle at the current gear."""

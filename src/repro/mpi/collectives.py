@@ -39,12 +39,12 @@ HEADER_BYTES = 8
 
 
 def _send(dest: int, tag: int, nbytes: int, payload: Any = None) -> Op:
-    handle = yield Isend(dest=dest, tag=tag, nbytes=nbytes, payload=payload)
+    handle = yield Isend(dest, tag, nbytes, payload)
     yield Wait(handle)
 
 
 def _recv(source: int, tag: int) -> Op:
-    handle = yield Irecv(source=source, tag=tag)
+    handle = yield Irecv(source, tag)
     return (yield Wait(handle))
 
 
@@ -57,7 +57,7 @@ def barrier(comm: "Comm", tag: int) -> Op:
     while step < size:
         dest = (rank + step) % size
         source = (rank - step) % size
-        recv_handle = yield Irecv(source=source, tag=tag)
+        recv_handle = yield Irecv(source, tag)
         yield from _send(dest, tag, HEADER_BYTES)
         yield Wait(recv_handle)
         step <<= 1
@@ -158,7 +158,7 @@ def allreduce_recursive_doubling(
     mask = 1
     while mask < size:
         peer = rank ^ mask
-        recv_handle = yield Irecv(source=peer, tag=tag)
+        recv_handle = yield Irecv(peer, tag)
         yield from _send(peer, tag, nbytes, accumulated)
         other = yield Wait(recv_handle)
         # Combine in rank order so non-commutative ops are deterministic.
@@ -212,7 +212,7 @@ def allgather_ring(comm: "Comm", value: Any, nbytes: int, tag: int) -> Op:
     left = (rank - 1) % size
     carried_index = rank
     for _ in range(size - 1):
-        recv_handle = yield Irecv(source=left, tag=tag)
+        recv_handle = yield Irecv(left, tag)
         yield from _send(right, tag, nbytes, (carried_index, values[carried_index]))
         carried_index, carried_value = yield Wait(recv_handle)
         values[carried_index] = carried_value
@@ -228,7 +228,7 @@ def allgather_recursive_doubling(comm: "Comm", value: Any, nbytes: int, tag: int
     mask = 1
     while mask < size:
         peer = rank ^ mask
-        recv_handle = yield Irecv(source=peer, tag=tag)
+        recv_handle = yield Irecv(peer, tag)
         yield from _send(peer, tag, nbytes * len(values), dict(values))
         values.update((yield Wait(recv_handle)))
         mask <<= 1
@@ -251,7 +251,7 @@ def alltoall(
             (rank + round_index) % size
         )
         source = peer if (size & (size - 1)) == 0 else ((rank - round_index) % size)
-        recv_handle = yield Irecv(source=source, tag=tag + round_index)
+        recv_handle = yield Irecv(source, tag + round_index)
         yield from _send(peer, tag + round_index, nbytes, values[peer])
         received[source] = yield Wait(recv_handle)
     return received

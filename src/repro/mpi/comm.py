@@ -125,7 +125,7 @@ class Comm:
         iterations, a collective every P iterations) in macro-unit
         marks instead.
         """
-        return (yield IterationMark(index=index, total=total))
+        return (yield IterationMark(index, total))
 
     def disk_write(self, nbytes: int) -> Op:
         """Blocking local disk write (checkpoint-style burst)."""
@@ -147,11 +147,11 @@ class Comm:
     ) -> Op:
         """Post an asynchronous send; returns a :class:`Handle`."""
         self._check_user_tag(tag)
-        return (yield Isend(dest=dest, tag=tag, nbytes=nbytes, payload=payload))
+        return (yield Isend(dest, tag, nbytes, payload))
 
     def irecv(self, source: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> Op:
         """Post a receive; returns a :class:`Handle`."""
-        return (yield Irecv(source=source, tag=tag))
+        return (yield Irecv(source, tag))
 
     def wait(self, handle: Handle) -> Op:
         """Block until ``handle`` completes; returns the recv payload."""

@@ -112,6 +112,7 @@ from repro.mpi.requests import (
     TraceMark,
     Wait,
 )
+from repro.sim.process import BLOCKED
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -376,8 +377,12 @@ class FastForward:
 
     def on_mark(
         self, world: "World", rt: "_RankRuntime", request: IterationMark
-    ) -> tuple[bool, Any]:
-        """Handle one iteration boundary; returns (blocked, resume value)."""
+    ) -> Any:
+        """Handle one iteration boundary.
+
+        Returns the iterations skipped (the mark's resume value), or
+        :data:`~repro.sim.process.BLOCKED` when the rank parks or jumps.
+        """
         st = self.ranks[rt.rank]
         self.stats.marks += 1
         st.marks_seen += 1
@@ -415,7 +420,7 @@ class FastForward:
             st.deltas = []
             st.hist = [snap]
             st.period = 0
-            return False, 0
+            return 0
 
         st.ordinal += 1
         if st.ordinal == 1:
@@ -423,7 +428,7 @@ class FastForward:
             # disk spin-up, cold collective trees) are excluded from the
             # signature reference, and its delta from the time window.
             st.hist = [snap]
-            return False, 0
+            return 0
         if st.ordinal == 2:
             st.ref_sig = sig
             st.ref_comm = saw_comm
@@ -453,9 +458,9 @@ class FastForward:
             jump = self._solo_jump(world, rt, st, idx, request.total)
             if jump:
                 return self._execute_solo(world, rt, st, jump)
-            return False, 0
+            return 0
         self._try_arm(idx, request.total)
-        return False, 0
+        return 0
 
     # ------------------------------------------------------------------
 
@@ -500,7 +505,7 @@ class FastForward:
         st: _RankState,
         jump: int,
         clean: bool,
-    ) -> tuple[bool, Any]:
+    ) -> Any:
         """One rank arrives at the armed mark: validate, park, commit."""
         if not (clean and self._on_cycle(st)):
             # The iteration between arming and jumping deviated (the only
@@ -509,12 +514,12 @@ class FastForward:
             self.armed = None
             self.stats.vetoed_rounds += 1
             self._release(world)
-            return False, 0
+            return 0
         self.votes.append((rt, st))
         if len(self.votes) == len(self.ranks):
             self._commit(world, jump)
         rt.process.block("fast-forward")
-        return True, None
+        return BLOCKED
 
     def _on_cycle(self, st: _RankState) -> bool:
         """Is the rank's latest iteration still on its detected cycle?"""
@@ -568,16 +573,16 @@ class FastForward:
 
     def _execute_solo(
         self, world: "World", rt: "_RankRuntime", st: _RankState, jump: int
-    ) -> tuple[bool, Any]:
+    ) -> Any:
         """Macro-step one rank that needs no peer coordination."""
         target = self._replicate(rt, st, jump)
         if world.nodes == 1:
             # Nothing else is running: move the clock itself.
             world.engine.jump_to(target)
-            return False, jump
+            return jump
         world._resume_later(rt, target, jump)
         rt.process.block("fast-forward")
-        return True, None
+        return BLOCKED
 
     def _replicate(
         self, rt: "_RankRuntime", st: _RankState, jump: int

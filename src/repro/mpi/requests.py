@@ -25,8 +25,7 @@ of yielding these directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.cluster.memory import ComputeBlock
 from repro.util.errors import ConfigurationError
@@ -39,7 +38,6 @@ ANY_TAG = -1
 _handle_ids = itertools.count()
 
 
-@dataclass
 class Handle:
     """Completion handle for a non-blocking operation.
 
@@ -52,18 +50,44 @@ class Handle:
         post_time: when the operation was posted.
         complete_at: simulated completion time, or None while unmatched.
         payload: received payload once complete (recv only).
+        uid: process-wide unique id, increasing in creation order.
     """
 
-    kind: str
-    rank: int
-    peer: int
-    tag: int
-    nbytes: int = 0
-    post_time: float = 0.0
-    complete_at: float | None = None
-    payload: Any = None
-    uid: int = field(default_factory=lambda: next(_handle_ids))
-    _waiter: Any = None  # RankProcess waiting on this handle, if any
+    __slots__ = (
+        "kind",
+        "rank",
+        "peer",
+        "tag",
+        "nbytes",
+        "post_time",
+        "complete_at",
+        "payload",
+        "uid",
+        "_waiter",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        rank: int,
+        peer: int,
+        tag: int,
+        nbytes: int = 0,
+        post_time: float = 0.0,
+        complete_at: float | None = None,
+        payload: Any = None,
+    ) -> None:
+        self.kind = kind
+        self.rank = rank
+        self.peer = peer
+        self.tag = tag
+        self.nbytes = nbytes
+        self.post_time = post_time
+        self.complete_at = complete_at
+        self.payload = payload
+        self.uid = next(_handle_ids)
+        # The blocked rank's runtime waiting on this handle, if any.
+        self._waiter: Any = None
 
     @property
     def complete(self) -> bool:
@@ -75,38 +99,41 @@ class Handle:
         return f"<{self.kind} handle #{self.uid} rank={self.rank} peer={self.peer} {state}>"
 
 
-@dataclass(frozen=True)
-class Compute:
+# The requests are immutable tuple records: one is built for every
+# operation a rank performs, and a tuple builds several times faster than
+# a frozen dataclass.  Records that validate their fields do it in
+# ``__new__``.  Like any tuple, records compare and hash by their field
+# values alone.
+
+
+class Compute(NamedTuple):
     """Execute a compute block at the node's current gear."""
 
     block: ComputeBlock
 
 
-@dataclass(frozen=True)
-class Elapse:
+class Elapse(NamedTuple("Elapse", [("seconds", float)])):
     """Idle (at idle power) for a fixed duration — gear-independent work."""
 
-    seconds: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ConfigurationError(f"Elapse needs seconds >= 0, got {self.seconds}")
+    def __new__(cls, seconds: float) -> "Elapse":
+        if seconds < 0:
+            raise ConfigurationError(f"Elapse needs seconds >= 0, got {seconds}")
+        return tuple.__new__(cls, (seconds,))
 
 
-@dataclass(frozen=True)
-class SetGear:
+class SetGear(NamedTuple):
     """Shift this rank's node to another energy gear (instantaneous)."""
 
     gear_index: int
 
 
-@dataclass(frozen=True)
-class Now:
+class Now(NamedTuple):
     """Read the simulated clock; resumes with the current time."""
 
 
-@dataclass(frozen=True)
-class DiskIO:
+class DiskIO(NamedTuple("DiskIO", [("nbytes", int)])):
     """One local disk burst (read or write — symmetric cost model).
 
     Requires the node to have a disk configured; the CPU idles while
@@ -114,15 +141,15 @@ class DiskIO:
     behave).
     """
 
-    nbytes: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ConfigurationError(f"I/O size must be >= 0, got {self.nbytes}")
+    def __new__(cls, nbytes: int) -> "DiskIO":
+        if nbytes < 0:
+            raise ConfigurationError(f"I/O size must be >= 0, got {nbytes}")
+        return tuple.__new__(cls, (nbytes,))
 
 
-@dataclass(frozen=True)
-class SetDiskSpeed:
+class SetDiskSpeed(NamedTuple):
     """Shift the node's disk to another spindle speed (DRPM-style).
 
     Real multi-speed disks take a substantial fraction of a second to
@@ -132,8 +159,11 @@ class SetDiskSpeed:
     speed_index: int
 
 
-@dataclass(frozen=True)
-class Isend:
+class Isend(
+    NamedTuple(
+        "Isend", [("dest", int), ("tag", int), ("nbytes", int), ("payload", Any)]
+    )
+):
     """Post an eager asynchronous send.
 
     The paper assumes sends are asynchronous (footnote 4); the runtime
@@ -141,35 +171,32 @@ class Isend:
     software overhead regardless of whether a receive is posted.
     """
 
-    dest: int
-    tag: int
-    nbytes: int
-    payload: Any = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ConfigurationError(f"nbytes must be >= 0, got {self.nbytes}")
-        if self.tag < 0:
-            raise ConfigurationError(f"send tag must be >= 0, got {self.tag}")
+    def __new__(
+        cls, dest: int, tag: int, nbytes: int, payload: Any = None
+    ) -> "Isend":
+        if nbytes < 0:
+            raise ConfigurationError(f"nbytes must be >= 0, got {nbytes}")
+        if tag < 0:
+            raise ConfigurationError(f"send tag must be >= 0, got {tag}")
+        return tuple.__new__(cls, (dest, tag, nbytes, payload))
 
 
-@dataclass(frozen=True)
-class Irecv:
+class Irecv(NamedTuple):
     """Post a receive for a matching message (wildcards allowed)."""
 
     source: int
     tag: int
 
 
-@dataclass(frozen=True)
-class Wait:
+class Wait(NamedTuple):
     """Block until the handle completes; resumes with its payload."""
 
     handle: Handle
 
 
-@dataclass(frozen=True)
-class IterationMark:
+class IterationMark(NamedTuple("IterationMark", [("index", int), ("total", int)])):
     """Declare an iteration boundary for steady-state fast-forward.
 
     Emitted by iterative programs at the *top* of each main-loop
@@ -185,22 +212,19 @@ class IterationMark:
     must mark the enclosing uniform macro-unit instead.
     """
 
-    index: int
-    total: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.total < 0:
+    def __new__(cls, index: int, total: int) -> "IterationMark":
+        if total < 0:
+            raise ConfigurationError(f"iteration total must be >= 0, got {total}")
+        if not 0 <= index < max(total, 1):
             raise ConfigurationError(
-                f"iteration total must be >= 0, got {self.total}"
+                f"iteration index {index} out of range 0..{total - 1}"
             )
-        if not 0 <= self.index < max(self.total, 1):
-            raise ConfigurationError(
-                f"iteration index {self.index} out of range 0..{self.total - 1}"
-            )
+        return tuple.__new__(cls, (index, total))
 
 
-@dataclass(frozen=True)
-class TraceMark:
+class TraceMark(NamedTuple):
     """Bracket a logical operation in the trace (zero simulated time).
 
     ``phase`` is ``'begin'`` or ``'end'``; records emitted between the

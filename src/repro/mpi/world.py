@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cluster.cluster import ClusterSpec
@@ -61,7 +62,7 @@ from repro.mpi.tracing import (
     RankTrace,
 )
 from repro.sim.engine import Simulator
-from repro.sim.process import ProcessState, RankProcess
+from repro.sim.process import BLOCKED, ProcessState, RankProcess
 from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -69,6 +70,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Type of the per-rank program factory: called with this rank's Comm.
 ProgramFactory = Callable[[Comm], Any]
+
+#: ``_RankRuntime.resume_value`` while the rank has no resume scheduled.
+_NO_RESUME = object()
 
 
 @dataclass(slots=True)
@@ -100,10 +104,13 @@ class _RankRuntime:
         # Deferred wait trace record: (op, t_enter, nbytes, peer).
         self.pending_wait: tuple[str, float, int, int | None] | None = None
         self.collective_stack: list[tuple[str, float, int]] = []
-
-    @property
-    def depth(self) -> int:
-        return len(self.collective_stack)
+        # Whether trace spans are nested in a bracketed operation; kept
+        # in step with collective_stack by the TraceMark handler.
+        self.nested = False
+        # The rank's one resume callback (World._wake bound to this rank;
+        # the World sets it) and the value its pending resume delivers.
+        self.wake: Callable[[], None] | None = None
+        self.resume_value: Any = _NO_RESUME
 
 
 @dataclass
@@ -178,6 +185,17 @@ class WorldResult:
         return [r.return_value for r in self.ranks]
 
 
+def _describe(blocked_on: object) -> str:
+    """Deadlock text for what a rank blocked on.
+
+    Waits block with their request, so the text is only built here.
+    """
+    if isinstance(blocked_on, Wait):
+        handle = blocked_on.handle
+        return f"wait_{handle.kind}(peer={handle.peer}, tag={handle.tag})"
+    return str(blocked_on or "unknown")
+
+
 class World:
     """Runs one program (one generator per rank) on a simulated cluster."""
 
@@ -231,7 +249,9 @@ class World:
             comm = Comm(rank=rank, size=nodes)
             node = NodeState(cluster.node, gears[rank])
             gen = program(comm)
-            self._runtimes.append(_RankRuntime(rank, node, RankProcess(rank, gen)))
+            rt = _RankRuntime(rank, node, RankProcess(rank, gen))
+            rt.wake = partial(self._wake, rt)
+            self._runtimes.append(rt)
         self._started = False
 
     # ------------------------------------------------------------------
@@ -252,14 +272,20 @@ class World:
             # are complete even for runs that never shift.
             for rt in self._runtimes:
                 self._observer.gear_change(rt.rank, 0.0, rt.node.gear.index)
-        for rt in self._runtimes:
-            self._advance(rt, None)
-        self.engine.run(max_events=self._max_events)
+        try:
+            for rt in self._runtimes:
+                self._advance(rt, None)
+            self.engine.run(max_events=self._max_events)
+        finally:
+            # Each wake refers back to this World: drop them, so a
+            # finished World is freed by reference counting alone.
+            for rt in self._runtimes:
+                rt.wake = None
 
         stuck = [rt for rt in self._runtimes if not rt.process.done]
         if stuck:
             detail = "; ".join(
-                f"rank {rt.rank} blocked on {rt.process.blocked_on or 'unknown'}"
+                f"rank {rt.rank} blocked on {_describe(rt.process.blocked_on)}"
                 for rt in stuck
             )
             raise DeadlockError(f"simulation deadlocked: {detail}")
@@ -304,6 +330,9 @@ class World:
         request and the wrapper call was measurable.  The process state
         invariants are identical: DONE + result on return, FAILED on an
         escaping exception, BLOCKED set by the handler that blocks.
+        Each handler returns the value to resume the program with, or
+        the :data:`~repro.sim.process.BLOCKED` sentinel once the rank's
+        resume is scheduled or armed on a handle.
         """
         handlers = self._HANDLERS
         ff = self._ff
@@ -328,39 +357,42 @@ class World:
                 raise SimulationError(
                     f"rank {rt.rank} yielded an unknown request: {request!r}"
                 )
-            blocked, value = handler(self, rt, request)
-            if blocked:
+            value = handler(self, rt, request)
+            if value is BLOCKED:
                 return
 
     def _resume_later(self, rt: _RankRuntime, at: float, value: Any = None) -> None:
-        """Schedule a resume, closing any pending idle span on arrival.
+        """Schedule the rank's wake at ``at``, to resume it with ``value``.
 
-        The callback flushes the rank's deferred idle-energy span and
-        deferred wait-trace record inline; when it fires the simulated
-        clock is exactly ``at``, so the end timestamps are taken from the
-        closure instead of re-reading the engine.
+        A blocked rank has exactly one resume pending; arming a second
+        would run the program twice from one block, so it is an error.
         """
+        if rt.resume_value is not _NO_RESUME:
+            raise SimulationError(f"rank {rt.rank} already has a resume pending")
+        rt.resume_value = value
+        self.engine.schedule(at, rt.wake)
 
-        def callback() -> None:
-            if rt.pending_idle_from is not None:
-                rt.meter.record(rt.pending_idle_from, at, rt.node.idle_power())
-                rt.pending_idle_from = None
-            pending_wait = rt.pending_wait
-            if pending_wait is not None:
-                rt.pending_wait = None
-                op, t_enter, nbytes, peer = pending_wait
-                rt.trace.add_span(
-                    op,
-                    CATEGORY_WAIT,
-                    t_enter,
-                    at,
-                    nbytes,
-                    peer,
-                    bool(rt.collective_stack),
-                )
-            self._advance(rt, value)
+    def _wake(self, rt: _RankRuntime) -> None:
+        """Resume a rank at its scheduled time, closing deferred records.
 
-        self.engine.schedule(at, callback)
+        Flushes the rank's pending idle-energy span and deferred
+        wait-trace record, both ending now, then advances the program
+        with the value :meth:`_resume_later` stored.
+        """
+        at = self.engine._now
+        value = rt.resume_value
+        rt.resume_value = _NO_RESUME
+        if rt.pending_idle_from is not None:
+            rt.meter.record(rt.pending_idle_from, at, rt.node.idle_power())
+            rt.pending_idle_from = None
+        pending_wait = rt.pending_wait
+        if pending_wait is not None:
+            rt.pending_wait = None
+            op, t_enter, nbytes, peer = pending_wait
+            rt.trace.add_span(
+                op, CATEGORY_WAIT, t_enter, at, nbytes, peer, rt.nested
+            )
+        self._advance(rt, value)
 
     def _trace(
         self,
@@ -372,33 +404,16 @@ class World:
         nbytes: int = 0,
         peer: int | None = None,
     ) -> None:
-        rt.trace.add_span(
-            op,
-            category,
-            t_enter,
-            t_exit,
-            nbytes,
-            peer,
-            bool(rt.collective_stack),
-        )
+        rt.trace.add_span(op, category, t_enter, t_exit, nbytes, peer, rt.nested)
 
-    def _dispatch(self, rt: _RankRuntime, request: Any) -> tuple[bool, Any]:
-        """Perform one request; returns (blocked, resume_value)."""
-        handler = self._HANDLERS.get(request.__class__)
-        if handler is None:
-            raise SimulationError(
-                f"rank {rt.rank} yielded an unknown request: {request!r}"
-            )
-        return handler(self, rt, request)
+    def _do_now(self, rt: _RankRuntime, request: Now) -> float:
+        return self.engine._now
 
-    def _do_now(self, rt: _RankRuntime, request: Now) -> tuple[bool, Any]:
-        return False, self.engine._now
-
-    def _do_set_gear(self, rt: _RankRuntime, request: SetGear) -> tuple[bool, Any]:
+    def _do_set_gear(self, rt: _RankRuntime, request: SetGear) -> Any:
         now = self.engine._now
         self.cluster.validate_run(self.nodes, request.gear_index)
         if request.gear_index == rt.node.gear.index:
-            return False, None
+            return None
         switch = self.cluster.node.cpu.gear_switch_latency
         old_gear = rt.node.gear.index
         rt.node.set_gear(request.gear_index)
@@ -408,25 +423,25 @@ class World:
             )
         self._trace(rt, "set_gear", CATEGORY_OTHER, now, now + switch)
         if switch == 0:
-            return False, None
+            return None
         # The core stalls through the PLL relock/voltage ramp,
         # drawing idle power at the *new* operating point.
         rt.meter.record(now, now + switch, rt.node.idle_power())
         self._resume_later(rt, now + switch)
         rt.process.block("gear switch")
-        return True, None
+        return BLOCKED
 
-    def _do_elapse(self, rt: _RankRuntime, request: Elapse) -> tuple[bool, Any]:
+    def _do_elapse(self, rt: _RankRuntime, request: Elapse) -> Any:
         now = self.engine._now
         if request.seconds == 0:
-            return False, None
+            return None
         rt.meter.record(now, now + request.seconds, rt.node.idle_power())
         self._trace(rt, "elapse", CATEGORY_OTHER, now, now + request.seconds)
         self._resume_later(rt, now + request.seconds)
         rt.process.block("elapse")
-        return True, None
+        return BLOCKED
 
-    def _do_disk_io(self, rt: _RankRuntime, request: DiskIO) -> tuple[bool, Any]:
+    def _do_disk_io(self, rt: _RankRuntime, request: DiskIO) -> Any:
         now = self.engine._now
         duration = rt.node.io_duration(request.nbytes)
         rt.meter.record(now, now + duration, rt.node.io_power())
@@ -434,132 +449,90 @@ class World:
             rt, "disk_io", CATEGORY_OTHER, now, now + duration, request.nbytes
         )
         if duration == 0:
-            return False, None
+            return None
         self._resume_later(rt, now + duration)
         rt.process.block("disk I/O")
-        return True, None
+        return BLOCKED
 
-    def _do_set_disk_speed(
-        self, rt: _RankRuntime, request: SetDiskSpeed
-    ) -> tuple[bool, Any]:
+    def _do_set_disk_speed(self, rt: _RankRuntime, request: SetDiskSpeed) -> Any:
         now = self.engine._now
         transition = rt.node.set_disk_speed(request.speed_index)
         self._trace(
             rt, "set_disk_speed", CATEGORY_OTHER, now, now + transition
         )
         if transition == 0:
-            return False, None
+            return None
         rt.meter.record(now, now + transition, rt.node.idle_power())
         self._resume_later(rt, now + transition)
         rt.process.block("disk speed transition")
-        return True, None
+        return BLOCKED
 
-    def _do_compute(self, rt: _RankRuntime, request: Compute) -> tuple[bool, Any]:
+    def _do_compute(self, rt: _RankRuntime, request: Compute) -> Any:
         now = self.engine._now
         block = request.block
-        duration = rt.node.compute_duration(block)
-        power = rt.node.compute_power(block)
-        rt.meter.record(now, now + duration, power)
-        cycles = duration * rt.node.gear.frequency_hz
+        duration, power, cycles = rt.node.compute_cost(block)
+        end = now + duration
+        rt.meter.record(now, end, power)
         rt.counters.charge(block.uops, block.l2_misses, cycles, duration)
         rt.trace.add_span(
-            "compute",
-            CATEGORY_COMPUTE,
-            now,
-            now + duration,
-            0,
-            None,
-            bool(rt.collective_stack),
+            "compute", CATEGORY_COMPUTE, now, end, 0, None, rt.nested
         )
         if duration == 0:
-            return False, None
-        self._resume_later(rt, now + duration)
+            return None
+        self._resume_later(rt, end)
         rt.process.block("compute")
-        return True, None
+        return BLOCKED
 
-    def _do_isend(self, rt: _RankRuntime, request: Isend) -> tuple[bool, Any]:
+    def _do_isend(self, rt: _RankRuntime, request: Isend) -> Any:
         now = self.engine._now
-        if not 0 <= request.dest < self.nodes:
-            raise SimulationError(
-                f"rank {rt.rank} sends to invalid rank {request.dest}"
-            )
+        dest, tag, nbytes, payload = request
+        if not 0 <= dest < self.nodes:
+            raise SimulationError(f"rank {rt.rank} sends to invalid rank {dest}")
         overhead = self._endpoint_overhead
         inject = now + overhead
         arrival = self.network.schedule_transfer(
-            inject, request.nbytes, same_node=(request.dest == rt.rank)
+            inject, nbytes, same_node=(dest == rt.rank)
         )
         self._msg_seq += 1
-        message = _Message(
-            source=rt.rank,
-            dest=request.dest,
-            tag=request.tag,
-            nbytes=request.nbytes,
-            payload=request.payload,
-            arrival=arrival,
-            seq=self._msg_seq,
+        self._route(
+            _Message(rt.rank, dest, tag, nbytes, payload, arrival, self._msg_seq)
         )
-        self._route(message)
-        handle = Handle(
-            kind="send",
-            rank=rt.rank,
-            peer=request.dest,
-            tag=request.tag,
-            nbytes=request.nbytes,
-            post_time=now,
-            complete_at=inject,
-        )
+        handle = Handle("send", rt.rank, dest, tag, nbytes, now, inject)
         rt.trace.add_span(
-            "isend",
-            CATEGORY_P2P,
-            now,
-            inject,
-            request.nbytes,
-            request.dest,
-            bool(rt.collective_stack),
+            "isend", CATEGORY_P2P, now, inject, nbytes, dest, rt.nested
         )
         if overhead == 0:
-            return False, handle
+            return handle
         rt.pending_idle_from = now
         self._resume_later(rt, inject, handle)
         rt.process.block("isend overhead")
-        return True, None
+        return BLOCKED
 
-    def _do_irecv(self, rt: _RankRuntime, request: Irecv) -> tuple[bool, Handle]:
+    def _do_irecv(self, rt: _RankRuntime, request: Irecv) -> Handle:
         now = self.engine._now
-        if request.source != ANY_SOURCE and not 0 <= request.source < self.nodes:
+        source, tag = request
+        if source != ANY_SOURCE and not 0 <= source < self.nodes:
             raise SimulationError(
-                f"rank {rt.rank} receives from invalid rank {request.source}"
+                f"rank {rt.rank} receives from invalid rank {source}"
             )
-        handle = Handle(
-            kind="recv",
-            rank=rt.rank,
-            peer=request.source,
-            tag=request.tag,
-            post_time=now,
-        )
+        handle = Handle("recv", rt.rank, source, tag, 0, now)
         rt.trace.add_span(
-            "irecv",
-            CATEGORY_P2P,
-            now,
-            now,
-            0,
-            request.source,
-            bool(rt.collective_stack),
+            "irecv", CATEGORY_P2P, now, now, 0, source, rt.nested
         )
         message = self._match_unexpected(rt.rank, handle)
         if message is not None:
             self._complete_recv(handle, message)
         else:
             posted = self._posted[rt.rank]
-            key = (request.source, request.tag)
+            key = (source, tag)
             queue = posted.get(key)
             if queue is None:
                 posted[key] = deque((handle,))
             else:
                 queue.append(handle)
-        return False, handle
+        return handle
 
-    def _do_wait(self, rt: _RankRuntime, request: Wait) -> tuple[bool, Any]:
+    def _do_wait(self, rt: _RankRuntime, request: Wait) -> Any:
         now = self.engine._now
         handle = request.handle
         if handle.rank != rt.rank:
@@ -567,54 +540,48 @@ class World:
                 f"rank {rt.rank} waits on rank {handle.rank}'s handle"
             )
         op = "wait_recv" if handle.kind == "recv" else "wait_send"
-        if handle.complete_at is not None and handle.complete_at <= now:
+        complete_at = handle.complete_at
+        if complete_at is not None and complete_at <= now:
             rt.trace.add_span(
-                op,
-                CATEGORY_WAIT,
-                now,
-                now,
-                handle.nbytes,
-                handle.peer,
-                bool(rt.collective_stack),
+                op, CATEGORY_WAIT, now, now, handle.nbytes, handle.peer, rt.nested
             )
-            return False, handle.payload
+            return handle.payload
         rt.pending_idle_from = now
         rt.pending_wait = (op, now, handle.nbytes, handle.peer)
-        if handle.complete_at is not None:
-            self._resume_later(rt, handle.complete_at, handle.payload)
+        if complete_at is not None:
+            self._resume_later(rt, complete_at, handle.payload)
         else:
             handle._waiter = rt
-        rt.process.block(
-            f"{op}(peer={handle.peer}, tag={handle.tag})"
-        )
-        return True, None
+        rt.process.block(request)
+        return BLOCKED
 
-    def _do_iteration_mark(
-        self, rt: _RankRuntime, request: IterationMark
-    ) -> tuple[bool, Any]:
+    def _do_iteration_mark(self, rt: _RankRuntime, request: IterationMark) -> Any:
         ff = self._ff
         if ff is None:
             # Fast-forward off: marks are free and change nothing, so
             # default runs stay byte-identical.
-            return False, 0
+            return 0
         return ff.on_mark(self, rt, request)
 
-    def _do_trace_mark(self, rt: _RankRuntime, request: TraceMark) -> tuple[bool, Any]:
+    def _do_trace_mark(self, rt: _RankRuntime, request: TraceMark) -> None:
         now = self.engine._now
+        stack = rt.collective_stack
         if request.phase == "begin":
-            rt.collective_stack.append((request.op, now, request.nbytes))
-            return False, None
+            stack.append((request.op, now, request.nbytes))
+            rt.nested = True
+            return None
         if request.phase != "end":
             raise SimulationError(f"bad TraceMark phase {request.phase!r}")
-        if not rt.collective_stack:
+        if not stack:
             raise SimulationError(
                 f"rank {rt.rank}: TraceMark end '{request.op}' without begin"
             )
-        op, t_begin, nbytes = rt.collective_stack.pop()
+        op, t_begin, nbytes = stack.pop()
         if op != request.op:
             raise SimulationError(
                 f"rank {rt.rank}: TraceMark mismatch: begin '{op}', end '{request.op}'"
             )
+        nested = rt.nested = bool(stack)
         rt.trace.add_span(
             op,
             CATEGORY_COLLECTIVE,
@@ -622,9 +589,9 @@ class World:
             now,
             nbytes or request.nbytes,
             None,
-            bool(rt.collective_stack),
+            nested,
         )
-        return False, None
+        return None
 
     # ------------------------------------------------------------------
     # Message routing
@@ -707,14 +674,6 @@ class World:
         if not queue:
             del unexpected[best_key]
         return message
-
-    @staticmethod
-    def _matches(handle: Handle, message: _Message) -> bool:
-        if handle.peer != ANY_SOURCE and handle.peer != message.source:
-            return False
-        if handle.tag != ANY_TAG and handle.tag != message.tag:
-            return False
-        return True
 
     def _complete_recv(self, handle: Handle, message: _Message) -> None:
         overhead = self._endpoint_overhead

@@ -6,12 +6,12 @@ Determinism guarantees:
   monotonically increasing sequence number in the heap key;
 - the engine itself never consults wall-clock time or global randomness.
 
-Performance: the heap holds plain ``(time, seq, callback)`` tuples
-(:class:`Event` is a ``NamedTuple``, so the scheduled object *is* the
-heap entry) and :meth:`run` drains the queue in a single fused loop
-with the metrics check hoisted out of the per-event path.  Comparisons
-during sifting are C-level tuple comparisons that never reach the
-callback element because ``seq`` is unique.
+Performance: the heap holds plain ``(time, seq, callback)`` tuples,
+built by :meth:`Simulator.schedule` without any Python-level
+constructor, and :meth:`Simulator.run` drains the queue in a single
+fused loop with the metrics check hoisted out of the per-event path.
+Comparisons during sifting are C-level tuple comparisons that never
+reach the callback element because ``seq`` is unique.
 
 Observability: pass a :class:`repro.obs.registry.MetricsRegistry` as
 ``metrics`` and the engine publishes ``sim.scheduled`` / ``sim.events``
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 from repro.util.errors import SimulationError
 
@@ -31,24 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.registry import MetricsRegistry
 
 
-class Event(NamedTuple):
-    """One scheduled callback.
-
-    A named tuple ordered by ``(time, seq)``; ``seq`` is unique per
-    simulator, so comparisons never fall through to the callback.
-    """
-
-    time: float
-    seq: int
-    callback: Callable[[], None]
-
-
 class Simulator:
     """A discrete-event simulator with a float-seconds clock."""
 
     def __init__(self, *, metrics: "MetricsRegistry | None" = None) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        # (time, seq, callback) entries; seq is unique per simulator.
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._processed = 0
         self._metrics = metrics
@@ -68,7 +57,7 @@ class Simulator:
         """Number of events executed so far."""
         return self._processed
 
-    def schedule(self, at: float, callback: Callable[[], None]) -> Event:
+    def schedule(self, at: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute time ``at``.
 
         Raises:
@@ -78,17 +67,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {at}: clock is already at {self._now}"
             )
-        event = Event(at, next(self._seq), callback)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (at, next(self._seq), callback))
         if self._metrics is not None:
             self._metrics.inc("sim.scheduled")
-        return event
 
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> Event:
+    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after a non-negative delay."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self._now + delay, callback)
+        self.schedule(self._now + delay, callback)
 
     def jump_to(self, at: float) -> None:
         """Advance the clock to ``at`` without executing any events.
@@ -108,9 +95,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot jump to {at}: clock is already at {self._now}"
             )
-        if self._heap and self._heap[0].time < at:
+        if self._heap and self._heap[0][0] < at:
             raise SimulationError(
-                f"cannot jump to {at}: event pending at {self._heap[0].time}"
+                f"cannot jump to {at}: event pending at {self._heap[0][0]}"
             )
         self._now = at
         if self._metrics is not None:

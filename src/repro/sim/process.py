@@ -35,6 +35,19 @@ class _Stop:
 STOP = _Stop()
 
 
+class _Blocked:
+    """Sentinel a request handler returns when its process blocked."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<process blocked>"
+
+
+#: What a runtime's request handler returns instead of a resume value
+#: when the request blocked the process (its resume is scheduled, or
+#: armed on a handle).
+BLOCKED = _Blocked()
+
+
 class RankProcess:
     """Wraps one rank's generator with state tracking.
 
@@ -42,8 +55,9 @@ class RankProcess:
         rank: the MPI rank this process plays.
         state: current :class:`ProcessState`.
         result: the generator's return value once DONE.
-        blocked_on: human-readable description of the blocking request,
-            for deadlock diagnostics.
+        blocked_on: what the process is blocked on, for deadlock
+            diagnostics: a description, or the blocking request itself,
+            which is only formatted if the run deadlocks.
     """
 
     def __init__(self, rank: int, program: RankProgram):
@@ -55,7 +69,7 @@ class RankProcess:
         self._gen = program
         self.state = ProcessState.READY
         self.result: Any = None
-        self.blocked_on: str | None = None
+        self.blocked_on: object = None
 
     def resume(self, value: Any = None) -> Any:
         """Advance the generator; return its next request or ``STOP``.
@@ -78,10 +92,15 @@ class RankProcess:
             self.state = ProcessState.FAILED
             raise
 
-    def block(self, description: str) -> None:
-        """Mark the process blocked (for diagnostics only)."""
+    def block(self, blocked_on: object) -> None:
+        """Mark the process blocked (for diagnostics only).
+
+        ``blocked_on`` is a description, or the request the process
+        blocked on; a request is kept as is, so building its deadlock
+        text costs nothing unless the run deadlocks.
+        """
         self.state = ProcessState.BLOCKED
-        self.blocked_on = description
+        self.blocked_on = blocked_on
 
     @property
     def done(self) -> bool:

@@ -1,5 +1,8 @@
 """The World interpreter: message semantics, accounting, deadlocks."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.machines import athlon_cluster
@@ -216,7 +219,39 @@ class TestDeadlocks:
 
         with pytest.raises(DeadlockError) as err:
             run(program)
-        assert "rank 0" in str(err.value)
+        assert str(err.value) == (
+            "simulation deadlocked: rank 0 blocked on wait_recv(peer=1, tag=-1)"
+        )
+
+    def test_second_resume_for_a_blocked_rank_rejected(self):
+        def program(comm):
+            yield from comm.elapse(1.0)
+
+        w = World(athlon_cluster(), program, nodes=1, gear=1)
+        rt = w._runtimes[0]
+        # Mid-elapse the rank is blocked with its wake already armed.
+        w.engine.schedule(0.5, lambda: w._resume_later(rt, 0.75))
+        with pytest.raises(SimulationError, match="already has a resume pending"):
+            w.run()
+
+    def test_finished_world_is_freed_without_gc(self):
+        def program(comm):
+            yield from comm.sendrecv(
+                (comm.rank + 1) % comm.size,
+                (comm.rank - 1) % comm.size,
+                send_bytes=64,
+            )
+            yield from comm.compute(uops=1e6)
+
+        gc.disable()
+        try:
+            w = World(athlon_cluster(), program, nodes=2, gear=1)
+            w.run()
+            alive = weakref.ref(w)
+            del w
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_world_runs_once(self):
         def program(comm):
@@ -357,4 +392,6 @@ class TestMatchingIndex:
 
         with pytest.raises(DeadlockError) as err:
             run(program)
-        assert "rank 1" in str(err.value)
+        assert str(err.value) == (
+            "simulation deadlocked: rank 1 blocked on wait_recv(peer=0, tag=2)"
+        )

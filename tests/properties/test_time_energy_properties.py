@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cpu import ATHLON64_CPU, CPUPowerModel
+from repro.cluster.disk import drpm_disk
 from repro.cluster.gears import ATHLON64_GEARS
 from repro.cluster.machines import athlon_node
 from repro.cluster.memory import ATHLON64_MEMORY, ComputeBlock, MemoryModel
@@ -94,3 +95,49 @@ def test_energy_saving_bounded_by_power_saving(block, pair):
     e_slow = slow_state.compute_duration(block) * slow_state.compute_power(block)
     p_ratio = slow_state.compute_power(block) / fast_state.compute_power(block)
     assert e_slow / e_fast >= p_ratio - 1e-9
+
+
+#: Every (gear, disk speed) state of a node with the DRPM disk.
+DISK_STATES = [
+    (gear.index, speed) for gear in ATHLON64_GEARS for speed in drpm_disk().indices
+]
+
+
+def _assert_exact_cost(state, block):
+    # A fresh but equal block: the memo is keyed by block value.
+    probe = ComputeBlock(block.uops, block.l2_misses, block.miss_latency)
+    duration = state.compute_duration(block)
+    assert state.compute_cost(probe) == (
+        duration,
+        state.compute_power(block),
+        duration * state.gear.frequency_hz,
+    )
+
+
+@given(
+    block_list=st.lists(blocks, min_size=1, max_size=3),
+    order=st.permutations(DISK_STATES),
+)
+@settings(max_examples=50)
+def test_compute_cost_is_exact_at_every_gear_and_disk_speed(block_list, order):
+    """The memoized cost equals the direct models exactly, at every state
+    a node passes through, revisited states included: a memo key that
+    missed the gear or the disk speed would serve a stale entry."""
+    state = NodeState(athlon_node(disk=drpm_disk()), order[0][0])
+    for gear_index, speed_index in order + order[::-1]:
+        state.set_gear(gear_index)
+        state.set_disk_speed(speed_index)
+        for block in block_list:
+            _assert_exact_cost(state, block)
+
+
+@given(
+    block_list=st.lists(blocks, min_size=1, max_size=3),
+    order=st.permutations(range(1, 7)),
+)
+def test_compute_cost_is_exact_at_every_gear_without_disk(block_list, order):
+    state = NodeState(athlon_node(), order[0])
+    for gear_index in order + order[::-1]:
+        state.set_gear(gear_index)
+        for block in block_list:
+            _assert_exact_cost(state, block)
