@@ -28,35 +28,59 @@ import dataclasses
 import enum
 import hashlib
 import json
+from collections.abc import Mapping
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro.util.errors import ConfigurationError
+
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"),
+#: allow_nan=False)`` without building an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+_INFINITIES = (float("inf"), float("-inf"))
 
 
 def jsonable(obj: Any) -> Any:
     """Convert ``obj`` to a canonical JSON-encodable structure.
 
+    The built-in containers and scalars are dispatched on their exact
+    type; every other object, subclasses of those included, takes the
+    ``isinstance`` chain in :func:`_jsonable_other`.
+
     Raises:
         ConfigurationError: the object (or something nested in it) has no
             canonical encoding — e.g. a function, a file handle.
     """
-    if obj is None or isinstance(obj, (str, bool, int)):
+    cls = type(obj)
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
+    if cls is dict:
+        return {"__mapping__": True, "items": _sorted_items(obj)}
+    if cls is list or cls is tuple:
+        return [jsonable(v) for v in obj]
+    if cls is float:
+        return _finite(obj)
+    return _jsonable_other(obj)
+
+
+def _jsonable_other(obj: Any) -> Any:
+    """:func:`jsonable` of anything that is not an exact built-in type."""
+    if isinstance(obj, (str, bool, int)):
         return obj
     if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ConfigurationError(f"non-finite float {obj!r} cannot be fingerprinted")
-        return obj
+        return _finite(obj)
     if isinstance(obj, enum.Enum):
         return {"__enum__": type(obj).__name__, "value": jsonable(obj.value)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {
-            f.name: jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-        return {"__class__": type(obj).__name__, "fields": _sorted_items(fields)}
-    if isinstance(obj, Mapping):
+        names, order = _dataclass_layout(type(obj))
+        values = [jsonable(getattr(obj, name)) for name in names]
+        # The canonical form encodes each field value twice: once into a
+        # field mapping, then again as that mapping's sorted items.
+        fields = [[names[i], jsonable(values[i])] for i in order]
+        return {"__class__": type(obj).__name__, "fields": fields}
+    if issubclass(type(obj), Mapping):
         return {"__mapping__": True, "items": _sorted_items(obj)}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
@@ -79,16 +103,45 @@ def jsonable(obj: Any) -> Any:
     )
 
 
+def _finite(value: float) -> float:
+    """``value`` itself, if it is finite."""
+    if value != value or value in _INFINITIES:
+        raise ConfigurationError(f"non-finite float {value!r} cannot be fingerprinted")
+    return value
+
+
+@lru_cache(maxsize=1024)
+def _dataclass_layout(cls: type) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """A dataclass's field names, and their positions in canonical order."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    order = sorted(range(len(names)), key=lambda i: _canonical_text(names[i]))
+    return names, tuple(order)
+
+
 def _sorted_items(mapping: Mapping[Any, Any]) -> list[list[Any]]:
     """Mapping items as ``[key, value]`` pairs, sorted canonically."""
     pairs = [[jsonable(k), jsonable(v)] for k, v in mapping.items()]
-    pairs.sort(key=lambda kv: _canonical_text(kv[0]))
+    pairs.sort(key=_key_text)
     return pairs
+
+
+def _key_text(pair: list[Any]) -> str:
+    """Sort key of an encoded ``[key, value]`` pair: the key's JSON text."""
+    key = pair[0]
+    if type(key) is str:
+        return _str_text(key)
+    return _canonical_text(key)
+
+
+@lru_cache(maxsize=4096)
+def _str_text(key: str) -> str:
+    """JSON text of an exact ``str`` (never a subclass: equal is identical)."""
+    return _ENCODER.encode(key)
 
 
 def _canonical_text(encoded: Any) -> str:
     """Deterministic text for an already-canonical structure."""
-    return json.dumps(encoded, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(encoded)
 
 
 def fingerprint(obj: Any) -> str:

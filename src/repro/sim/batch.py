@@ -1456,6 +1456,9 @@ def _column_measurement(
 def _replay_grid_scalar(
     tape: Tape, gear_indices: Sequence[int], stats: ReplayStats
 ) -> list[RunMeasurement]:
+    if tape.recording_gear not in gear_indices:
+        # Self-check only: the column is neither returned nor counted.
+        _measure_gear(tape, tape.recording_gear)
     stats.scalar_gears += len(gear_indices)
     return [_measure_gear(tape, g) for g in gear_indices]
 

@@ -191,11 +191,21 @@ class TestVectorizedReplay:
         # A tape whose recorded totals no longer match its own replay —
         # bitrot, a stale cache entry surviving a model change — must
         # reject in BOTH modes; the vectorized path may never ship
-        # numbers the recording gear cannot vouch for.
+        # numbers the recording gear cannot vouch for.  A grid that omits
+        # the recording gear is checked all the same.
         tape = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
         tape.recording_energy *= 1.0 + 1e-6
-        with pytest.raises(BatchUnsupported, match="self-check"):
-            replay_grid(tape, list(ALL_GEARS), mode=mode)
+        for gears in (ALL_GEARS, ALL_GEARS[1:]):
+            with pytest.raises(BatchUnsupported, match="self-check"):
+                replay_grid(tape, list(gears), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["grid", "scalar"])
+    def test_absent_recording_gear_is_not_returned_or_counted(self, cluster, mode):
+        tape = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
+        stats = ReplayStats()
+        out = replay_grid(tape, list(ALL_GEARS[1:]), mode=mode, stats=stats)
+        assert [m.gear for m in out] == list(ALL_GEARS[1:])
+        assert stats.vector_gears + stats.scalar_gears == len(ALL_GEARS) - 1
 
 
 class _DeviatingRing(Workload):
