@@ -403,7 +403,6 @@ def bench_grid_replay(
         "grid_over_scalar_speedup": scalar_s / grid_s,
         "vector_gears": stats.vector_gears,
         "scalar_gears": stats.scalar_gears,
-        "divergent_gears": stats.divergent_gears,
         "fallback_reasons": list(stats.fallback_reasons),
         "max_rel_err": max(
             max(g["time_rel_err"], g["energy_rel_err"]) for g in gears
@@ -507,7 +506,7 @@ def render_report(report: dict) -> str:
             f"scalar {grid['scalar_s'] * 1e3:.0f} ms "
             f"({grid['grid_over_scalar_speedup']:.1f}x, "
             f"max rel err {grid['max_rel_err']:.1e}, "
-            f"{grid['divergent_gears']} divergent)",
+            f"{grid['scalar_gears']} scalar)",
         ]
     )
     return table.render()
@@ -574,16 +573,11 @@ def check_baseline(report: dict, path: Path) -> list[str]:
             "exceeds 1e-9 — the vectorized walk is drifting from the "
             "scalar interpreter"
         )
-    if (
-        grid["scalar_gears"]
-        or grid["divergent_gears"]
-        or grid["fallback_reasons"]
-    ):
+    if grid["scalar_gears"] or grid["fallback_reasons"]:
         failures.append(
             f"vectorized replay silently narrowed: {grid['scalar_gears']} "
-            f"scalar gear(s), {grid['divergent_gears']} divergent, "
-            f"reasons {grid['fallback_reasons']!r} — the dense Jacobi menu "
-            "must revalue fully vectorized"
+            f"scalar gear(s), reasons {grid['fallback_reasons']!r} — the "
+            "dense Jacobi menu must revalue fully vectorized"
         )
     return failures
 

@@ -71,7 +71,8 @@ class NetworkModel:
     backplane is a pool of ``concurrency`` transfer servers and each wire
     transfer occupies the earliest-free server.  Messages therefore queue
     deterministically in injection order under all-pairs load, while
-    sparse patterns pass through unqueued.
+    sparse patterns pass through unqueued.  ``queued`` counts the wire
+    transfers that found every server busy at their injection time.
     """
 
     def __init__(self, spec: LinkSpec):
@@ -79,6 +80,7 @@ class NetworkModel:
         self._servers: list[float] = (
             [0.0] * spec.concurrency if spec.concurrency is not None else []
         )
+        self.queued = 0
 
     def wire_time(self, nbytes: int) -> float:
         """Backplane occupancy of one message (serialization only)."""
@@ -103,9 +105,14 @@ class NetworkModel:
         servers = self._servers
         if not servers:
             return inject_time + self.spec.latency + occupancy
-        # Earliest-free server, first index on ties.
+        # Earliest-free server, first index on ties; a server freed at
+        # the injection time serves the transfer without queueing it.
         free_at = min(servers)
-        start = inject_time if inject_time > free_at else free_at
+        if free_at > inject_time:
+            self.queued += 1
+            start = free_at
+        else:
+            start = inject_time
         servers[servers.index(free_at)] = start + occupancy
         return start + self.spec.latency + occupancy
 

@@ -83,10 +83,6 @@ BACKEND_TOKEN = "batch"
 #: Backends :func:`repro.exec.sweep.sweep` accepts.
 BACKENDS = ("event", "batch")
 
-#: Replay modes :func:`batch_sweep` accepts (see
-#: :func:`repro.sim.batch.replay_grid`).
-REPLAY_MODES = ("grid", "scalar")
-
 
 def batch_cache_key(task: SimTask) -> str:
     """Cache key of a point executed through the batch backend."""
@@ -286,11 +282,12 @@ def _form_units(pending: Sequence[tuple[SimTask, str | None]]) -> list[_Unit]:
 def _load_tape(cluster: Any, tape_root: Path, key: str) -> Any | None:
     """Deserialize a cached tape, or None on miss/corruption/version skew.
 
-    A payload that does not decode (format bump, truncated write an
-    atomic rename should have prevented, hand-edited entry) is treated
-    as a miss — the caller re-records.  A payload that decodes but no
-    longer matches its recording totals is caught later by the replay
-    self-check, which rejects the whole tape into the event fallback.
+    A payload that does not decode or whose op streams do not hold
+    together (format bump, truncated write an atomic rename should have
+    prevented, hand-edited entry) is treated as a miss — the caller
+    re-records.  A payload that decodes but no longer matches its
+    recording totals is caught later by the replay self-check, which
+    rejects the whole tape into the event fallback.
     """
     from repro.sim.batch import tape_from_payload
 
@@ -342,7 +339,6 @@ def _run_unit(
     tasks: Sequence[SimTask],
     batch: bool,
     *,
-    replay_mode: str = "grid",
     tape_root: Path | None = None,
     tape_key: str | None = None,
     prefail: str | None = None,
@@ -396,7 +392,6 @@ def _run_unit(
                     nodes=first.nodes,
                     gears=first.gears,
                     fast_forward=first.fast_forward,
-                    replay_mode=replay_mode,
                     tape=tape,
                 )
             ]
@@ -408,7 +403,6 @@ def _run_unit(
                     nodes=first.nodes,  # type: ignore[attr-defined]
                     gears=[t.gear for t in tasks],  # type: ignore[union-attr]
                     fast_forward=getattr(first, "fast_forward", None),
-                    replay_mode=replay_mode,
                     tape=tape,
                 )
             )
@@ -432,7 +426,6 @@ class _UnitPointError(Exception):
 def _execute_unit_chunk(
     chunk: Sequence[tuple[list[SimTask], bool, str | None, str | None]],
     tape_root: Path | None = None,
-    replay_mode: str = "grid",
 ) -> list[tuple[list[Any], str | None, float, int, float, float]]:
     """Run a chunk of units in one worker call.
 
@@ -449,7 +442,6 @@ def _execute_unit_chunk(
             results, fallback, record_s, replay_s = _run_unit(
                 tasks,
                 batch,
-                replay_mode=replay_mode,
                 tape_root=tape_root,
                 tape_key=key,
                 prefail=prefail,
@@ -478,7 +470,6 @@ def batch_sweep(
     chunk_size: int | None = None,
     report: BatchReport | None = None,
     tape_cache: TapeCache | None = None,
-    replay_mode: str = "grid",
 ) -> list[Any]:
     """The batch-backend twin of :func:`repro.exec.sweep.sweep`.
 
@@ -496,21 +487,12 @@ def batch_sweep(
             recordings are stored for the next sweep.  ``None`` keeps
             recordings sweep-local (a temporary store still backs the
             parallel-recording phase when ``jobs > 1``).
-        replay_mode: ``"grid"`` (default) revalues each group's gear
-            grid in one vectorized pass; ``"scalar"`` forces the
-            per-gear reference interpreter (see
-            :func:`repro.sim.batch.replay_grid`).
     """
     ordered: Sequence[SimTask] = list(tasks)
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    if replay_mode not in REPLAY_MODES:
-        known = ", ".join(repr(m) for m in REPLAY_MODES)
-        raise ConfigurationError(
-            f"unknown replay mode {replay_mode!r}; choose from {known}"
-        )
     seen: set[tuple] = set()
     for task in ordered:
         if task.key in seen:
@@ -600,7 +582,6 @@ def batch_sweep(
                 profile,
                 report,
                 pool_root,
-                replay_mode,
             )
     else:
         for unit in units:
@@ -610,7 +591,6 @@ def batch_sweep(
                 unit_results, fallback, record_s, replay_s = _run_unit(
                     unit.tasks,
                     unit.batch,
-                    replay_mode=replay_mode,
                     tape_root=tape_root,
                     tape_key=unit.tape_key,
                 )
@@ -780,7 +760,6 @@ def _run_units_pool(
     profile: ExecProfile | None,
     report: BatchReport | None,
     tape_root: Path | None,
-    replay_mode: str,
 ) -> None:
     """Fan unit chunks out to a process pool; merge in unit order.
 
@@ -807,7 +786,7 @@ def _run_units_pool(
             for chunk in chunks
         ]
         futures = [
-            pool.submit(_execute_unit_chunk, payload, tape_root, replay_mode)
+            pool.submit(_execute_unit_chunk, payload, tape_root)
             for payload in payloads
         ]
         wait(futures, return_when=FIRST_EXCEPTION)

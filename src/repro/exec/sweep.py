@@ -148,7 +148,6 @@ def sweep(
     backend: str = "event",
     batch_report: Any = None,
     tape_cache: Any = None,
-    replay_mode: str = "grid",
 ) -> list[Any]:
     """Execute simulation points, possibly in parallel, possibly cached.
 
@@ -186,9 +185,6 @@ def sweep(
             persisting batch recordings across sweeps and processes
             (batch backend only; see
             :func:`repro.exec.batch_sweep.batch_sweep`).
-        replay_mode: batch-backend replay strategy — ``"grid"``
-            (vectorized whole-grid revaluation, the default) or
-            ``"scalar"`` (the per-gear reference interpreter).
 
     Returns:
         One result per task, in task order regardless of completion
@@ -216,7 +212,6 @@ def sweep(
             chunk_size=chunk_size,
             report=batch_report,
             tape_cache=tape_cache,
-            replay_mode=replay_mode,
         )
     ordered: Sequence[SimTask] = list(tasks)
     if jobs < 1:

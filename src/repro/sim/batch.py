@@ -38,26 +38,28 @@ This module exploits it across a whole sweep:
    one NumPy pass — ``t(f) = uops/(issue_rate · f) + misses · latency``
    elementwise over ``(gears × segments)`` matrices, bitwise-identical
    to the engine's scalar arithmetic — and the tape's *interactions*
-   (message completions, the stateful network server pool, recorded
-   macro-step jumps) are walked **once for the whole grid**: the tape is
-   compiled to structure-of-arrays columns (:func:`compile_columns`)
-   plus a gear-invariant schedule (the wire-send order and the
-   send↔receive pairing observed by one instrumented scalar replay at
-   the recording gear), and every gear's timeline advances in lockstep
-   as ``(gears,)`` time vectors.  Stretches between interactions
-   collapse to one cumulative-sum gap per gear; receive completions are
-   pure ``max`` dataflow because the pairing is FIFO per (source, tag)
-   channel and hence gear-invariant.  Two recorded properties *can*
-   legitimately vary with the gear and are guarded per gear: a receive
-   with a wildcard source/tag (matching order is time-dependent —
-   the whole tape replays scalar), and the injection order of wire
-   sends through the contended server pool (an inversion or a
-   contended tie against the recorded order flags that gear, which is
-   re-replayed by the scalar interpreter — exact, reported via
-   :class:`ReplayStats`, never silent).  The scalar per-gear
-   interpreter (:func:`_replay_gear`) remains the reference path,
-   selectable via ``replay_mode="scalar"`` and equivalence-tested
-   against the vectorized walk at 1e-9.
+   (message completions, recorded macro-step jumps) are walked **once
+   for the whole grid**: the tape is compiled to structure-of-arrays
+   columns (:func:`compile_columns`) plus a send↔receive pairing read
+   off the tape alone (the k-th send on a (source, dest, tag) channel
+   completes the k-th receive the destination posts for that (source,
+   tag) — the engine's FIFO matching), and every gear's timeline
+   advances in lockstep as ``(gears,)`` time vectors.  Stretches
+   between interactions collapse to one cumulative-sum gap per gear;
+   receive completions are pure ``max`` dataflow, and each rank
+   advances until it waits on a send not yet walked.  The walk keeps
+   no backplane state: every wire transfer arrives at ``inject +
+   latency + occupancy``.  That is exact for a gear column in which no
+   wire transfer finds ``concurrency`` others in flight at its
+   injection time — the engine's server pool then queues nothing,
+   whatever the injection order — so the walk certifies each column
+   by that contention check.  A column that fails it is re-replayed
+   by the scalar interpreter (:func:`_replay_gear`) — exact, reported
+   via :class:`ReplayStats`, never silent.  Wildcard receives (the
+   matching order is time-dependent), one-column grids and recordings
+   that queued on the backplane skip the walk altogether.  The scalar
+   interpreter remains the reference path, selectable via
+   ``mode="scalar"`` and equivalence-tested against the walk at 1e-9.
 
 4. **Roll up.**  Energy decomposes exactly: each rank draws its idle
    power for the whole run plus a busy *excess* for compute and disk
@@ -135,7 +137,7 @@ _OP_MARK = 7
 
 #: Serialization format of :func:`tape_to_payload`.  Part of every tape
 #: cache key, so a format change can never collide with older entries.
-TAPE_FORMAT_VERSION = 1
+TAPE_FORMAT_VERSION = 2
 
 
 class BatchUnsupported(Exception):
@@ -152,20 +154,27 @@ class BatchUnsupported(Exception):
 class ReplayStats:
     """How a :func:`replay_grid` call executed each gear column.
 
-    The vectorized walk is conservative: any gear whose interaction
-    order cannot be proven to match the recorded schedule is re-replayed
-    by the exact scalar interpreter and counted here, so truncated
-    vector coverage is visible, never silent.
+    The vectorized walk is conservative: a gear column in which some
+    wire transfer finds the backplane's ``concurrency`` servers taken
+    by transfers still in flight at its injection time is not certified
+    by the contention check, and is re-replayed by the exact scalar
+    interpreter.  Every decision to skip the walk adds one code to
+    ``fallback_reasons``, so truncated vector coverage is visible,
+    never silent.
     """
 
     #: Gear columns revalued by the vectorized gear-axis walk.
     vector_gears: int = 0
     #: Gear columns replayed by the scalar reference interpreter
-    #: (``replay_mode="scalar"``, an ineligible tape, or a guard).
+    #: (``mode="scalar"``, a skipped walk, or an uncertified column).
     scalar_gears: int = 0
-    #: Scalar columns forced by an order-divergence guard specifically.
-    divergent_gears: int = 0
-    #: Why whole tapes were routed to the scalar path, when they were.
+    #: One code per decision to replay columns scalar in grid mode:
+    #: ``single_column`` (a one-column grid), ``recording_queued(n)``
+    #: (the recording queued ``n`` transfers on the backplane, so its
+    #: own column cannot be certified), ``wildcard_recv(rank)`` (the
+    #: pairing is time-dependent) or ``contention(gear)`` (that column
+    #: failed the contention check; at the recording gear the whole
+    #: grid replays scalar).
     fallback_reasons: list[str] = field(default_factory=list)
 
 
@@ -206,7 +215,9 @@ class Tape:
     recording_gear: int
     #: Iterations the recording's fast-forward macro-stepped past.
     recorded_skips: int
-    #: Lazily-built compiled form (SoA columns + replay schedule).
+    #: Wire transfers that queued on the backplane during the recording.
+    recording_queued: int
+    #: Lazily-built compiled form (walk plans + send↔receive pairing).
     #: Derived state: not part of the tape's identity or its payload.
     _compiled: "CompiledTape | None" = field(
         default=None, repr=False, compare=False
@@ -272,7 +283,16 @@ def record_tape(
             "the event structure is not iteration-stable"
         )
     jumps = {(rank, idx): (jump, period) for rank, idx, jump, period in ff.jump_log}
-    return _build_tape(cluster, workload, nodes, gear, entries, jumps, recording)
+    return _build_tape(
+        cluster,
+        workload,
+        nodes,
+        gear,
+        entries,
+        jumps,
+        recording,
+        world.network.queued,
+    )
 
 
 def _build_tape(
@@ -283,6 +303,7 @@ def _build_tape(
     entries: list[list[tuple[Any, Any]]],
     jumps: dict[tuple[int, int], tuple[int, int]],
     recording: WorldResult,
+    queued: int,
 ) -> Tape:
     """Convert raw (request, value) streams into the certified tape."""
     node_spec = cluster.node
@@ -519,6 +540,7 @@ def _build_tape(
         recording_reducible=recording.reducible_time(),
         recording_gear=gear,
         recorded_skips=recorded_skips,
+        recording_queued=queued,
     )
 
 
@@ -526,28 +548,8 @@ def _build_tape(
 # Replay
 
 
-@dataclass
-class _ReplayTrace:
-    """Schedule observed by one instrumented scalar replay.
-
-    ``sends`` is the execution order of *wire* sends as ``(rank,
-    ordinal)`` — the ordinal counts every SEND op of that rank in tape
-    order — and ``pairing`` maps each ``(rank, recv slot)`` to the send
-    that completed it.  Both are gear-invariant for wildcard-free tapes
-    (FIFO per (source, tag) channel); the vector walk follows this
-    schedule and guards the send order per gear.
-    """
-
-    sends: list[tuple[int, int]] = field(default_factory=list)
-    pairing: dict[tuple[int, int], tuple[int, int]] = field(
-        default_factory=dict
-    )
-
-
 def _replay_gear(
-    tape: Tape,
-    durations: list[list[float]],
-    trace: _ReplayTrace | None = None,
+    tape: Tape, durations: list[list[float]]
 ) -> tuple[list[float], list[list[tuple[float, float]]]]:
     """Re-run the tape's interactions at one gear.
 
@@ -556,8 +558,6 @@ def _replay_gear(
     :class:`~repro.mpi.world.World` exactly — same matching algorithm,
     same network server pool, same FIFO tie-breaking — so the timeline
     is the event engine's, without generators, traces, or meters.
-    With ``trace`` the replay additionally records the wire-send order
-    and the send↔receive pairing (see :class:`_ReplayTrace`).
     """
     nodes = tape.nodes
     network = tape.cluster.network_model()
@@ -578,15 +578,9 @@ def _replay_gear(
     unexpected: list[dict[tuple[int, int], deque]] = [{} for _ in range(nodes)]
     phases: list[list[tuple[float, float]]] = [[] for _ in range(nodes)]
     marks: list[list[float]] = [[] for _ in range(nodes)]
-    # Send ordinals: the k-th SEND op of a rank (any kind) is (rank, k).
-    send_ord = [0] * nodes
 
-    def complete(
-        rank: int, slot: int, arrival: float, now: float, ident: tuple[int, int]
-    ) -> None:
+    def complete(rank: int, slot: int, arrival: float, now: float) -> None:
         # Mirrors World._complete_recv: ready + per-endpoint overhead.
-        if trace is not None:
-            trace.pairing[(rank, slot)] = ident
         ready = max(recv_post[rank][slot], arrival, now)
         done = ready + overhead
         recv_done[rank][slot] = done
@@ -595,12 +589,7 @@ def _replay_gear(
             heappush(heap, (done, next(seq), rank))
 
     def route(
-        dest: int,
-        source: int,
-        tag: int,
-        arrival: float,
-        now: float,
-        ident: tuple[int, int],
+        dest: int, source: int, tag: int, arrival: float, now: float
     ) -> None:
         # Mirrors World._route (indexed FIFO, earliest-posted wins).
         pd = posted[dest]
@@ -623,15 +612,15 @@ def _replay_gear(
                 _, slot = queue.popleft()
                 if not queue:
                     del pd[best_key]
-                complete(dest, slot, arrival, now, ident)
+                complete(dest, slot, arrival, now)
                 return
         ud = unexpected[dest]
         key = (source, tag)
         queue = ud.get(key)
         if queue is None:
-            ud[key] = deque(((arrival, next(msg_seq), ident),))
+            ud[key] = deque(((arrival, next(msg_seq)),))
         else:
-            queue.append((arrival, next(msg_seq), ident))
+            queue.append((arrival, next(msg_seq)))
 
     def match_unexpected(rank: int, source: int, tag: int):
         # Mirrors World._match_unexpected (earliest-sent wins).
@@ -685,13 +674,9 @@ def _replay_gear(
                     return
             elif code == _OP_SEND:
                 _, dest, tag, nbytes, same = op
-                ordinal = send_ord[rank]
-                send_ord[rank] = ordinal + 1
                 inject = now + overhead
-                if trace is not None and not same:
-                    trace.sends.append((rank, ordinal))
                 arrival = schedule_transfer(inject, nbytes, same_node=same)
-                route(dest, rank, tag, arrival, now, (rank, ordinal))
+                route(dest, rank, tag, arrival, now)
                 if overhead != 0.0:
                     pos[rank] = p
                     heappush(heap, (inject, next(seq), rank))
@@ -701,7 +686,7 @@ def _replay_gear(
                 recv_post[rank][slot] = now
                 message = match_unexpected(rank, source, tag)
                 if message is not None:
-                    complete(rank, slot, message[0], now, message[2])
+                    complete(rank, slot, message[0], now)
                 else:
                     key = (source, tag)
                     queue = posted[rank].get(key)
@@ -888,7 +873,10 @@ class _RankPlan:
     transitions) plus a contiguous run ``[lo, hi)`` of compute segments
     whose durations scale with the gear.  ``steps[k]`` is ``(kind,
     *params)`` and gap ``k`` precedes it; the last step is the
-    :data:`_IN_END` sentinel whose gap is the tape's tail.
+    :data:`_IN_END` sentinel whose gap is the tape's tail.  Send steps
+    carry their ``(rank, send ordinal)`` key and each WAIT step the key
+    of the send that completes it (:func:`_pair_receives`), so the walk
+    needs no matching state of its own.
 
     ``boundary_before[k]`` is 1 + the index of the last
     timeline-resetting interaction (a WAIT or a recorded jump) strictly
@@ -904,6 +892,8 @@ class _RankPlan:
     monotone), so send steps carry ``overhead`` inside their arrival
     constants and ``recv_rows`` names the offset rows that get it added
     once per walk — the WAIT step then needs no addition of its own.
+    Wire sends also carry their backplane occupancy, which the
+    contention check (:func:`_contended_columns`) reads.
     """
 
     steps: list[tuple]
@@ -914,13 +904,56 @@ class _RankPlan:
     recv_rows: np.ndarray  # (R,) int64 indices of _IN_RECV steps
 
 
+def _pair_receives(
+    ops_by_rank: Sequence[Sequence[tuple]],
+) -> list[dict[int, tuple[int, int]]]:
+    """Pair every receive with the send that completes it, from the tape.
+
+    Returns, per rank, ``{recv slot: (source rank, send ordinal)}``; the
+    ordinal counts every SEND op of the source rank in tape order.  The
+    k-th send on a (source, dest, tag) channel completes the k-th
+    receive ``dest`` posts for that (source, tag): the engine matches
+    each channel FIFO by posting and sending order, which no timing can
+    reorder once no receive is a wildcard.  Wildcard receives, and
+    receives no send ever completes, are left out.
+    """
+    channels: dict[tuple[int, int, int], list[int]] = {}
+    for rank, ops in enumerate(ops_by_rank):
+        ordinal = 0
+        for op in ops:
+            if op[0] == _OP_SEND:
+                key = (rank, op[1], op[2])
+                channel = channels.get(key)
+                if channel is None:
+                    channels[key] = [ordinal]
+                else:
+                    channel.append(ordinal)
+                ordinal += 1
+    pairing: list[dict[int, tuple[int, int]]] = []
+    for rank, ops in enumerate(ops_by_rank):
+        posted: dict[tuple[int, int], int] = {}
+        slots: dict[int, tuple[int, int]] = {}
+        for op in ops:
+            if op[0] == _OP_RECV:
+                source, tag = op[1], op[2]
+                k = posted.get((source, tag), 0)
+                posted[(source, tag)] = k + 1
+                channel = channels.get((source, rank, tag))
+                if channel is not None and k < len(channel):
+                    slots[op[3]] = (source, channel[k])
+        pairing.append(slots)
+    return pairing
+
+
 def _build_plan(
-    tape: Tape, rank: int, columns: RankColumns, trace: _ReplayTrace
+    tape: Tape,
+    rank: int,
+    columns: RankColumns,
+    pairing: dict[int, tuple[int, int]],
 ) -> _RankPlan:
-    """Fold one rank's columns + the observed schedule into a plan."""
+    """Fold one rank's columns and its receive pairing into a plan."""
     link = tape.cluster.network_model().spec
     overhead = link.software_overhead
-    pooled = link.concurrency is not None
     codes = columns.codes
     ints = columns.ints
     floats = columns.floats
@@ -950,9 +983,8 @@ def _build_plan(
     for i in range(len(codes)):
         code = int(codes[i])
         if code == _OP_COMPUTE:
-            seg = int(ints[i, 0])
-            assert seg == hi, "segments must be contiguous in tape order"
-            hi = seg + 1
+            # Segments are numbered in tape order (checked on load).
+            hi += 1
         elif code == _OP_SEND:
             # The sender-side overhead precedes the injection, so folding
             # it into the gap makes the walk's time *be* the inject time;
@@ -963,7 +995,7 @@ def _build_plan(
                 emit(
                     (
                         _IN_LOCAL,
-                        ordinal,
+                        (rank, ordinal),
                         nbytes / link.memcpy_bandwidth + overhead,
                     )
                 )
@@ -972,7 +1004,7 @@ def _build_plan(
                 emit(
                     (
                         _IN_WIRE,
-                        ordinal,
+                        (rank, ordinal),
                         occupancy,
                         link.latency + occupancy + overhead,
                     )
@@ -982,8 +1014,7 @@ def _build_plan(
             emit((_IN_RECV, int(ints[i, 2])))
         elif code == _OP_WAIT:
             slot = int(ints[i, 0])
-            src, sord = trace.pairing[(rank, slot)]
-            emit((_IN_WAIT, slot, src, sord))
+            emit((_IN_WAIT, slot, pairing[slot]))
         elif code in (_OP_ELAPSE, _OP_DISK):
             const += float(floats[i, 0])
         elif code == _OP_DSPEED:
@@ -1016,56 +1047,36 @@ def _build_plan(
 
 @dataclass
 class CompiledTape:
-    """Derived form of a tape: SoA columns, plans, observed schedule.
+    """Derived form of a tape: one walk plan per rank.
 
     Built lazily by :func:`_compiled` and cached on the tape, so
     repeated grid replays of one tape pay only the vectorized walk.
-    ``eligible`` is False when the tape cannot be walked vectorized at
-    all (wildcard receives); ``reason`` says why.
+    The plans follow the send↔receive pairing read off the tape
+    (:func:`_pair_receives`) and keep no backplane state; which gear
+    columns that stateless walk may ship is decided per replay by the
+    contention check.  ``skip`` is ``wildcard_recv(rank)`` when a
+    wildcard receive makes the pairing time-dependent, and the tape
+    then replays through the scalar interpreter for every gear.
     """
 
-    eligible: bool
-    reason: str | None
-    columns: list[RankColumns]
+    skip: str | None
     plans: list[_RankPlan]
-    schedule: _ReplayTrace
-
-
-def _vector_ineligible(tape: Tape) -> str | None:
-    """A whole-tape reason the vectorized walk cannot run, or None.
-
-    Wildcard receives make the matching order time-dependent, so the
-    recorded pairing cannot be certified gear-invariant; such tapes
-    replay through the scalar interpreter for every gear.
-    """
-    for rank, ops in enumerate(tape.ops):
-        for op in ops:
-            if op[0] == _OP_RECV and (
-                op[1] == ANY_SOURCE or op[2] == ANY_TAG
-            ):
-                return (
-                    f"rank {rank}: wildcard receive — matching order is "
-                    "time-dependent"
-                )
-    return None
 
 
 def _compile_tape(tape: Tape) -> CompiledTape:
-    """Compile a tape: columns, one instrumented scalar replay, plans."""
-    reason = _vector_ineligible(tape)
-    if reason is not None:
-        return CompiledTape(False, reason, [], [], _ReplayTrace())
-    columns = [compile_columns(ops) for ops in tape.ops]
-    trace = _ReplayTrace()
-    durations = [
-        d.tolist() for d in _segment_durations(tape, tape.recording_gear)
-    ]
-    _replay_gear(tape, durations, trace)
-    plans = [
-        _build_plan(tape, rank, columns[rank], trace)
-        for rank in range(tape.nodes)
-    ]
-    return CompiledTape(True, None, columns, plans, trace)
+    """Compile a tape: pair its receives, then one plan per rank."""
+    for rank, ops in enumerate(tape.ops):
+        for op in ops:
+            if op[0] == _OP_RECV and (op[1] == ANY_SOURCE or op[2] == ANY_TAG):
+                return CompiledTape(f"wildcard_recv({rank})", [])
+    pairing = _pair_receives(tape.ops)
+    return CompiledTape(
+        None,
+        [
+            _build_plan(tape, rank, compile_columns(ops), pairing[rank])
+            for rank, ops in enumerate(tape.ops)
+        ],
+    )
 
 
 def _compiled(tape: Tape) -> CompiledTape:
@@ -1114,20 +1125,27 @@ def _vector_walk(
 ) -> tuple[
     list[np.ndarray], list[list[tuple[np.ndarray, float]]], np.ndarray
 ]:
-    """Walk the recorded schedule once for every gear column.
+    """Walk every gear column's timeline at once.
+
+    Each rank advances until it waits on a send not yet walked; the
+    send wakes it.  Wire transfers arrive at ``inject + latency +
+    occupancy`` — the walk keeps no backplane state — so the result is
+    exact only for the columns the contention check certifies.
 
     Returns per-rank ``(gears,)`` finish-time vectors, per-rank
     disk-phase boundary lists, and a boolean mask over gear columns
-    flagging those whose wire-send order could not be certified against
-    the recorded schedule — an injection-order inversion, or a tie
-    (within noise) involving a contended transfer.  Flagged columns
-    must be re-replayed by the scalar interpreter.
+    flagging those the check cannot certify (see
+    :func:`_contended_columns`); flagged columns must be re-replayed by
+    the scalar interpreter.
+
+    Raises:
+        BatchUnsupported: no rank can advance — some wait's send is
+            never walked.
     """
     nodes = tape.nodes
     G = dur_grid[0].shape[0]
     link = tape.cluster.network_model().spec
     overhead = link.software_overhead
-    conc = link.concurrency
 
     # Precompute every interaction's offset from its block boundary:
     # gap vectors via one gather on the segment cumsum, then a blockwise
@@ -1155,20 +1173,21 @@ def _vector_walk(
     base: list[np.ndarray] = [start_vec] * nodes
     ptr = [0] * nodes
     arrivals: dict[tuple[int, int], np.ndarray] = {}
+    # Send key -> the rank blocked waiting for it.
+    waiting: dict[tuple[int, int], int] = {}
+    ready = deque(range(nodes))
     posts: list[list[np.ndarray | None]] = [
         [None] * n for n in tape.recv_slots
     ]
     phases: list[list[tuple[np.ndarray, float]]] = [[] for _ in range(nodes)]
     mark_hist: list[list[np.ndarray]] = [[] for _ in range(nodes)]
     finish: list[np.ndarray | None] = [None] * nodes
-    servers = np.zeros((conc, G)) if conc is not None else None
-    gcols = np.arange(G)
-    inj_rows: list[np.ndarray] = []
-    start_rows: list[np.ndarray] = []
+    injects: list[np.ndarray] = []
+    occupancies: list[float] = []
 
     np_maximum = np.maximum
 
-    def advance(rank: int, upto: int | None) -> None:
+    def advance(rank: int) -> None:
         plan = compiled.plans[rank]
         steps = plan.steps
         off = offs[rank]
@@ -1179,31 +1198,31 @@ def _vector_walk(
             step = steps[k]
             kind = step[0]
             if kind == _IN_WAIT:
-                done = np_maximum(
-                    rank_posts[step[1]], arrivals[(step[2], step[3])]
+                arrival = arrivals.get(step[2])
+                if arrival is None:
+                    waiting[step[2]] = rank
+                    break
+                b = np_maximum(
+                    b + off[k], np_maximum(rank_posts[step[1]], arrival)
                 )
-                b = np_maximum(b + off[k], done)
                 k += 1
             elif kind == _IN_WIRE:
                 inject = b + off[k]
-                if servers is None:
-                    arrivals[(rank, step[1])] = inject + step[3]
-                else:
-                    idx = servers.argmin(axis=0)
-                    free_at = servers[idx, gcols]
-                    start = np_maximum(inject, free_at)
-                    servers[idx, gcols] = start + step[2]
-                    arrivals[(rank, step[1])] = start + step[3]
-                    inj_rows.append(inject)
-                    start_rows.append(start)
+                key = step[1]
+                arrivals[key] = inject + step[3]
+                injects.append(inject)
+                occupancies.append(step[2])
+                if key in waiting:
+                    ready.append(waiting.pop(key))
                 k += 1
-                if step[1] == upto:
-                    break
             elif kind == _IN_RECV:
                 rank_posts[step[1]] = b + off[k]
                 k += 1
             elif kind == _IN_LOCAL:
-                arrivals[(rank, step[1])] = b + (off[k] + step[2])
+                key = step[1]
+                arrivals[key] = b + (off[k] + step[2])
+                if key in waiting:
+                    ready.append(waiting.pop(key))
                 k += 1
             elif kind == _IN_MARK:
                 t = b + off[k]
@@ -1225,36 +1244,60 @@ def _vector_walk(
         base[rank] = b
         ptr[rank] = k
 
-    # Wire sends drive the walk in the recorded schedule order (the
-    # pooled backplane is the only stateful cross-rank resource); the
-    # drain then runs every rank to its end — all remaining waits pair
-    # with sends already scheduled.
-    for rank, ordinal in compiled.schedule.sends:
-        advance(rank, ordinal)
-    for rank in range(nodes):
-        if finish[rank] is None:
-            advance(rank, None)
+    while ready:
+        advance(ready.popleft())
+    stuck = [rank for rank in range(nodes) if finish[rank] is None]
+    if stuck:
+        raise BatchUnsupported(f"vector walk stalled on ranks {stuck}")
 
-    divergent = np.zeros(G, dtype=bool)
-    if servers is not None and len(inj_rows) > 1:
-        inj = np.stack(inj_rows)
-        starts = np.stack(start_rows)
-        contended = starts > inj
-        diffs = inj[1:] - inj[:-1]
-        tie_tol = 1e-9 * max(1.0, float(np.max(np.abs(inj))))
-        near = np.abs(diffs) <= tie_tol
-        divergent = (diffs < 0).any(axis=0) | (
-            near & (contended[1:] | contended[:-1])
-        ).any(axis=0)
-    return finish, phases, divergent  # type: ignore[return-value]
+    concurrency = link.concurrency
+    if concurrency is None:
+        contended = np.zeros(G, dtype=bool)
+    else:
+        contended = _contended_columns(injects, occupancies, concurrency, G)
+    return finish, phases, contended  # type: ignore[return-value]
+
+
+def _contended_columns(
+    injects: list[np.ndarray],
+    occupancies: list[float],
+    concurrency: int,
+    columns: int,
+) -> np.ndarray:
+    """Gear columns the stateless walk cannot certify as queue-free.
+
+    A wire transfer is in flight over ``[inject, inject + occupancy)``:
+    a server freed at ``t`` serves a transfer injected at ``t``, and a
+    zero-byte transfer occupies no server over time but still needs a
+    free one when injected.  A column is contended iff some transfer
+    finds ``concurrency`` *other* transfers in flight at its injection
+    time.  Otherwise the engine's server pool — which takes transfers
+    in injection-time order — always has a server free at injection,
+    so every transfer starts unqueued and arrives exactly where the
+    walk put it, whatever the order among equal injection times.
+    """
+    contended = np.zeros(columns, dtype=bool)
+    if len(injects) <= concurrency:
+        return contended
+    inject = np.stack(injects)
+    end = inject + np.asarray(occupancies)[:, None]
+    for col in range(columns):
+        t = inject[:, col]
+        e = end[:, col]
+        # #(started by t) - #(ended by t) = #(in flight at t), itself
+        # included when its interval is non-empty.
+        in_flight = np.searchsorted(np.sort(t), t, side="right")
+        in_flight -= np.searchsorted(np.sort(e), t, side="right")
+        others = in_flight - (e > t)
+        contended[col] = bool((others >= concurrency).any())
+    return contended
 
 
 def _measure_gear(tape: Tape, gear_index: int) -> RunMeasurement:
     """Scalar reference path: replay + roll up one gear exactly.
 
-    This is PR 7's per-gear loop body, unchanged float-for-float; the
-    vectorized grid falls back to it per gear column when the send-order
-    guard fires, and ``replay_mode="scalar"`` runs it for every gear.
+    The vectorized grid falls back to it per gear column the contention
+    check cannot certify, and ``mode="scalar"`` runs it for every gear.
     """
     cluster = tape.cluster
     node_spec = cluster.node
@@ -1474,18 +1517,22 @@ def replay_grid(
 
     ``mode="grid"`` (the default) compiles the tape once (cached on the
     tape) and walks the whole grid as gear-axis vectors; gear columns
-    the send-order guard cannot certify are re-replayed by the scalar
-    interpreter — exact, counted in ``stats``, never silent.
-    ``mode="scalar"`` runs the PR 7 reference interpreter per gear.
+    the contention check cannot certify are re-replayed by the scalar
+    interpreter — exact, counted in ``stats``, never silent.  The walk
+    is skipped, with its reason in ``stats``, where its result would be
+    thrown away: a one-column grid, a recording that queued on the
+    backplane (its own column cannot be certified) and a tape with
+    wildcard receives.  ``mode="scalar"`` runs the reference
+    interpreter per gear.
 
     The recording gear is always revalued — appended to the grid when
     absent — and checked against the recording's own event-engine
     measurements at :data:`SELF_CHECK_RTOL`; a miss rejects the tape
     (:class:`BatchUnsupported`), so a defective replay can never
     silently ship wrong numbers for the *other* gears.  In grid mode
-    the check runs against the *vectorized* column; if that column
-    itself diverges, the whole grid falls back to the scalar path so
-    vectorized numbers never ship unchecked.
+    the check runs against the *vectorized* column; if the contention
+    check fails that column itself, the whole grid falls back to the
+    scalar path so vectorized numbers never ship unchecked.
     """
     if mode not in ("grid", "scalar"):
         raise ConfigurationError(
@@ -1495,13 +1542,17 @@ def replay_grid(
         stats = ReplayStats()
     if mode == "scalar":
         return _replay_grid_scalar(tape, gear_indices, stats)
-
-    compiled = _compiled(tape)
-    if not compiled.eligible:
-        assert compiled.reason is not None
-        stats.fallback_reasons.append(compiled.reason)
+    if len(gear_indices) == 1:
+        reason = "single_column"
+    elif tape.recording_queued:
+        reason = f"recording_queued({tape.recording_queued})"
+    else:
+        reason = _compiled(tape).skip
+    if reason is not None:
+        stats.fallback_reasons.append(reason)
         return _replay_grid_scalar(tape, gear_indices, stats)
 
+    compiled = _compiled(tape)
     extended = list(gear_indices)
     try:
         check_col = extended.index(tape.recording_gear)
@@ -1509,12 +1560,9 @@ def replay_grid(
         check_col = len(extended)
         extended.append(tape.recording_gear)
     dur_grid = _duration_grid(tape, extended)
-    finish, phases, divergent = _vector_walk(tape, compiled, dur_grid)
-    if divergent[check_col]:
-        stats.fallback_reasons.append(
-            "recording-gear column diverged from the recorded send order; "
-            "scalar replay for the whole grid"
-        )
+    finish, phases, contended = _vector_walk(tape, compiled, dur_grid)
+    if contended[check_col]:
+        stats.fallback_reasons.append(f"contention({tape.recording_gear})")
         return _replay_grid_scalar(tape, gear_indices, stats)
     rollup = _rollup_vector(tape, extended, dur_grid, finish, phases)
     # Validate the vectorized path itself before any column ships.
@@ -1524,8 +1572,8 @@ def replay_grid(
 
     out: list[RunMeasurement] = []
     for col, gear_index in enumerate(gear_indices):
-        if divergent[col]:
-            stats.divergent_gears += 1
+        if contended[col]:
+            stats.fallback_reasons.append(f"contention({gear_index})")
             stats.scalar_gears += 1
             out.append(_measure_gear(tape, gear_index))
         else:
@@ -1570,6 +1618,7 @@ _TAPE_SCALAR_FIELDS = (
     "recording_reducible",
     "recording_gear",
     "recorded_skips",
+    "recording_queued",
 )
 
 #: Per-rank float64 array fields, serialized as lists.
@@ -1602,14 +1651,37 @@ def tape_to_payload(tape: Tape) -> dict:
     return payload
 
 
+#: Tuple length of each opcode's ops, opcode included.
+_OP_ARITY = {
+    _OP_COMPUTE: 2,
+    _OP_SEND: 5,
+    _OP_RECV: 4,
+    _OP_WAIT: 2,
+    _OP_ELAPSE: 2,
+    _OP_DISK: 2,
+    _OP_DSPEED: 3,
+    _OP_MARK: 3,
+}
+
+
 def tape_from_payload(cluster: ClusterSpec, payload: dict) -> Tape:
     """Rebuild a tape from :func:`tape_to_payload` output.
 
+    The op streams are checked on the way in, so an entry that decodes
+    but no longer holds together cannot crash a replay: every op has
+    its opcode's length, compute segments and receive slots are
+    numbered in tape order and match the per-rank arrays and
+    ``recv_slots``, sends and receives name existing ranks, every wait
+    is on a slot already posted that some send completes (wildcard
+    receives aside), and every recorded jump has the marks its window
+    needs.
+
     Raises:
         ValueError: the payload's format version is not the current
-            one.  Callers treat this as a cache miss and re-record —
+            one, or its op streams are inconsistent.  Callers treat
+            this as a cache miss and re-record —
             :data:`TAPE_FORMAT_VERSION` is part of every tape cache
-            key, so this only fires on hand-fed payloads.
+            key, so a version mismatch only fires on hand-fed payloads.
     """
     version = payload.get("format")
     if version != TAPE_FORMAT_VERSION:
@@ -1624,7 +1696,73 @@ def tape_from_payload(cluster: ClusterSpec, payload: dict) -> Tape:
             np.asarray(values, dtype=np.float64)
             for values in payload[name]
         ]
-    ops = [[tuple(op) for op in rank_ops] for rank_ops in payload["ops"]]
+    nodes = kwargs["nodes"]
+    recv_slots = kwargs["recv_slots"]
+    per_rank = [payload["ops"], recv_slots, kwargs["disk_excess"]]
+    per_rank += [kwargs[name] for name in _TAPE_ARRAY_FIELDS]
+    if any(len(values) != nodes for values in per_rank):
+        raise ValueError(f"per-rank fields do not all have {nodes} entries")
+    ops: list[list[tuple]] = []
+    # Per rank, waited slots whose receive is not a wildcard.
+    waited: list[set[int]] = []
+    for rank, rank_ops in enumerate(payload["ops"]):
+        rank_tuples: list[tuple] = []
+        segs = slots = marks = 0
+        wildcards: set[int] = set()
+        waits: set[int] = set()
+        for raw in rank_ops:
+            op = tuple(raw)
+            code = op[0]
+            if _OP_ARITY.get(code) != len(op):
+                raise ValueError(f"rank {rank}: malformed op {op!r}")
+            if code == _OP_COMPUTE:
+                if op[1] != segs:
+                    raise ValueError(
+                        f"rank {rank}: segment {op[1]!r} where {segs} is next"
+                    )
+                segs += 1
+            elif code == _OP_SEND:
+                if not 0 <= op[1] < nodes or op[3] < 0:
+                    raise ValueError(f"rank {rank}: bad send {op!r}")
+            elif code == _OP_RECV:
+                if op[3] != slots or not (
+                    op[1] == ANY_SOURCE or 0 <= op[1] < nodes
+                ):
+                    raise ValueError(f"rank {rank}: bad receive {op!r}")
+                if op[1] == ANY_SOURCE or op[2] == ANY_TAG:
+                    wildcards.add(slots)
+                slots += 1
+            elif code == _OP_WAIT:
+                if not 0 <= op[1] < slots:
+                    raise ValueError(
+                        f"rank {rank}: wait on slot {op[1]!r} with {slots} "
+                        "posted"
+                    )
+                waits.add(op[1])
+            elif code == _OP_MARK:
+                if op[1] < 0 or (op[1] and not 1 <= op[2] <= marks):
+                    raise ValueError(f"rank {rank}: bad jump mark {op!r}")
+                marks += 1
+            rank_tuples.append(op)
+        if slots != recv_slots[rank]:
+            raise ValueError(
+                f"rank {rank}: {slots} receive(s), recv_slots says "
+                f"{recv_slots[rank]}"
+            )
+        if any(len(kwargs[name][rank]) != segs for name in _TAPE_ARRAY_FIELDS):
+            raise ValueError(
+                f"rank {rank}: {segs} compute segment(s) do not match the "
+                "segment arrays"
+            )
+        ops.append(rank_tuples)
+        waited.append(waits - wildcards)
+    for rank, slots_paired in enumerate(_pair_receives(ops)):
+        unpaired = waited[rank] - slots_paired.keys()
+        if unpaired:
+            raise ValueError(
+                f"rank {rank}: no send completes waited slot(s) "
+                f"{sorted(unpaired)}"
+            )
     return Tape(cluster=cluster, ops=ops, **kwargs)
 
 

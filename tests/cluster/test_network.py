@@ -72,6 +72,17 @@ class TestBackplaneContention:
         assert arrivals[0] == pytest.approx(100e-6 + wire)
         assert arrivals[2] == pytest.approx(100e-6 + 2 * wire)
 
+    def test_queued_counts_transfers_that_found_every_server_busy(self):
+        model = NetworkModel(make_link(concurrency=1))
+        wire = 1_000_000 / 10e6
+        model.schedule_transfer(0.0, 1_000_000)
+        # A server freed at the injection time serves it unqueued ...
+        model.schedule_transfer(wire, 1_000_000)
+        assert model.queued == 0
+        # ... and a zero-byte transfer still needs a free server.
+        assert model.schedule_transfer(wire, 0) == pytest.approx(2 * wire + 100e-6)
+        assert model.queued == 1
+
     def test_spaced_injections_do_not_queue(self):
         model = NetworkModel(make_link(concurrency=1))
         a1 = model.schedule_transfer(0.0, 1_000_000)

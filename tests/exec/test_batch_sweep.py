@@ -263,6 +263,31 @@ class TestTapeCache:
         assert not report.tape_cache_enabled
         assert "tape cache" not in report.summary()
 
+    @pytest.mark.parametrize("corruption", ["swapped_segments", "wait_slot"])
+    def test_corrupted_tape_is_rerecorded(self, cluster, tmp_path, corruption):
+        # A cached tape that decodes but whose ops no longer hold
+        # together is a miss: the sweep re-records instead of crashing
+        # in replay, and ships exactly the clean sweep's numbers.
+        task = GearSweepTask(cluster, Jacobi(SCALE), nodes=2, gears=ALL_GEARS)
+        clean = _payloads([task], batch_sweep([task]))
+        tape_cache = TapeCache(tmp_path / "tapes")
+        batch_sweep([task], tape_cache=tape_cache)
+        key = tape_key(task, ALL_GEARS[0])
+        payload = tape_cache.load(key)
+        ops = payload["ops"][0]
+        if corruption == "swapped_segments":
+            first, second = [op for op in ops if op[0] == 0][:2]
+            first[1], second[1] = second[1], first[1]
+        else:
+            wait = next(op for op in ops if op[0] == 3)
+            wait[1] = payload["recv_slots"][0]
+        tape_cache.store(key, payload)
+        report = BatchReport()
+        again = batch_sweep([task], report=report, tape_cache=tape_cache)
+        assert _payloads([task], again) == clean
+        assert report.fallbacks == []
+        assert report.record_s > 0.0  # the entry was re-recorded
+
 
 class TestTapeKey:
     def test_shared_across_kinds_and_requested_gears(self, cluster):
@@ -285,34 +310,13 @@ class TestTapeKey:
         assert len(keys) == 5
 
 
-class TestReplayModePlumbing:
-    def test_scalar_mode_is_equivalent_not_identical_machinery(self, tasks):
-        grid = batch_sweep(tasks)
-        scalar = batch_sweep(tasks, replay_mode="scalar")
-        for ours, theirs in zip(scalar, grid):
-            if not hasattr(ours, "time"):
-                continue  # the calibration passthrough
-            scale = max(abs(ours.time), abs(theirs.time))
-            assert abs(ours.time - theirs.time) <= 1e-9 * scale
-            scale = max(abs(ours.energy), abs(theirs.energy))
-            assert abs(ours.energy - theirs.energy) <= 1e-9 * scale
-
-    def test_unknown_mode_rejected(self, tasks):
-        with pytest.raises(ConfigurationError, match="replay mode"):
-            batch_sweep(tasks, replay_mode="per-gear")
-
-    def test_sweep_forwards_replay_mode_and_tape_cache(self, tasks, tmp_path):
+class TestSweepForwarding:
+    def test_sweep_forwards_tape_cache(self, tasks, tmp_path):
         tape_cache = TapeCache(tmp_path / "tapes")
         via_sweep = _payloads(
-            tasks,
-            sweep(
-                tasks,
-                backend="batch",
-                replay_mode="scalar",
-                tape_cache=tape_cache,
-            ),
+            tasks, sweep(tasks, backend="batch", tape_cache=tape_cache)
         )
-        direct = _payloads(tasks, batch_sweep(tasks, replay_mode="scalar"))
+        direct = _payloads(tasks, batch_sweep(tasks))
         assert via_sweep == direct
         assert len(tape_cache) == 2  # the cache saw the recordings
 

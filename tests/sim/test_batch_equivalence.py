@@ -11,6 +11,8 @@ on the event engine, bitwise what a plain sweep produces.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +22,16 @@ from repro.cluster.machines import athlon_cluster
 from repro.core.run import gear_sweep, run_workload
 from repro.mpi import FastForwardConfig
 from repro.mpi.comm import Comm
+from repro.mpi.requests import ANY_SOURCE
 from repro.sim.batch import (
     BatchUnsupported,
     ReplayStats,
+    _column_measurement,
+    _compiled,
+    _duration_grid,
+    _measure_gear,
+    _rollup_vector,
+    _vector_walk,
     batch_gear_grid,
     batch_gear_sweep,
     record_tape,
@@ -167,17 +176,49 @@ class TestEquivalenceGrid:
 class TestVectorizedReplay:
     """Mode accounting and rejection semantics of the gear-axis walk."""
 
-    def test_jacobi_grid_is_fully_vectorized(self, cluster):
-        # The dense steady workload the bench ratchet gates on: every
-        # gear column must come off the vectorized walk — any scalar
-        # re-replay or divergence guard firing here is a regression.
-        tape = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
+    # Jacobi is the dense steady workload the bench ratchet gates on;
+    # the NAS kernels exchange over squares, transposes, key buckets
+    # and a multigrid hierarchy, all without queueing on the backplane.
+    @pytest.mark.parametrize(
+        "make,scale",
+        [(Jacobi, 0.2), (BT, 0.5), (SP, 0.5), (FT, 2.0), (IS, 2.0), (MG, 1.0)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_grid_is_fully_vectorized(self, cluster, make, scale):
+        # Every gear column must come off the vectorized walk: any
+        # scalar re-replay or contention verdict here is a regression.
+        tape = record_tape(cluster, make(scale), nodes=4, gear=1)
         stats = ReplayStats()
         replay_grid(tape, list(ALL_GEARS), mode="grid", stats=stats)
         assert stats.vector_gears == len(ALL_GEARS)
         assert stats.scalar_gears == 0
-        assert stats.divergent_gears == 0
         assert stats.fallback_reasons == []
+
+    def test_one_column_grid_skips_the_walk(self, cluster):
+        tape = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
+        stats = ReplayStats()
+        replay_grid(tape, [3], stats=stats)
+        assert tape._compiled is None
+        assert stats.scalar_gears == 1
+        assert stats.fallback_reasons == ["single_column"]
+
+    @pytest.mark.parametrize(
+        "make,scale,nodes",
+        [(CG, 0.5, 4), (Jacobi, 0.2, 8)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_queued_recording_skips_the_walk(self, cluster, make, scale, nodes):
+        # The recording's own column would fail the contention check,
+        # which sends the whole grid to the scalar interpreter anyway.
+        tape = record_tape(cluster, make(scale), nodes=nodes, gear=1)
+        assert tape.recording_queued > 0
+        stats = ReplayStats()
+        replay_grid(tape, list(ALL_GEARS), stats=stats)
+        assert tape._compiled is None
+        assert stats.scalar_gears == len(ALL_GEARS)
+        assert stats.fallback_reasons == [
+            f"recording_queued({tape.recording_queued})"
+        ]
 
     def test_unknown_mode_rejected(self, cluster):
         from repro.util.errors import ConfigurationError
@@ -206,6 +247,169 @@ class TestVectorizedReplay:
         out = replay_grid(tape, list(ALL_GEARS[1:]), mode=mode, stats=stats)
         assert [m.gear for m in out] == list(ALL_GEARS[1:])
         assert stats.vector_gears + stats.scalar_gears == len(ALL_GEARS) - 1
+
+
+class _Exchange(Workload):
+    """Rounds of per-rank compute, each followed by a message exchange.
+
+    ``rounds`` holds ``(work, messages)`` pairs: ``work[rank]`` is that
+    rank's ``(uops, misses)`` and ``messages`` lists ``(source, dest,
+    nbytes)``.  Every rank posts its receives, then its sends, then
+    waits on every receive, so any pattern is deadlock-free.  With
+    ``wildcard`` every receive takes any source.
+    """
+
+    def __init__(self, rounds, *, wildcard: bool = False):
+        self.rounds = rounds
+        self.wildcard = wildcard
+        self.spec = WorkloadSpec(
+            name="Exchange",
+            iterations=len(rounds),
+            total_uops=1.0e9,
+            upm=80.0,
+            miss_latency=25e-9,
+            serial_fraction=0.0,
+            paper_comm_class=CommScheme.CONSTANT,
+            description="generated compute + point-to-point exchange rounds",
+        )
+
+    def program(self, comm: Comm) -> Program:
+        rank = comm.rank
+        for tag, (work, messages) in enumerate(self.rounds):
+            uops, misses = work[rank]
+            yield from comm.compute(uops, misses)
+            handles = []
+            for source, dest, _ in messages:
+                if dest == rank:
+                    handle = yield from comm.irecv(
+                        ANY_SOURCE if self.wildcard else source, tag=tag
+                    )
+                    handles.append(handle)
+            for source, dest, nbytes in messages:
+                if source == rank:
+                    yield from comm.isend(dest, nbytes=nbytes, tag=tag)
+            yield from comm.waitall(handles)
+        return None
+
+
+def _pool_cluster(concurrency: int):
+    """The paper cluster with a ``concurrency``-server backplane."""
+    base = athlon_cluster()
+    return dataclasses.replace(
+        base, link=dataclasses.replace(base.link, concurrency=concurrency)
+    )
+
+
+@st.composite
+def _exchange_cases(draw):
+    nodes = draw(st.integers(min_value=2, max_value=6))
+    concurrency = draw(st.integers(min_value=1, max_value=3))
+    # Few distinct compute sizes make exact send-time ties common;
+    # misses make a rank's compute time scale differently with the
+    # gear, so which transfers overlap changes from column to column.
+    work = st.tuples(
+        st.one_of(
+            st.sampled_from((1.0e6, 2.5e7)),
+            st.floats(min_value=1.0e6, max_value=3.0e7),
+        ),
+        st.one_of(
+            st.sampled_from((0.0, 2.0e5)),
+            st.floats(min_value=0.0, max_value=3.0e5),
+        ),
+    )
+    nbytes = st.one_of(
+        st.sampled_from((0, 512, 150_000)),
+        st.integers(min_value=0, max_value=200_000),
+    )
+    rank = st.integers(min_value=0, max_value=nodes - 1)
+    rounds = draw(
+        st.lists(
+            st.tuples(
+                st.lists(work, min_size=nodes, max_size=nodes),
+                st.lists(st.tuples(rank, rank, nbytes), max_size=8),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return nodes, concurrency, rounds
+
+
+class TestContentionCheck:
+    """The walk's per-column certificate on generated exchange patterns."""
+
+    @given(case=_exchange_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_certified_columns_match_scalar_and_event(self, case):
+        nodes, concurrency, rounds = case
+        cluster = _pool_cluster(concurrency)
+        workload = _Exchange(rounds)
+        tape = record_tape(cluster, workload, nodes=nodes, gear=1)
+        gears = list(ALL_GEARS)
+        # The walk itself, on every tape — queued recordings included,
+        # whose walk replay_grid skips.
+        dur_grid = _duration_grid(tape, gears)
+        finish, phases, contended = _vector_walk(
+            tape, _compiled(tape), dur_grid
+        )
+        rollup = _rollup_vector(tape, gears, dur_grid, finish, phases)
+        events = [
+            run_workload(cluster, workload, nodes=nodes, gear=gear)
+            for gear in gears
+        ]
+        for col, gear in enumerate(gears):
+            if contended[col]:
+                continue
+            walked = _column_measurement(tape, gear, rollup, col)
+            for reference in (_measure_gear(tape, gear), events[col]):
+                assert _rel(walked.time, reference.time) <= RTOL
+                assert _rel(walked.energy, reference.energy) <= RTOL
+                assert _rel(walked.active_time, reference.active_time) <= RTOL
+        # And the public path, whichever way each column went.
+        stats = ReplayStats()
+        for measurement, event in zip(
+            replay_grid(tape, gears, stats=stats), events
+        ):
+            assert _rel(measurement.time, event.time) <= RTOL
+            assert _rel(measurement.energy, event.energy) <= RTOL
+        assert stats.vector_gears + stats.scalar_gears == len(gears)
+
+    def test_contended_column_replays_scalar_and_says_so(self):
+        # One transfer each way on a one-server backplane.  Rank 0's
+        # compute scales with the clock, rank 1's is mostly memory
+        # stall, so their sends overlap on the wire only at gear 5.
+        rounds = [
+            (
+                [(2.6e7, 0.0), (2.6e6, 3.0e5)],
+                [(0, 1, 23_000), (1, 0, 23_000)],
+            )
+        ]
+        cluster = _pool_cluster(1)
+        workload = _Exchange(rounds)
+        tape = record_tape(cluster, workload, nodes=2, gear=1)
+        assert tape.recording_queued == 0
+        stats = ReplayStats()
+        out = replay_grid(tape, list(ALL_GEARS), stats=stats)
+        assert stats.fallback_reasons == ["contention(5)"]
+        assert stats.vector_gears == len(ALL_GEARS) - 1
+        assert stats.scalar_gears == 1
+        for gear, measurement in zip(ALL_GEARS, out):
+            event = run_workload(cluster, workload, nodes=2, gear=gear)
+            assert _rel(measurement.time, event.time) <= RTOL
+            assert _rel(measurement.energy, event.energy) <= RTOL
+
+    def test_wildcard_receive_skips_the_walk(self):
+        rounds = [([(1.0e6, 0.0)] * 3, [(0, 2, 512), (1, 2, 4096)])]
+        cluster = _pool_cluster(2)
+        workload = _Exchange(rounds, wildcard=True)
+        tape = record_tape(cluster, workload, nodes=3, gear=1)
+        stats = ReplayStats()
+        out = replay_grid(tape, list(ALL_GEARS), stats=stats)
+        assert stats.fallback_reasons == ["wildcard_recv(2)"]
+        assert stats.scalar_gears == len(ALL_GEARS)
+        for gear, measurement in zip(ALL_GEARS, out):
+            event = run_workload(cluster, workload, nodes=3, gear=gear)
+            assert _rel(measurement.time, event.time) <= RTOL
 
 
 class _DeviatingRing(Workload):

@@ -69,6 +69,33 @@ _ops = st.lists(
 )
 
 
+# Corruptions of a decoded 2-rank tape payload (op lists, payload).
+
+
+def _swap_segments(ops, payload):
+    first, second = [op for op in ops[0] if op[0] == _OP_COMPUTE][:2]
+    first[1], second[1] = second[1], first[1]
+
+
+def _segment_past_arrays(ops, payload):
+    last = [op for op in ops[0] if op[0] == _OP_COMPUTE][-1]
+    last[1] = len(payload["seg_uops"][0])
+
+
+def _wait_past_slots(ops, payload):
+    wait = next(op for op in ops[0] if op[0] == _OP_WAIT)
+    wait[1] = payload["recv_slots"][0]
+
+
+def _drop_a_send(ops, payload):
+    # Rank 0 waits for every message rank 1 sends it.
+    ops[1].remove(next(op for op in ops[1] if op[0] == _OP_SEND))
+
+
+def _pad_an_op(ops, payload):
+    ops[0][0].append(0)
+
+
 class TestColumnRoundTrip:
     """compile_columns / columns_to_ops are exact inverses."""
 
@@ -122,6 +149,32 @@ class TestPayloadRoundTrip:
             assert ours.time == theirs.time
             assert ours.energy == theirs.energy
             assert ours.active_time == theirs.active_time
+
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            pytest.param(corrupt, match, id=corrupt.__name__.strip("_"))
+            for corrupt, match in (
+                (_swap_segments, "segment"),
+                (_segment_past_arrays, "segment"),
+                (_wait_past_slots, "wait on slot"),
+                (_drop_a_send, "no send completes"),
+                (_pad_an_op, "malformed"),
+            )
+        ],
+    )
+    def test_inconsistent_ops_are_rejected(self, cluster, corrupt, match):
+        # An entry that decodes but no longer holds together must fail
+        # to load, so the tape cache treats it as a miss and re-records
+        # instead of crashing the replay.
+        payload = json.loads(
+            json.dumps(
+                tape_to_payload(record_tape(cluster, Jacobi(0.2), nodes=2, gear=1))
+            )
+        )
+        corrupt(payload["ops"], payload)
+        with pytest.raises(ValueError, match=match):
+            tape_from_payload(cluster, payload)
 
     def test_format_mismatch_is_rejected(self, cluster):
         tape = record_tape(cluster, Jacobi(0.2), nodes=2, gear=1)
