@@ -11,6 +11,7 @@ Run:
 """
 
 from repro import World, athlon_cluster
+from repro.obs import RunObserver
 
 
 def stencil_program(comm):
@@ -30,7 +31,10 @@ def stencil_program(comm):
 def main() -> None:
     cluster = athlon_cluster()
     for gear in (1, 4):
-        result = World(cluster, stencil_program, nodes=4, gear=gear).run()
+        # An attached observer keeps the trace's rows for call_counts().
+        result = World(
+            cluster, stencil_program, nodes=4, gear=gear, observer=RunObserver()
+        ).run()
         print(f"=== gear {gear} ===")
         print(f"time: {result.elapsed * 1e3:9.2f} ms")
         print(f"energy: {result.total_energy:7.2f} J (all 4 nodes)")

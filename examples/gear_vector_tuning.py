@@ -12,6 +12,7 @@ Run:
 
 from repro import World, athlon_cluster
 from repro.core.search import Objective, search_gear_vector
+from repro.obs import RunObserver
 from repro.viz.timeline import render_timeline
 from repro.workloads.base import CommScheme, Workload, WorkloadSpec
 
@@ -62,7 +63,14 @@ def main() -> None:
     print(f"search cost: {result.evaluations} simulated runs")
     print()
 
-    world = World(cluster, workload.program, nodes=6, gear=list(result.gears))
+    # An attached observer keeps the trace rows the timeline is drawn from.
+    world = World(
+        cluster,
+        workload.program,
+        nodes=6,
+        gear=list(result.gears),
+        observer=RunObserver(),
+    )
     print(render_timeline(world.run(), width=64))
 
 

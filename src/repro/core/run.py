@@ -80,8 +80,9 @@ def run_workload(
     """Execute one workload configuration and measure it.
 
     With an ``observer`` the run is announced (started / gear changes /
-    complete) so traces and metrics can be captured; ``None`` (the
-    default) runs the exact uninstrumented code path.  With a
+    complete) so traces and metrics can be captured, and every rank's
+    trace keeps its rows for them; ``None`` (the default) runs the exact
+    uninstrumented code path, whose traces keep the aggregates only.  With a
     ``fast_forward`` config, steady-state iteration stretches of
     mark-declaring workloads are macro-stepped analytically; ``None``
     (the default) simulates every event.

@@ -38,7 +38,10 @@ A macro-step replays the last observed cycle analytically:
   with shifted timestamps
   (:meth:`repro.cluster.power.PowerMeter.replicate_window`),
 - the trace span pattern likewise
-  (:meth:`repro.mpi.tracing.RankTrace.replicate_rows`),
+  (:meth:`repro.mpi.tracing.RankTrace.replicate_rows`), folding every
+  shifted span into the trace's running aggregates; without an
+  observer the trace stores only the rows of the last
+  ``max_period + 1`` marks, and trims the rest at every mark,
 - hardware counters are charged the per-cycle delta times the number of
   replicated cycles,
 - and the rank resumes at ``t + copies * cycle`` with the skip count,
@@ -248,8 +251,10 @@ class _RankState:
         self.prefix_ok = True
         #: Inter-mark clock deltas, oldest first, capped at 2 * max_period.
         self.deltas: list[float] = []
-        #: Per-mark snapshots (time, trace rows, counter totals), capped
+        #: Per-mark snapshots (time, trace spans, counter totals), capped
         #: at max_period + 1 — enough to replicate any detectable cycle.
+        #: A trace without an observer keeps only the rows from the
+        #: oldest snapshot on (:meth:`RankTrace.trim`).
         self.hist: list[tuple[float, int, tuple[float, float, float, float]]] = []
         self.clean = True
         self.period = 0
@@ -420,6 +425,7 @@ class FastForward:
             st.deltas = []
             st.hist = [snap]
             st.period = 0
+            rt.trace.trim(snap[1])
             return 0
 
         st.ordinal += 1
@@ -428,6 +434,7 @@ class FastForward:
             # disk spin-up, cold collective trees) are excluded from the
             # signature reference, and its delta from the time window.
             st.hist = [snap]
+            rt.trace.trim(snap[1])
             return 0
         if st.ordinal == 2:
             st.ref_sig = sig
@@ -450,6 +457,7 @@ class FastForward:
         st.hist.append(snap)
         if len(st.hist) > self.config.max_period + 1:
             del st.hist[0]
+        rt.trace.trim(st.hist[0][1])
 
         armed = self.armed
         if armed is not None and armed[0] == idx:

@@ -6,7 +6,9 @@
 - one :class:`repro.sim.process.RankProcess` per MPI rank, each on its own
   simulated node (the paper runs one rank per node),
 - per-rank accounting: a wall-outlet :class:`PowerMeter`, a hardware
-  :class:`CounterBank`, and an MPI :class:`RankTrace`.
+  :class:`CounterBank`, and an MPI :class:`RankTrace`.  The trace
+  streams T^A and T^R as spans arrive; it stores every span's row only
+  when an observer is attached, since only exporters read rows.
 
 Execution semantics (matching the paper's platform assumptions):
 
@@ -59,6 +61,9 @@ from repro.mpi.tracing import (
     CATEGORY_P2P,
     CATEGORY_WAIT,
     CATEGORY_COLLECTIVE,
+    ROWS_ALL,
+    ROWS_NONE,
+    ROWS_WINDOW,
     RankTrace,
 )
 from repro.sim.engine import Simulator
@@ -91,13 +96,15 @@ class _Message:
 class _RankRuntime:
     """Mutable bookkeeping for one rank."""
 
-    def __init__(self, rank: int, node: NodeState, process: RankProcess):
+    def __init__(
+        self, rank: int, node: NodeState, process: RankProcess, trace_rows: str
+    ):
         self.rank = rank
         self.node = node
         self.process = process
         self.meter = PowerMeter()
         self.counters = CounterBank()
-        self.trace = RankTrace(rank)
+        self.trace = RankTrace(rank, rows=trace_rows)
         self.finish_time: float | None = None
         # Start of a blocked span whose idle energy is recorded on resume.
         self.pending_idle_from: float | None = None
@@ -244,12 +251,21 @@ class World:
         self._posted: list[dict[tuple[int, int], deque[Handle]]] = [
             {} for _ in range(nodes)
         ]
+        # Trace rows are kept only for a reader: an observer's exporters
+        # read every row after the run, fast-forward its replication
+        # window.  The aggregates are streamed either way.
+        if observer is not None:
+            trace_rows = ROWS_ALL
+        elif fast_forward is not None:
+            trace_rows = ROWS_WINDOW
+        else:
+            trace_rows = ROWS_NONE
         self._runtimes: list[_RankRuntime] = []
         for rank in range(nodes):
             comm = Comm(rank=rank, size=nodes)
             node = NodeState(cluster.node, gears[rank])
             gen = program(comm)
-            rt = _RankRuntime(rank, node, RankProcess(rank, gen))
+            rt = _RankRuntime(rank, node, RankProcess(rank, gen), trace_rows)
             rt.wake = partial(self._wake, rt)
             self._runtimes.append(rt)
         self._started = False

@@ -69,7 +69,9 @@ def trace_events(
     """Flatten one run into a list of Chrome trace-event dictionaries.
 
     Args:
-        result: the simulated run to export.
+        result: the simulated run to export.  It must come from an
+            observed run (``World(..., observer=...)``), whose traces
+            keep every row; other runs raise ``SimulationError``.
         gear_changes: gear transitions captured by an observer during the
             run (the result object alone does not retain them).
         label: process name shown in the viewer (default: workload-free

@@ -205,9 +205,9 @@ class Tape:
     #: Disk idle power at the initial spindle speed (0.0 without a disk).
     initial_disk_idle: float
     #: The recording's own event-engine measurements, folded to scalars
-    #: at record time: the self-check compares four floats per replay
-    #: instead of re-walking the recording's traces (``active_time`` and
-    #: ``reducible_time`` are O(events) properties).
+    #: at record time.  The tape keeps no ``WorldResult`` (it round-trips
+    #: through the tape cache as a payload), so the replay self-check
+    #: compares its results against these four floats.
     recording_time: float
     recording_energy: float
     recording_active: float
@@ -338,8 +338,8 @@ def _build_tape(
         # Disk ops as (op position, excess joules) so window weights can
         # be applied after all jumps are known.
         disk_ops: list[tuple[int, float]] = []
-        # Reducible-work walk state (structural twin of
-        # RankTrace.reducible_time over top-level records in tape order).
+        # Reducible-work walk state (structural twin of RankTrace's
+        # reducible-work state machine over top-level spans in tape order).
         depth = 0
         seen_send = False
         pending: list[int] = []

@@ -4,6 +4,12 @@ Turns a :class:`repro.mpi.world.WorldResult` into Gantt-style strips —
 one row per rank, characters marking compute (``#``), MPI/blocked
 (``-``), and post-finish idling (``.``) — the visual the paper's
 active/idle decomposition describes.
+
+The strips are drawn from the trace's stored rows, which a
+:class:`~repro.mpi.world.World` keeps only when an observer is
+attached: run with ``observer=RunObserver()`` (from :mod:`repro.obs`).
+On a run without one, both functions raise
+:class:`~repro.util.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ def timeline_segments(result: WorldResult, rank: int) -> list[Segment]:
 
     Compute intervals come from the trace's compute records; everything
     between them until the rank's finish is MPI/blocked; the remainder
-    until the run's end is post-finish idling.
+    until the run's end is post-finish idling.  ``result`` must come
+    from an observed run, whose traces keep every row.
     """
     if not 0 <= rank < len(result.ranks):
         raise ConfigurationError(f"rank {rank} out of range")
@@ -59,7 +66,12 @@ _GLYPHS = {"compute": "#", "mpi": "-", "done": "."}
 
 
 def render_timeline(result: WorldResult, *, width: int = 72) -> str:
-    """Render all ranks' timelines as aligned character strips."""
+    """Render all ranks' timelines as aligned character strips.
+
+    ``result`` must come from an observed run (see
+    :func:`timeline_segments`); the ``% active`` figure is the trace's
+    streamed ``active_time``.
+    """
     if width < 10:
         raise ConfigurationError(f"width must be >= 10, got {width}")
     if result.end_time <= 0:

@@ -6,6 +6,7 @@ from repro.cluster.disk import DiskModel, DiskSpec, DiskSpeed, drpm_disk
 from repro.cluster.machines import athlon_cluster, athlon_node
 from repro.cluster.node import NodeState
 from repro.mpi.world import World
+from repro.obs import RunObserver
 from repro.util.errors import ConfigurationError
 
 
@@ -101,7 +102,9 @@ class TestRuntimeIntegration:
         def program(comm):
             yield from comm.disk_write(55_000_000)  # ~1 s at speed 1
 
-        result = World(cluster, program, nodes=1, gear=1).run()
+        result = World(
+            cluster, program, nodes=1, gear=1, observer=RunObserver()
+        ).run()
         assert result.end_time == pytest.approx(1.0, rel=0.02)
         ops = [r.op for r in result.ranks[0].trace.top_level()]
         assert "disk_io" in ops

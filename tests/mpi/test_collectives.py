@@ -6,11 +6,12 @@ from repro.cluster.machines import athlon_cluster
 from repro.mpi.collectives import CollectiveAlgorithms
 from repro.mpi.comm import Comm
 from repro.mpi.world import World
+from repro.obs import RunObserver
 
 SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 10)
 
 
-def run(program, nodes, algorithms=None):
+def run(program, nodes, algorithms=None, observer=None):
     cluster = athlon_cluster(max(nodes, 10))
 
     def factory(comm):
@@ -18,7 +19,9 @@ def run(program, nodes, algorithms=None):
             comm.algorithms = algorithms
         return program(comm)
 
-    return World(cluster, factory, nodes=nodes, gear=1).run()
+    return World(
+        cluster, factory, nodes=nodes, gear=1, observer=observer
+    ).run()
 
 
 class TestBcast:
@@ -185,7 +188,7 @@ class TestTracing:
         def program(comm):
             yield from comm.allreduce(1.0, nbytes=8)
 
-        res = run(program, 4)
+        res = run(program, 4, observer=RunObserver())
         top = [r.op for r in res.ranks[0].trace.top_level()]
         assert top.count("allreduce") == 1
         assert "isend" not in top  # nested under the collective
@@ -194,6 +197,6 @@ class TestTracing:
         def program(comm):
             yield from comm.allreduce(1.0, nbytes=8)
 
-        res = run(program, 4)
+        res = run(program, 4, observer=RunObserver())
         nested_ops = {r.op for r in res.ranks[0].trace.records if r.nested}
         assert "isend" in nested_ops

@@ -3,15 +3,20 @@
 import pytest
 
 from repro.cluster.machines import athlon_cluster
+from repro.core.run import run_workload
+from repro.mpi.fastforward import FastForwardConfig
 from repro.mpi.tracing import (
     CATEGORY_COMPUTE,
     CATEGORY_P2P,
     CATEGORY_WAIT,
+    ROWS_NONE,
     RankTrace,
     TraceRecord,
 )
 from repro.mpi.world import World
+from repro.obs import RunObserver
 from repro.util.errors import SimulationError
+from repro.workloads import CG, Jacobi
 
 
 def rec(op, cat, t0, t1, **kw):
@@ -112,3 +117,139 @@ class TestReducibleWork:
         res = World(athlon_cluster(), program, nodes=2, gear=1).run()
         assert res.ranks[0].trace.reducible_time() == pytest.approx(1.0, rel=0.01)
         assert res.ranks[1].trace.reducible_time() == 0.0
+
+
+#: Every reader of stored rows, as a call on a trace.
+ROW_READERS = {
+    "records": lambda t: t.records,
+    "top_level": lambda t: list(t.top_level()),
+    "mpi_time": lambda t: t.mpi_time,
+    "message_stats": lambda t: t.message_stats(),
+    "call_counts": lambda t: t.call_counts(),
+}
+
+
+def ff_config():
+    """Fast-forward that engages within a 100-iteration Jacobi run."""
+    return FastForwardConfig(max_period=4)
+
+
+class TestRowRetention:
+    """Rows are stored only for a reader; the aggregates never change."""
+
+    def test_directly_built_trace_keeps_rows(self):
+        t = RankTrace(0)
+        t.add_span("compute", CATEGORY_COMPUTE, 0.0, 1.0)
+        assert [r.op for r in t.records] == ["compute"]
+
+    def test_unknown_row_set_rejected(self):
+        with pytest.raises(SimulationError):
+            RankTrace(0, rows="some")
+
+    @pytest.mark.parametrize("reader", sorted(ROW_READERS))
+    @pytest.mark.parametrize("fast", [False, True], ids=["event", "ff"])
+    def test_unobserved_run_keeps_no_rows(self, reader, fast):
+        m = run_workload(
+            athlon_cluster(),
+            Jacobi(),
+            nodes=2,
+            gear=1,
+            fast_forward=ff_config() if fast else None,
+        )
+        trace = m.result.ranks[0].trace
+        assert len(trace) > 0
+        if not fast:
+            assert trace._rows is None
+        with pytest.raises(SimulationError, match="observer"):
+            ROW_READERS[reader](trace)
+
+    def test_observed_run_keeps_every_row(self):
+        m = run_workload(
+            athlon_cluster(), Jacobi(), nodes=2, gear=1, observer=RunObserver()
+        )
+        for rank in m.result.ranks:
+            assert len(rank.trace.records) == len(rank.trace)
+
+    @pytest.mark.parametrize("workload", [Jacobi(), CG()], ids=lambda w: w.name)
+    @pytest.mark.parametrize("fast", [False, True], ids=["event", "ff"])
+    def test_aggregates_match_observed_run_bit_for_bit(self, workload, fast):
+        runs = [
+            run_workload(
+                athlon_cluster(),
+                workload,
+                nodes=4,
+                gear=2,
+                observer=observer,
+                fast_forward=ff_config() if fast else None,
+            ).result
+            for observer in (None, RunObserver())
+        ]
+        plain, observed = runs
+        if fast:
+            assert plain.fast_forward.jumps >= 1
+            assert plain.fast_forward == observed.fast_forward
+        for a, b in zip(plain.ranks, observed.ranks):
+            assert len(a.trace) == len(b.trace)
+            assert repr(a.trace.active_time) == repr(b.trace.active_time)
+            assert repr(a.trace.reducible_time()) == repr(b.trace.reducible_time())
+        assert repr(plain.active_time) == repr(observed.active_time)
+        assert repr(plain.idle_time) == repr(observed.idle_time)
+        assert repr(plain.reducible_time()) == repr(observed.reducible_time())
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FastForwardConfig(max_period=4),
+            FastForwardConfig(max_period=4, min_jump=10**9),
+        ],
+        ids=["jumping", "simulated"],
+    )
+    def test_fast_forward_holds_only_its_window(self, config, monkeypatch):
+        """A long unobserved Jacobi run never stores more than its last
+        ``max_period + 1`` iterations of rows, whether fast-forward jumps
+        or simulates every iteration."""
+        peak: dict[int, int] = {}
+        add_span = RankTrace.add_span
+
+        def tracked(self, *args):
+            add_span(self, *args)
+            peak[self.rank] = max(peak.get(self.rank, 0), len(self._rows))
+
+        monkeypatch.setattr(RankTrace, "add_span", tracked)
+        workload = Jacobi(scale=3.0)
+        result = run_workload(
+            athlon_cluster(), workload, nodes=4, gear=1, fast_forward=config
+        ).result
+        assert (result.fast_forward.jumps > 0) == (config.min_jump < 10**9)
+        iterations = workload.spec.iterations
+        for rank in result.ranks:
+            per_iteration = len(rank.trace) // iterations
+            assert per_iteration * iterations == len(rank.trace)
+            assert peak[rank.rank] <= (config.max_period + 1) * per_iteration
+            assert peak[rank.rank] * 10 < len(rank.trace)
+
+
+class TestTraceEquality:
+    def run(self, gear, observer=None):
+        return World(
+            athlon_cluster(),
+            Jacobi(scale=0.1).program,
+            nodes=2,
+            gear=gear,
+            observer=observer,
+        ).run()
+
+    def test_rowless_traces_of_different_runs_differ(self):
+        a, b = self.run(1), self.run(3)
+        assert a.ranks[0].trace._keep == ROWS_NONE
+        assert len(a.ranks[0].trace) == len(b.ranks[0].trace)
+        assert a.ranks[0].trace != b.ranks[0].trace
+
+    def test_traces_of_identical_runs_are_equal(self):
+        assert self.run(2).ranks[0].trace == self.run(2).ranks[0].trace
+        observed = [self.run(2, RunObserver()) for _ in range(2)]
+        assert observed[0].ranks[0].trace == observed[1].ranks[0].trace
+
+    def test_rows_kept_or_not_differ(self):
+        observed = self.run(2, RunObserver())
+        assert self.run(2).ranks[0].trace != observed.ranks[0].trace

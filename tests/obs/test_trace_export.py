@@ -9,6 +9,7 @@ from repro.mpi.world import World
 from repro.obs import (
     GearChange,
     MetricsRegistry,
+    RunObserver,
     metrics_lines,
     render_chrome_trace,
     trace_events,
@@ -21,7 +22,13 @@ from repro.workloads.jacobi import Jacobi
 def small_result(nodes: int = 2):
     """A tiny simulated Jacobi run to export."""
     workload = Jacobi(scale=0.03)
-    world = World(athlon_cluster(), workload.program, nodes=nodes, gear=1)
+    world = World(
+        athlon_cluster(),
+        workload.program,
+        nodes=nodes,
+        gear=1,
+        observer=RunObserver(),
+    )
     return world.run()
 
 

@@ -1,9 +1,7 @@
-"""Examples: importable, documented, and syntactically exercised.
+"""Examples: importable, documented, and runnable end to end.
 
-The examples run multi-second full-scale simulations, so this suite
-compiles and imports them (executing module-level code but not main())
-and checks their structure; the benchmark suite and EXPERIMENTS.md
-exercise the underlying paths at full scale.
+Every example's ``main()`` runs with its output captured, so an example
+that no longer works against the library fails here.
 """
 
 import importlib.util
@@ -47,3 +45,9 @@ def test_example_importable_with_main(path):
 @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.stem)
 def test_example_has_run_instructions(path):
     assert "Run:" in path.read_text(), f"{path.stem} docstring lacks run line"
+
+
+@pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.stem)
+def test_example_main_runs(path, capsys):
+    load(path).main()
+    assert capsys.readouterr().out, f"{path.stem} printed nothing"

@@ -6,6 +6,7 @@ from repro.cluster.disk import drpm_disk
 from repro.cluster.machines import athlon_cluster
 from repro.core.imbalance import analyze_imbalance
 from repro.core.run import run_workload
+from repro.obs import RunObserver
 from repro.policy import IdleLowPolicy, run_with_policy
 from repro.viz.plot import plot_family
 from repro.viz.timeline import render_timeline
@@ -28,7 +29,11 @@ class TestPolicyWithDisk:
 class TestVizOnRealRuns:
     def test_timeline_of_policy_run(self, cluster):
         managed = run_with_policy(
-            cluster, Jacobi(scale=0.1), nodes=4, policy=IdleLowPolicy()
+            cluster,
+            Jacobi(scale=0.1),
+            nodes=4,
+            policy=IdleLowPolicy(),
+            observer=RunObserver(),
         )
         out = render_timeline(managed.result, width=48)
         assert out.count("rank") == 4

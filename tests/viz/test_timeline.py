@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.machines import athlon_cluster
 from repro.mpi.world import World
+from repro.obs import RunObserver
 from repro.util.errors import ConfigurationError
 from repro.viz.timeline import render_timeline, timeline_segments
 
@@ -16,7 +17,9 @@ def imbalanced_result():
         peer = 1 - comm.rank
         yield from comm.sendrecv(peer, peer, send_bytes=1000, tag=1)
 
-    return World(athlon_cluster(), program, nodes=2, gear=1).run()
+    return World(
+        athlon_cluster(), program, nodes=2, gear=1, observer=RunObserver()
+    ).run()
 
 
 class TestSegments:

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.disk import drpm_disk
 from repro.cluster.machines import athlon_cluster
 from repro.core.run import run_workload
+from repro.obs import RunObserver
 from repro.util.errors import ConfigurationError
 from repro.workloads.checkpointed import CheckpointedStencil
 
@@ -32,7 +33,9 @@ class TestConstruction:
 class TestBehaviour:
     def test_runs_and_writes_checkpoints(self, disk_cluster):
         w = CheckpointedStencil(0.2, checkpoint_every=3)
-        m = run_workload(disk_cluster, w, nodes=2, gear=1)
+        m = run_workload(
+            disk_cluster, w, nodes=2, gear=1, observer=RunObserver()
+        )
         io_records = [
             r for r in m.result.ranks[0].trace.top_level() if r.op == "disk_io"
         ]
@@ -64,7 +67,9 @@ class TestBehaviour:
 
     def test_checkpoint_volume_split_across_ranks(self, disk_cluster):
         w = CheckpointedStencil(0.2, checkpoint_every=3, checkpoint_bytes=8_000_000)
-        m = run_workload(disk_cluster, w, nodes=4, gear=1)
+        m = run_workload(
+            disk_cluster, w, nodes=4, gear=1, observer=RunObserver()
+        )
         io = next(
             r for r in m.result.ranks[0].trace.top_level() if r.op == "disk_io"
         )

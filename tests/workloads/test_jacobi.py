@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.run import run_workload
+from repro.obs import RunObserver
 from repro.workloads.jacobi import Jacobi
 
 
@@ -25,7 +26,9 @@ class TestJacobi:
         assert final == pytest.approx(expected, rel=1e-9)
 
     def test_interior_ranks_exchange_two_halos(self, cluster):
-        m = run_workload(cluster, Jacobi(scale=0.05), nodes=4, gear=1)
+        m = run_workload(
+            cluster, Jacobi(scale=0.05), nodes=4, gear=1, observer=RunObserver()
+        )
         w = Jacobi(scale=0.05)
         counts = {
             r.rank: r.trace.message_stats()[0] for r in m.result.ranks

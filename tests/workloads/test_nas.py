@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.run import run_workload
+from repro.obs import RunObserver
 from repro.workloads.nas import (
     BT,
     CG,
@@ -102,7 +103,7 @@ class TestStructuralProperties:
         cg = CG(scale=0.1)
         counts = {}
         for n in (2, 4, 8):
-            m = run_workload(cluster, cg, nodes=n, gear=1)
+            m = run_workload(cluster, cg, nodes=n, gear=1, observer=RunObserver())
             counts[n], _ = m.result.ranks[0].trace.message_stats()
         # Per-rank sends scale with the peer count.
         assert counts[8] > counts[4] > counts[2]
@@ -114,7 +115,7 @@ class TestStructuralProperties:
         lu = LU(scale=0.1)
         stats = {}
         for n in (2, 8):
-            m = run_workload(cluster, lu, nodes=n, gear=1)
+            m = run_workload(cluster, lu, nodes=n, gear=1, observer=RunObserver())
             count, total = m.result.ranks[0].trace.message_stats()
             stats[n] = (count, total / count)
         assert stats[8][0] > stats[2][0]  # more messages
