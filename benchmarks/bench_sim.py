@@ -219,7 +219,7 @@ def bench_batch(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
     the strongest prior art in the tree — not just the event path.
     """
     from repro.core.run import gear_sweep
-    from repro.exec.batch_sweep import BatchReport, batch_sweep
+    from repro.exec.batch_sweep import BatchReport
     from repro.exec.tasks import GearSweepTask
     from repro.mpi.fastforward import FastForwardConfig
 
@@ -256,14 +256,14 @@ def bench_batch(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
         nodes=nodes,
         fast_forward=FastForwardConfig(max_period=4),
     )
-    batch_sweep([task])  # warm-up: first call pays numpy dispatch setup
+    sweep([task], backend="batch")  # warm-up: first call pays numpy dispatch setup
     batch_holder: list = []
     reports: list[BatchReport] = []
     walls: list[float] = []
     for _ in range(3):
         fresh = BatchReport()
         start = time.perf_counter()
-        batch_holder[:] = batch_sweep([task], report=fresh)
+        batch_holder[:] = sweep([task], backend="batch", batch_report=fresh)
         walls.append(time.perf_counter() - start)
         reports.append(fresh)
     batch_s = min(walls)
@@ -280,10 +280,10 @@ def bench_batch(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-tapes-") as tmp:
         tape_cache = TapeCache(Path(tmp))
         start = time.perf_counter()
-        batch_sweep([task], tape_cache=tape_cache)
+        sweep([task], backend="batch", tape_cache=tape_cache)
         tape_cold_s = time.perf_counter() - start
         tape_warm_s = best_of(
-            lambda: batch_sweep([task], tape_cache=tape_cache)
+            lambda: sweep([task], backend="batch", tape_cache=tape_cache)
         )
 
     gears = []

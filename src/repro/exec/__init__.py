@@ -13,12 +13,7 @@ experiment whose inputs have not changed costs one JSON read per point.
 the experiment harness (``repro.experiments``) passes around.
 """
 
-from repro.exec.batch_sweep import (
-    BatchFallback,
-    BatchReport,
-    batch_sweep,
-    tape_key,
-)
+from repro.exec.batch_sweep import BatchFallback, BatchReport, tape_key
 from repro.exec.cache import (
     CacheStats,
     ResultCache,
@@ -52,7 +47,6 @@ __all__ = [
     "SimTask",
     "TapeCache",
     "TaskTiming",
-    "batch_sweep",
     "code_version_token",
     "default_cache_dir",
     "default_tape_dir",

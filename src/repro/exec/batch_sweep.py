@@ -1,43 +1,38 @@
-"""Batch-backend sweeps: group points, record once, replay the grid.
+"""The batch backend of a sweep: group points, record once, replay the grid.
 
-The event-engine :func:`repro.exec.sweep.sweep` treats every point as an
-independent simulation.  This module is its batch twin: points that
-share a recording — a :class:`~repro.exec.tasks.GearSweepTask` (one
-recording covers its whole gear grid) or several
-:class:`~repro.exec.tasks.MeasurementTask` points differing only in
-gear — are folded into one *batch group* and executed through
-:mod:`repro.sim.batch`: one recording run plus a cheap replay per gear.
+:func:`repro.exec.sweep.sweep` runs both backends through one lookup →
+dispatch → merge path.  Under ``backend="batch"`` it hands the cache
+misses to this module, which folds points that share a recording — a
+:class:`~repro.exec.tasks.GearSweepTask` (one recording covers its
+whole gear grid) or several :class:`~repro.exec.tasks.MeasurementTask`
+points differing only in gear — into one *batch group* and executes it
+through :mod:`repro.sim.batch`: one recording run plus a cheap replay
+per gear.
 
-The sweep contract is unchanged:
+What the batch backend adds to the sweep contract:
 
-- **Deterministic merge** — results return in task order; groups are
-  formed by first occurrence and their results are scattered back to
-  the original positions, so a batch sweep's output lines up 1:1 with
-  an event sweep's.
-- **Cache transparency** — every point is looked up/stored under a key
-  whose fingerprint carries a ``"backend": "batch"`` token, so batch
-  results (1e-9-equivalent, not bitwise) never share cache entries with
-  event results.  Partial hits shrink a group to its misses; the
-  recording is still shared across them.
-- **Failure naming** — exceptions name the failing point's key exactly
-  like the event path.
+- **Grouping** — groups are formed by first occurrence and their
+  results scatter back to the original positions, so a batch sweep's
+  output lines up 1:1 with an event sweep's.  A pooled sweep chunks
+  over groups, so one recording is never split across workers.
+- **Distinct cache keys** — every batchable point is looked up/stored
+  under :func:`batch_cache_key`, whose fingerprint carries a
+  ``"backend": "batch"`` token, so batch results (1e-9-equivalent, not
+  bitwise) never share cache entries with event results.  Partial hits
+  shrink a group to its misses; the recording is still shared across
+  them.
 - **Exact fallback** — any :class:`~repro.sim.batch.BatchUnsupported`
   (uncertifiable structure, self-check miss) reruns the group's points
   on the event engine, bitwise what a plain run produces, and logs the
   group in the :class:`BatchReport` so truncated batch coverage is
   never silent.
 
-Group-aware dispatch: with ``jobs > 1`` the pool chunks over *groups*,
-not points — :func:`repro.exec.sweep._auto_chunk_size` is applied to the
-group count, so one recording is never split across workers and a sweep
-of few large groups still fans out group-per-worker.
-
 Recordings are the serial bottleneck once replay is vectorized, so they
 are handled as a stage of their own:
 
-- **Tape cache** — with ``tape_cache`` set, every batch group's
-  recording is serialized (:func:`repro.sim.batch.tape_to_payload`)
-  into a persistent :class:`~repro.exec.cache.TapeCache` under
+- **Tape cache** — with a ``tape_cache``, every batch group's recording
+  is serialized (:func:`repro.sim.batch.tape_to_payload`) into a
+  persistent :class:`~repro.exec.cache.TapeCache` under
   :func:`tape_key` — the fingerprint of the group's configuration
   *minus the gear axis* plus the recording gear, the code-version
   token, and the tape format version.  Later sweeps (same process or
@@ -46,9 +41,9 @@ are handled as a stage of their own:
   itself into the exact event fallback.
 - **Parallel recording** — with ``jobs > 1`` the missing tapes are
   recorded first, one pool task per distinct tape key, before any unit
-  chunk is dispatched; units then load their tape from the cache (an
-  ephemeral sweep-local store when no ``tape_cache`` was given).  A
-  sweep of N groups thus records N-wide instead of chunk-by-chunk.
+  chunk is dispatched (:func:`_warm_tapes`); units then load their tape
+  from the store.  A sweep of N groups thus records N-wide instead of
+  chunk-by-chunk.
 - **Stage timings** — :class:`BatchReport` splits the wall into
   record/replay/merge so the dominant stage is visible in the CLI
   summary and the bench harness.
@@ -60,28 +55,24 @@ normal cache keys, inside the same deterministic merge.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
-from repro.exec.cache import ResultCache, TapeCache
+from repro.exec.cache import TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
-from repro.exec.profile import SOURCE_CACHE, SOURCE_RUN, ExecProfile, TaskTiming
-from repro.exec.sweep import _auto_chunk_size, _ff_skipped, _point_error, cache_key
 from repro.exec.tasks import GearSweepTask, MeasurementTask, SimTask
-from repro.util.errors import ConfigurationError
 
 #: Fingerprint token that keys batch-computed results apart from event
 #: results (they agree to ~1e-9, not bitwise — same precedent as the
 #: fast-forward config entering the fingerprint).
 BACKEND_TOKEN = "batch"
 
-#: Backends :func:`repro.exec.sweep.sweep` accepts.
-BACKENDS = ("event", "batch")
+#: Task kinds the batch backend records and replays; every other kind
+#: passes through on the event engine under its event cache key.
+BATCHABLE = (GearSweepTask, MeasurementTask)
 
 
 def batch_cache_key(task: SimTask) -> str:
@@ -186,6 +177,31 @@ class BatchReport:
         """Points that ended up on the event engine via fallback."""
         return sum(f.points for f in self.fallbacks)
 
+    def count_units(
+        self, units: Sequence[_Unit], tape_cache: TapeCache | None
+    ) -> None:
+        """Account one sweep's units before anything runs.
+
+        Tape hits and misses are counted per distinct tape (cross-kind
+        units can share one) in the parent — workers rebuild their own
+        cache handles, so their :class:`~repro.exec.cache.CacheStats`
+        never travel back.
+        """
+        for unit in units:
+            if unit.batch:
+                self.groups += 1
+                self.grouped_points += len(unit.tasks)
+            else:
+                self.passthrough_points += len(unit.tasks)
+        if tape_cache is None:
+            return
+        self.tape_cache_enabled = True
+        for key in dict.fromkeys(unit.tape_key for unit in units if unit.batch):
+            if tape_cache.contains(key):  # type: ignore[arg-type]
+                self.tape_hits += 1
+            else:
+                self.tape_misses += 1
+
     def summary(self) -> str:
         """One human-readable summary for CLI/bench reporting.
 
@@ -218,16 +234,19 @@ class BatchReport:
 
 @dataclass
 class _Unit:
-    """One execution unit: a batch group or a single passthrough task."""
+    """One execution unit of a sweep, never split across workers.
+
+    Either a batch group, or one point that runs on the event engine
+    (every point under the event backend, a passthrough point under the
+    batch backend).
+    """
 
     tasks: list[SimTask]
-    #: Positions of each task in the pending list (for the merge).
+    #: Positions of each task in the sweep's pending list (for the merge).
     indices: list[int]
-    batch: bool
+    batch: bool = False
     #: Persistent-cache key of the group's tape (batch units only).
     tape_key: str | None = None
-    #: Gear the group's recording runs at (batch units only).
-    rec_gear: int | None = None
     #: Certification failure from the parallel-recording phase; set on
     #: every unit sharing the failed tape so each falls back without
     #: re-attempting the recording.
@@ -258,7 +277,10 @@ def _group_token(task: SimTask) -> tuple | None:
 
 
 def _form_units(pending: Sequence[tuple[SimTask, str | None]]) -> list[_Unit]:
-    """Partition pending points into execution units, in first-seen order."""
+    """Partition pending points into execution units, in first-seen order.
+
+    Every batch group gets the key of the tape it records or loads.
+    """
     units: list[_Unit] = []
     by_token: dict[tuple, _Unit] = {}
     for index, (task, _) in enumerate(pending):
@@ -267,7 +289,7 @@ def _form_units(pending: Sequence[tuple[SimTask, str | None]]) -> list[_Unit]:
             continue
         token = _group_token(task)
         if token is None:
-            units.append(_Unit([task], [index], batch=False))
+            units.append(_Unit([task], [index]))
             continue
         unit = by_token.get(token)
         if unit is None:
@@ -276,6 +298,9 @@ def _form_units(pending: Sequence[tuple[SimTask, str | None]]) -> list[_Unit]:
             units.append(unit)
         unit.tasks.append(task)
         unit.indices.append(index)
+    for unit in units:
+        if unit.batch:
+            unit.tape_key = tape_key(unit.tasks[0], _recording_gear(unit.tasks[0]))
     return units
 
 
@@ -309,6 +334,7 @@ def _record_tape_job(
     seconds, fast-forwarded iterations) — plain values so the tuple
     pickles back from a pool worker.
     """
+    from repro.exec.sweep import _ff_skipped  # sweep imports this module
     from repro.sim.batch import BatchUnsupported, record_tape, tape_to_payload
 
     start = time.perf_counter()
@@ -336,14 +362,9 @@ def _record_tape_job(
 
 
 def _run_unit(
-    tasks: Sequence[SimTask],
-    batch: bool,
-    *,
-    tape_root: Path | None = None,
-    tape_key: str | None = None,
-    prefail: str | None = None,
+    unit: _Unit, tape_root: Path | None
 ) -> tuple[list[Any], str | None, float, float]:
-    """Execute one unit.
+    """Execute one batch group.
 
     Returns (results in task order, fallback reason, recording seconds,
     replay seconds).  Any :class:`~repro.sim.batch.BatchUnsupported` —
@@ -361,16 +382,16 @@ def _run_unit(
         tape_to_payload,
     )
 
-    if not batch:
-        return [task.run() for task in tasks], None, 0.0, 0.0
-    if prefail is not None:
-        return [task.run() for task in tasks], prefail, 0.0, 0.0
+    tasks = unit.tasks
+    if unit.prefail is not None:
+        return [task.run() for task in tasks], unit.prefail, 0.0, 0.0
     first = tasks[0]
+    key: str = unit.tape_key  # type: ignore[assignment]
     record_s = 0.0
     try:
         tape = None
-        if tape_root is not None and tape_key is not None:
-            tape = _load_tape(first.cluster, tape_root, tape_key)  # type: ignore[attr-defined]
+        if tape_root is not None:
+            tape = _load_tape(first.cluster, tape_root, key)  # type: ignore[attr-defined]
         if tape is None:
             rec_start = time.perf_counter()
             tape = record_tape(
@@ -381,8 +402,8 @@ def _run_unit(
                 fast_forward=getattr(first, "fast_forward", None),
             )
             record_s = time.perf_counter() - rec_start
-            if tape_root is not None and tape_key is not None:
-                TapeCache(tape_root).store(tape_key, tape_to_payload(tape))
+            if tape_root is not None:
+                TapeCache(tape_root).store(key, tape_to_payload(tape))
         replay_start = time.perf_counter()
         if type(first) is GearSweepTask:
             results: list[Any] = [
@@ -411,285 +432,6 @@ def _run_unit(
         return [task.run() for task in tasks], str(exc), record_s, 0.0
 
 
-class _UnitPointError(Exception):
-    """A unit failed in a worker; carries chunk-local coordinates.
-
-    Built from plain ``args`` so it pickles across the process boundary.
-    """
-
-    def __init__(self, unit_index: int, cause: BaseException):
-        super().__init__(unit_index, cause)
-        self.unit_index = unit_index
-        self.cause = cause
-
-
-def _execute_unit_chunk(
-    chunk: Sequence[tuple[list[SimTask], bool, str | None, str | None]],
-    tape_root: Path | None = None,
-) -> list[tuple[list[Any], str | None, float, int, float, float]]:
-    """Run a chunk of units in one worker call.
-
-    Per unit: (results, fallback reason, in-worker wall seconds,
-    fast-forwarded iterations, recording seconds, replay seconds) —
-    mirrors the event pool's in-worker accounting so IPC and startup
-    stay excluded.
-    """
-    out = []
-    for index, (tasks, batch, key, prefail) in enumerate(chunk):
-        start = time.perf_counter()
-        skipped_before = _ff_skipped(tasks[0])
-        try:
-            results, fallback, record_s, replay_s = _run_unit(
-                tasks,
-                batch,
-                tape_root=tape_root,
-                tape_key=key,
-                prefail=prefail,
-            )
-        except Exception as exc:
-            raise _UnitPointError(index, exc) from exc
-        out.append(
-            (
-                results,
-                fallback,
-                time.perf_counter() - start,
-                _ff_skipped(tasks[0]) - skipped_before,
-                record_s,
-                replay_s,
-            )
-        )
-    return out
-
-
-def batch_sweep(
-    tasks: Iterable[SimTask],
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    profile: ExecProfile | None = None,
-    chunk_size: int | None = None,
-    report: BatchReport | None = None,
-    tape_cache: TapeCache | None = None,
-) -> list[Any]:
-    """The batch-backend twin of :func:`repro.exec.sweep.sweep`.
-
-    Same arguments and guarantees, minus ``observer`` (observed sweeps
-    are routed to the event path by ``sweep`` itself — a replayed tape
-    produces no events to observe).  ``report`` accumulates grouping,
-    fallback, tape-cache, and stage-timing accounting across calls when
-    provided.
-
-    Args:
-        tape_cache: optional persistent store of serialized recordings;
-            groups whose tape is present skip re-recording entirely
-            (across processes and executor invocations — the key pins
-            configuration, recording gear, and code version), and fresh
-            recordings are stored for the next sweep.  ``None`` keeps
-            recordings sweep-local (a temporary store still backs the
-            parallel-recording phase when ``jobs > 1``).
-    """
-    ordered: Sequence[SimTask] = list(tasks)
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    seen: set[tuple] = set()
-    for task in ordered:
-        if task.key in seen:
-            raise ConfigurationError(f"duplicate sweep point key {task.key!r}")
-        seen.add(task.key)
-
-    sweep_start = time.perf_counter()
-    results: dict[tuple, Any] = {}
-    pending: list[tuple[SimTask, str | None]] = []
-    lookups: dict[tuple, float] = {}
-    for task in ordered:
-        if cache is not None:
-            lookup_start = time.perf_counter()
-            batchable = type(task) in (GearSweepTask, MeasurementTask)
-            key = batch_cache_key(task) if batchable else cache_key(task)
-            payload = cache.load(key)
-            lookup_s = time.perf_counter() - lookup_start
-            if payload is not None:
-                results[task.key] = task.decode(payload)
-                if profile is not None:
-                    profile.add(
-                        TaskTiming(
-                            key=str(task.key),
-                            source=SOURCE_CACHE,
-                            seconds=0.0,
-                            lookup_s=lookup_s,
-                        )
-                    )
-                continue
-            lookups[task.key] = lookup_s
-            pending.append((task, key))
-        else:
-            pending.append((task, None))
-
-    units = _form_units(pending)
-    for unit in units:
-        if unit.batch:
-            unit.rec_gear = _recording_gear(unit.tasks[0])
-            unit.tape_key = tape_key(unit.tasks[0], unit.rec_gear)
-    if report is not None:
-        for unit in units:
-            if unit.batch:
-                report.groups += 1
-                report.grouped_points += len(unit.tasks)
-            else:
-                report.passthrough_points += len(unit.tasks)
-        if tape_cache is not None:
-            # Parent-side hit/miss attribution, counted per distinct
-            # tape (cross-kind units can share one) before anything
-            # runs — workers rebuild their own cache handles, so their
-            # CacheStats never travel back.
-            report.tape_cache_enabled = True
-            counted: set[str] = set()
-            for unit in units:
-                if not unit.batch or unit.tape_key in counted:
-                    continue
-                counted.add(unit.tape_key)  # type: ignore[arg-type]
-                if tape_cache.contains(unit.tape_key):  # type: ignore[arg-type]
-                    report.tape_hits += 1
-                else:
-                    report.tape_misses += 1
-
-    tape_root = Path(tape_cache.root) if tape_cache is not None else None
-    computed: list[Any] = [None] * len(pending)
-    if jobs > 1 and len(units) > 1:
-        # Group-aware chunking: size the chunks on the number of UNITS,
-        # never points — a unit's recording is one indivisible run, so a
-        # sweep of few large groups still spreads group-per-worker
-        # instead of splitting a recording (or idling the pool).
-        size = chunk_size or _auto_chunk_size(len(units), jobs)
-        with ExitStack() as stack:
-            pool_root = tape_root
-            if pool_root is None and any(unit.batch for unit in units):
-                # No persistent cache: an ephemeral sweep-local store
-                # still lets the parallel-recording phase hand tapes to
-                # the unit workers without a second IPC round-trip.
-                pool_root = Path(
-                    stack.enter_context(
-                        tempfile.TemporaryDirectory(prefix="repro-tapes-")
-                    )
-                )
-            _run_units_pool(
-                units,
-                jobs,
-                size,
-                computed,
-                profile,
-                report,
-                pool_root,
-            )
-    else:
-        for unit in units:
-            start = time.perf_counter()
-            skipped_before = _ff_skipped(unit.tasks[0])
-            try:
-                unit_results, fallback, record_s, replay_s = _run_unit(
-                    unit.tasks,
-                    unit.batch,
-                    tape_root=tape_root,
-                    tape_key=unit.tape_key,
-                )
-            except Exception as exc:
-                raise _point_error(unit.tasks[0], exc) from exc
-            _merge_unit(
-                unit,
-                unit_results,
-                fallback,
-                time.perf_counter() - start,
-                _ff_skipped(unit.tasks[0]) - skipped_before,
-                computed,
-                profile,
-                report,
-                record_s=record_s,
-                replay_s=replay_s,
-            )
-
-    merge_start = time.perf_counter()
-    for i, ((task, key), result) in enumerate(zip(pending, computed)):
-        results[task.key] = result
-        store_s = 0.0
-        if cache is not None and key is not None:
-            store_start = time.perf_counter()
-            meta: dict[str, Any] = {"point": [str(part) for part in task.key]}
-            scenario = getattr(task, "scenario", None)
-            if scenario:
-                meta["scenario"] = scenario
-            cache.store(key, task.encode(result), meta=meta)
-            store_s = time.perf_counter() - store_start
-        if profile is not None and (store_s or task.key in lookups):
-            timing = profile.timings[-len(pending) + i]
-            profile.timings[-len(pending) + i] = TaskTiming(
-                key=timing.key,
-                source=timing.source,
-                seconds=timing.seconds,
-                lookup_s=lookups.get(task.key, 0.0),
-                store_s=store_s,
-                ff_skipped=timing.ff_skipped,
-            )
-    if report is not None:
-        report.merge_s += time.perf_counter() - merge_start
-    if profile is not None:
-        profile.wall_s += time.perf_counter() - sweep_start
-    return [results[task.key] for task in ordered]
-
-
-def _merge_unit(
-    unit: _Unit,
-    unit_results: list[Any],
-    fallback: str | None,
-    unit_s: float,
-    ff_skipped: int,
-    computed: list[Any],
-    profile: ExecProfile | None,
-    report: BatchReport | None,
-    *,
-    record_s: float = 0.0,
-    replay_s: float = 0.0,
-) -> None:
-    """Scatter a unit's results back to their sweep positions.
-
-    Profile rows synthesize per-point cost from the shared recording:
-    the unit's wall time (plus any warm-phase recording attributed to
-    this unit) is split evenly, so the rows still sum to the measured
-    walls and per-sweep totals stay meaningful.  The fast-forward delta
-    (the recording's jumps) is attributed to the first point, mirroring
-    how the ledger would see one recording run.
-    """
-    merge_start = time.perf_counter()
-    for index, result in zip(unit.indices, unit_results):
-        computed[index] = result
-    if report is not None:
-        report.record_s += record_s
-        report.replay_s += replay_s
-        if fallback is not None:
-            report.fallbacks.append(
-                BatchFallback(
-                    point=str(unit.tasks[0].key),
-                    points=len(unit.tasks),
-                    reason=fallback,
-                )
-            )
-    if profile is not None:
-        share = (unit_s + unit.warm_s) / len(unit.tasks)
-        skipped_total = ff_skipped + unit.warm_skipped
-        for i, task in enumerate(unit.tasks):
-            profile.add(
-                TaskTiming(
-                    key=str(task.key),
-                    source=SOURCE_RUN,
-                    seconds=share,
-                    ff_skipped=skipped_total if i == 0 else 0,
-                )
-            )
-    if report is not None:
-        report.merge_s += time.perf_counter() - merge_start
-
-
 def _missing_tapes(
     units: Sequence[_Unit], tape_root: Path
 ) -> dict[str, list[_Unit]]:
@@ -716,18 +458,23 @@ def _warm_tapes(
     """Record every missing tape in parallel, one pool task per tape.
 
     Recording is the serial bottleneck once replay is vectorized, so it
-    fans out recording-per-worker *before* unit chunks are formed — a
-    sweep of N fresh groups records N-wide even when chunking would
+    fans out recording-per-worker *before* unit chunks are dispatched —
+    a sweep of N fresh groups records N-wide even when chunking would
     have packed those groups onto fewer workers.  A certification
     failure marks every owning unit ``prefail`` so each falls back to
     the event engine without re-attempting the recording; the
     fast-forward skip delta folds into the parent ledger exactly like
-    the event pool does.
+    the unit chunks' deltas do.
     """
+    from repro.exec.sweep import _point_error  # sweep imports this module
+
     futures = {
         key: pool.submit(
-            _record_tape_job, owners[0].tasks[0], owners[0].rec_gear,
-            tape_root, key,
+            _record_tape_job,
+            owners[0].tasks[0],
+            _recording_gear(owners[0].tasks[0]),
+            tape_root,
+            key,
         )
         for key, owners in missing.items()
     }
@@ -750,82 +497,3 @@ def _warm_tapes(
         if fail is not None:
             for unit in owners:
                 unit.prefail = fail
-
-
-def _run_units_pool(
-    units: Sequence[_Unit],
-    jobs: int,
-    chunk_size: int,
-    computed: list[Any],
-    profile: ExecProfile | None,
-    report: BatchReport | None,
-    tape_root: Path | None,
-) -> None:
-    """Fan unit chunks out to a process pool; merge in unit order.
-
-    Two pool phases on one worker pool: first the parallel-recording
-    phase fills the tape store (see :func:`_warm_tapes`), then unit
-    chunks replay from it.
-    """
-    chunks = [
-        list(units[i : i + chunk_size])
-        for i in range(0, len(units), chunk_size)
-    ]
-    missing = _missing_tapes(units, tape_root) if tape_root is not None else {}
-    workers = min(jobs, max(len(chunks), len(missing)))
-    if profile is not None:
-        profile.workers = max(profile.workers, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        if missing:
-            _warm_tapes(missing, pool, tape_root, report)  # type: ignore[arg-type]
-        payloads = [
-            [
-                (unit.tasks, unit.batch, unit.tape_key, unit.prefail)
-                for unit in chunk
-            ]
-            for chunk in chunks
-        ]
-        futures = [
-            pool.submit(_execute_unit_chunk, payload, tape_root)
-            for payload in payloads
-        ]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for chunk, future in zip(chunks, futures):
-            try:
-                outcomes = future.result()
-            except _UnitPointError as exc:
-                for other in futures:
-                    other.cancel()
-                raise _point_error(
-                    chunk[exc.unit_index].tasks[0], exc.cause
-                ) from exc.cause
-            except Exception as exc:
-                for other in futures:
-                    other.cancel()
-                raise _point_error(chunk[0].tasks[0], exc) from exc
-            for unit, (
-                unit_results,
-                fallback,
-                unit_s,
-                skipped,
-                record_s,
-                replay_s,
-            ) in zip(chunk, outcomes):
-                # Workers mutate their own pickled fast-forward config;
-                # fold the recording's skip count back into the parent
-                # ledger exactly like the event pool does.
-                config = getattr(unit.tasks[0], "fast_forward", None)
-                if config is not None and skipped:
-                    config.aggregate.skipped_iterations += skipped
-                _merge_unit(
-                    unit,
-                    unit_results,
-                    fallback,
-                    unit_s,
-                    skipped,
-                    computed,
-                    profile,
-                    report,
-                    record_s=record_s,
-                    replay_s=replay_s,
-                )

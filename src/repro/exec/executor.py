@@ -15,9 +15,10 @@ import dataclasses
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.exec.batch_sweep import BatchReport
 from repro.exec.cache import CacheStats, ResultCache, TapeCache
 from repro.exec.profile import ExecProfile
-from repro.exec.sweep import sweep
+from repro.exec.sweep import check_backend, sweep
 from repro.exec.tasks import SimTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -40,10 +41,12 @@ class Executor:
         profile: True to accumulate an :class:`ExecProfile` (per-task
             wall time, cache latencies, worker utilization) across every
             sweep this executor runs.
-        chunk_size: points dispatched per worker call in parallel
-            sweeps; ``None`` (the default) auto-sizes to about four
-            chunks per worker.  Chunking amortizes pickling/IPC and
-            never changes results.
+        chunk_size: units dispatched per worker call in parallel
+            sweeps — a unit is one point under the event backend, one
+            batch group or passthrough point under the batch backend.
+            ``None`` (the default) auto-sizes to about four chunks per
+            worker.  Chunking amortizes pickling/IPC and never changes
+            results.
         fast_forward: optional
             :class:`repro.mpi.fastforward.FastForwardConfig` stamped
             onto every task this executor runs (tasks that already carry
@@ -57,14 +60,10 @@ class Executor:
             agree with event results to ~1e-9 and cache under distinct
             keys; the :attr:`batch_report` accumulates grouping,
             event-engine fallback, tape-cache, and stage-timing
-            accounting across sweeps.
-        tape_cache: persistent store of batch recordings
-            (:class:`repro.exec.cache.TapeCache`) so later sweeps and
-            invocations skip re-recording.  ``None`` (the default)
-            derives one under the result cache's root (``<cache
-            root>/tapes``) whenever the batch backend and a result
-            cache are both active — opt out with ``False``.  Ignored
-            by the event backend.
+            accounting across sweeps.  With a result cache, batch
+            recordings persist in a :class:`repro.exec.cache.TapeCache`
+            under the cache's root (``<cache root>/tapes``), so later
+            sweeps and invocations skip re-recording.
     """
 
     def __init__(
@@ -77,17 +76,8 @@ class Executor:
         chunk_size: int | None = None,
         fast_forward: "FastForwardConfig | None" = None,
         backend: str = "event",
-        tape_cache: TapeCache | bool | None = None,
     ):
-        from repro.exec.batch_sweep import BACKENDS, BatchReport
-
-        if backend not in BACKENDS:
-            from repro.util.errors import ConfigurationError
-
-            known = ", ".join(repr(b) for b in BACKENDS)
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; choose from {known}"
-            )
+        check_backend(backend)
         if cache is True:
             cache = ResultCache()
         elif cache is False:
@@ -99,13 +89,11 @@ class Executor:
         self.chunk_size = chunk_size
         self.fast_forward = fast_forward
         self.backend = backend
-        if tape_cache is None and backend == "batch" and cache is not None:
-            tape_cache = TapeCache(Path(cache.root) / "tapes")
-        elif not isinstance(tape_cache, TapeCache):
-            tape_cache = None
-        #: Persistent batch-recording store; None when caching is off,
-        #: the backend is "event", or the caller passed ``False``.
-        self.tape_cache: TapeCache | None = tape_cache
+        #: Persistent batch-recording store; None when caching is off or
+        #: the backend is "event".
+        self.tape_cache: TapeCache | None = None
+        if backend == "batch" and cache is not None:
+            self.tape_cache = TapeCache(Path(cache.root) / "tapes")
         #: Grouping/fallback/stage accounting; populated under "batch".
         self.batch_report = BatchReport() if backend == "batch" else None
 

@@ -1,7 +1,8 @@
 """Fan a set of simulation points out, merge results deterministically.
 
-:func:`sweep` is the one concurrency primitive of the package.  The
-contract that makes it safe to drop into the experiment harness:
+:func:`sweep` is the one concurrency primitive of the package, and the
+only lookup → dispatch → merge path for both backends.  The contract
+that makes it safe to drop into the experiment harness:
 
 - **Deterministic merge.**  Results come back in the order the tasks
   were given — never in completion order — so a parallel run is
@@ -13,21 +14,44 @@ contract that makes it safe to drop into the experiment harness:
   caller as a :class:`~repro.util.errors.SimulationError` naming the
   failing point's key, with the original exception chained as the cause.
 
+Dispatch: the cache misses are partitioned into *units*, the pieces of
+work that are never split.  Under ``backend="event"`` every point is
+its own unit; under ``backend="batch"``
+:func:`repro.exec.batch_sweep._form_units` folds points that share a
+recording into one unit.  Units run inline (``jobs=1``) or in chunks of
+consecutive units on a process pool, through the same in-worker chunk
+function, and their results scatter back to task order.
+
 Observability: an ``observer`` (see :mod:`repro.obs.observer`) rides
-along every simulation — which forces the sweep inline and uncached,
-because a cached or out-of-process point produces no events to observe.
-A ``profile`` (:class:`~repro.exec.profile.ExecProfile`) records host
-wall time per point and per cache interaction in every mode.
+along every simulation — which forces the sweep inline, uncached and
+onto the event engine, because a cached, replayed or out-of-process
+point produces no events to observe.  A ``profile``
+(:class:`~repro.exec.profile.ExecProfile`) records host wall time per
+point and per cache interaction in every mode.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from contextlib import ExitStack
+from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.exec.cache import ResultCache
+from repro.exec.batch_sweep import (
+    BATCHABLE,
+    BatchFallback,
+    BatchReport,
+    _form_units,
+    _missing_tapes,
+    _run_unit,
+    _Unit,
+    _warm_tapes,
+    batch_cache_key,
+)
+from repro.exec.cache import ResultCache, TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
 from repro.exec.profile import SOURCE_CACHE, SOURCE_RUN, ExecProfile, TaskTiming
 from repro.exec.tasks import SimTask
@@ -35,6 +59,18 @@ from repro.util.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.observer import RunObserver
+
+#: Backends :func:`sweep` accepts.
+BACKENDS = ("event", "batch")
+
+
+def check_backend(backend: str) -> None:
+    """Reject a backend name that is not in :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        known = ", ".join(repr(b) for b in BACKENDS)
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; choose from {known}"
+        )
 
 
 def cache_key(task: SimTask) -> str:
@@ -44,26 +80,14 @@ def cache_key(task: SimTask) -> str:
     )
 
 
-def _execute(task: SimTask) -> Any:
-    """Run one task; module-level so process pools can pickle it."""
-    return task.run()
-
-
-def _execute_timed(task: SimTask) -> tuple[Any, float]:
-    """Run one task in a worker, returning (result, wall seconds)."""
-    start = time.perf_counter()
-    result = task.run()
-    return result, time.perf_counter() - start
-
-
 def _ff_skipped(task: SimTask) -> int:
     """Iterations fast-forward has skipped under this task's config so far.
 
     Reads the config's cross-run ``aggregate`` ledger; sampling it
-    before and after a point runs attributes the delta to that point.
+    before and after a unit runs attributes the delta to that unit.
     Works identically inline and inside a pool worker (the worker
     mutates its own pickled copy of the config and the delta travels
-    back with the chunk's timings).
+    back with the chunk's outcomes).
     """
     config = getattr(task, "fast_forward", None)
     if config is None:
@@ -72,9 +96,9 @@ def _ff_skipped(task: SimTask) -> int:
 
 
 class _ChunkPointError(Exception):
-    """One point of a chunk failed in a worker.
+    """One unit of a chunk failed.
 
-    Carries the chunk-local index so the caller can name the exact
+    Carries the chunk-local unit index so the caller can name the exact
     failing point, and the original exception as the cause to chain.
     Built from plain ``args`` so it pickles across the process boundary.
     """
@@ -85,29 +109,47 @@ class _ChunkPointError(Exception):
         self.cause = cause
 
 
-def _execute_chunk(
-    tasks: Sequence[SimTask],
-) -> tuple[list[Any], list[float], float, list[int]]:
-    """Run a chunk of tasks in one worker call.
+def _run_chunk(
+    units: Sequence[_Unit],
+    tape_root: Path | None = None,
+    observer: "RunObserver | None" = None,
+) -> list[tuple[list[Any], str | None, float, float, float, int]]:
+    """Run consecutive units in this process: inline, or one worker call.
 
-    Returns (results, per-point wall seconds, chunk wall seconds,
-    per-point fast-forwarded iterations), all measured inside the worker
-    so IPC and worker startup are excluded.
+    Per unit: (results in unit order, batch fallback reason, recording
+    seconds, replay seconds, wall seconds, fast-forwarded iterations).
+    The chunk's own loop overhead is spread evenly over the units, so
+    their wall seconds sum to the chunk's wall measured here; worker
+    startup and IPC stay excluded.
     """
     chunk_start = time.perf_counter()
-    results: list[Any] = []
-    seconds: list[float] = []
-    ff_skips: list[int] = []
-    for index, task in enumerate(tasks):
+    runs = []
+    for index, unit in enumerate(units):
         start = time.perf_counter()
-        skipped_before = _ff_skipped(task)
+        skipped_before = _ff_skipped(unit.tasks[0])
         try:
-            results.append(task.run())
+            if unit.batch:
+                done = _run_unit(unit, tape_root)
+            elif observer is not None:
+                # Only pass the observer when one is attached: tasks that
+                # predate observability keep their plain run() signature.
+                done = [unit.tasks[0].run(observer=observer)], None, 0.0, 0.0
+            else:
+                done = [unit.tasks[0].run()], None, 0.0, 0.0
         except Exception as exc:
             raise _ChunkPointError(index, exc) from exc
-        seconds.append(time.perf_counter() - start)
-        ff_skips.append(_ff_skipped(task) - skipped_before)
-    return results, seconds, time.perf_counter() - chunk_start, ff_skips
+        runs.append(
+            (
+                *done,
+                time.perf_counter() - start,
+                _ff_skipped(unit.tasks[0]) - skipped_before,
+            )
+        )
+    if not runs:
+        return []
+    overhead = time.perf_counter() - chunk_start - sum(run[4] for run in runs)
+    residual = overhead / len(runs)
+    return [(*run[:4], run[4] + residual, run[5]) for run in runs]
 
 
 def _point_error(task: SimTask, exc: BaseException) -> SimulationError:
@@ -125,16 +167,16 @@ def _point_error(task: SimTask, exc: BaseException) -> SimulationError:
     )
 
 
-def _auto_chunk_size(points: int, jobs: int) -> int:
+def _auto_chunk_size(units: int, jobs: int) -> int:
     """Default chunk size: about four chunks per worker.
 
     Large enough to amortize pickling/IPC per dispatch, small enough
     that an uneven last wave cannot idle most of the pool.
     """
-    workers = min(jobs, points)
+    workers = min(jobs, units)
     if workers <= 0:
         return 1
-    return max(1, math.ceil(points / (workers * 4)))
+    return max(1, math.ceil(units / (workers * 4)))
 
 
 def sweep(
@@ -146,8 +188,8 @@ def sweep(
     profile: ExecProfile | None = None,
     chunk_size: int | None = None,
     backend: str = "event",
-    batch_report: Any = None,
-    tape_cache: Any = None,
+    batch_report: BatchReport | None = None,
+    tape_cache: TapeCache | None = None,
 ) -> list[Any]:
     """Execute simulation points, possibly in parallel, possibly cached.
 
@@ -158,33 +200,34 @@ def sweep(
             N workers.
         cache: optional on-disk result cache consulted before running
             and filled after.
-        observer: optional run observer.  Observed sweeps run inline and
-            bypass the cache — a replayed or out-of-process point has no
-            gear events or trace records to observe.  Observation never
-            changes results (the simulator is deterministic).
+        observer: optional run observer.  Observed sweeps run inline,
+            bypass the cache and use the event engine — a replayed or
+            out-of-process point has no gear events or trace records to
+            observe.  Observation never changes results (the simulator
+            is deterministic).
         profile: optional profile accumulating per-point wall time and
             cache-latency accounting across this sweep.
-        chunk_size: points dispatched per worker call when ``jobs > 1``
+        chunk_size: units dispatched per worker call when ``jobs > 1``
             (amortizes pickling/IPC).  ``None`` picks about four chunks
-            per worker.  Chunks are consecutive slices in task order, so
-            chunking never changes results or merge order.  Under the
-            batch backend the unit of chunking is a batch *group*, not a
-            point — one recording is never split across workers.
+            per worker.  Chunks are consecutive units in first-seen
+            order, so chunking never changes results or merge order.
+            Under the event backend a unit is one point; under the
+            batch backend it is one batch group or passthrough point,
+            so one recording is never split across workers.
         backend: ``"event"`` (the default) simulates every point
-            independently; ``"batch"`` routes the sweep through
-            :func:`repro.exec.batch_sweep.batch_sweep`, which records
-            gear-groupable points once and replays the grid (results
-            equal to ~1e-9, cached under distinct keys).  Observed
-            sweeps always use the event engine — a replayed tape
-            produces no events to observe.
+            independently; ``"batch"`` records gear-groupable points
+            once and replays the grid (see
+            :mod:`repro.exec.batch_sweep`; results equal to ~1e-9,
+            cached under distinct keys).
         batch_report: optional
             :class:`repro.exec.batch_sweep.BatchReport` accumulating
             grouping/fallback/tape-cache/stage-timing accounting (batch
             backend only).
         tape_cache: optional :class:`repro.exec.cache.TapeCache`
             persisting batch recordings across sweeps and processes
-            (batch backend only; see
-            :func:`repro.exec.batch_sweep.batch_sweep`).
+            (batch backend only).  ``None`` keeps recordings
+            sweep-local; a pooled batch sweep still shares them between
+            its workers through a temporary store.
 
     Returns:
         One result per task, in task order regardless of completion
@@ -196,23 +239,7 @@ def sweep(
         SimulationError: a point failed; the message names its key and
             the original exception is chained as ``__cause__``.
     """
-    from repro.exec.batch_sweep import BACKENDS, batch_sweep
-
-    if backend not in BACKENDS:
-        known = ", ".join(repr(b) for b in BACKENDS)
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; choose from {known}"
-        )
-    if backend == "batch" and observer is None:
-        return batch_sweep(
-            tasks,
-            jobs=jobs,
-            cache=cache,
-            profile=profile,
-            chunk_size=chunk_size,
-            report=batch_report,
-            tape_cache=tape_cache,
-        )
+    check_backend(backend)
     ordered: Sequence[SimTask] = list(tasks)
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -226,45 +253,89 @@ def sweep(
 
     sweep_start = time.perf_counter()
     if observer is not None:
-        cache = None  # cached points would produce no events to observe
+        # Cached or replayed points would produce no events to observe.
+        cache = None
+        backend = "event"
+    batched = backend == "batch"
+    report = batch_report if batched else None
 
     results: dict[tuple, Any] = {}
     pending: list[tuple[SimTask, str | None]] = []
-    lookups: dict[tuple, float] = {}
+    lookups: list[float] = []
     for task in ordered:
-        if cache is not None:
-            lookup_start = time.perf_counter()
-            key = cache_key(task)
-            payload = cache.load(key)
-            lookup_s = time.perf_counter() - lookup_start
-            if payload is not None:
-                results[task.key] = task.decode(payload)
-                if profile is not None:
-                    profile.add(
-                        TaskTiming(
-                            key=str(task.key),
-                            source=SOURCE_CACHE,
-                            seconds=0.0,
-                            lookup_s=lookup_s,
-                        )
-                    )
-                continue
-            lookups[task.key] = lookup_s
-            pending.append((task, key))
-        else:
+        if cache is None:
             pending.append((task, None))
-
-    if jobs > 1 and len(pending) > 1 and observer is None:
-        size = chunk_size or _auto_chunk_size(len(pending), jobs)
-        nchunks = math.ceil(len(pending) / size)
-        computed = _run_pool(pending, jobs, profile, size)
+            lookups.append(0.0)
+            continue
+        lookup_start = time.perf_counter()
+        if batched and type(task) in BATCHABLE:
+            key = batch_cache_key(task)
+        else:
+            key = cache_key(task)
+        payload = cache.load(key)
+        lookup_s = time.perf_counter() - lookup_start
+        if payload is None:
+            pending.append((task, key))
+            lookups.append(lookup_s)
+            continue
+        results[task.key] = task.decode(payload)
         if profile is not None:
-            profile.workers = max(profile.workers, min(jobs, nchunks))
-    else:
-        computed = _run_inline(pending, observer, profile)
+            profile.add(
+                TaskTiming(
+                    key=str(task.key),
+                    source=SOURCE_CACHE,
+                    seconds=0.0,
+                    lookup_s=lookup_s,
+                )
+            )
 
-    for i, ((task, key), result) in enumerate(zip(pending, computed)):
-        results[task.key] = result
+    if batched:
+        units = _form_units(pending)
+        if report is not None:
+            report.count_units(units, tape_cache)
+    else:
+        units = [_Unit([task], [index]) for index, (task, _) in enumerate(pending)]
+    tape_root = None
+    if batched and tape_cache is not None:
+        tape_root = Path(tape_cache.root)
+    if jobs > 1 and len(units) > 1 and observer is None:
+        size = chunk_size or _auto_chunk_size(len(units), jobs)
+        outcomes = _run_pool(units, jobs, size, tape_root, profile, report)
+    else:
+        try:
+            outcomes = _run_chunk(units, tape_root, observer)
+        except _ChunkPointError as exc:
+            raise _point_error(units[exc.index].tasks[0], exc.cause) from exc.cause
+
+    merge_start = time.perf_counter()
+    computed: list[Any] = [None] * len(pending)
+    seconds = [0.0] * len(pending)
+    skips = [0] * len(pending)
+    for unit, (unit_results, fallback, record_s, replay_s, unit_s, skipped) in zip(
+        units, outcomes
+    ):
+        # A unit's points share its wall (plus any warm-phase recording)
+        # evenly, so the rows still sum to the measured walls; the
+        # fast-forward delta goes to the first point, as the ledger saw
+        # one recording run.
+        share = (unit_s + unit.warm_s) / len(unit.tasks)
+        for index, result in zip(unit.indices, unit_results):
+            computed[index] = result
+            seconds[index] = share
+        skips[unit.indices[0]] = skipped + unit.warm_skipped
+        if report is not None:
+            report.record_s += record_s
+            report.replay_s += replay_s
+            if fallback is not None:
+                report.fallbacks.append(
+                    BatchFallback(
+                        point=str(unit.tasks[0].key),
+                        points=len(unit.tasks),
+                        reason=fallback,
+                    )
+                )
+    for index, (task, key) in enumerate(pending):
+        result = results[task.key] = computed[index]
         store_s = 0.0
         if cache is not None and key is not None:
             store_start = time.perf_counter()
@@ -274,101 +345,75 @@ def sweep(
                 meta["scenario"] = scenario
             cache.store(key, task.encode(result), meta=meta)
             store_s = time.perf_counter() - store_start
-        if profile is not None and (store_s or task.key in lookups):
-            # Fold cache traffic into the point's timing entry.
-            timing = profile.timings[-len(pending) + i]
-            profile.timings[-len(pending) + i] = TaskTiming(
-                key=timing.key,
-                source=timing.source,
-                seconds=timing.seconds,
-                lookup_s=lookups.get(task.key, 0.0),
-                store_s=store_s,
-                ff_skipped=timing.ff_skipped,
-            )
-    if profile is not None:
-        profile.wall_s += time.perf_counter() - sweep_start
-    return [results[task.key] for task in ordered]
-
-
-def _run_inline(
-    pending: Sequence[tuple[SimTask, str | None]],
-    observer: "RunObserver | None" = None,
-    profile: ExecProfile | None = None,
-) -> list[Any]:
-    out = []
-    for task, _ in pending:
-        start = time.perf_counter()
-        skipped_before = _ff_skipped(task)
-        try:
-            # Only pass the observer when one is attached: tasks that
-            # predate observability keep their plain run() signature.
-            if observer is not None:
-                out.append(task.run(observer=observer))
-            else:
-                out.append(task.run())
-        except Exception as exc:
-            raise _point_error(task, exc) from exc
         if profile is not None:
             profile.add(
                 TaskTiming(
                     key=str(task.key),
                     source=SOURCE_RUN,
-                    seconds=time.perf_counter() - start,
-                    ff_skipped=_ff_skipped(task) - skipped_before,
+                    seconds=seconds[index],
+                    lookup_s=lookups[index],
+                    store_s=store_s,
+                    ff_skipped=skips[index],
                 )
             )
-    return out
+    if report is not None:
+        report.merge_s += time.perf_counter() - merge_start
+    if profile is not None:
+        profile.wall_s += time.perf_counter() - sweep_start
+    return [results[task.key] for task in ordered]
 
 
 def _run_pool(
-    pending: Sequence[tuple[SimTask, str | None]],
+    units: Sequence[_Unit],
     jobs: int,
-    profile: ExecProfile | None = None,
-    chunk_size: int = 1,
-) -> list[Any]:
-    chunks = [
-        [task for task, _ in pending[i : i + chunk_size]]
-        for i in range(0, len(pending), chunk_size)
-    ]
-    workers = min(jobs, len(chunks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_chunk, chunk) for chunk in chunks]
+    chunk_size: int,
+    tape_root: Path | None,
+    profile: ExecProfile | None,
+    report: BatchReport | None,
+) -> list[tuple[list[Any], str | None, float, float, float, int]]:
+    """Run unit chunks on a process pool; outcomes come back in unit order.
+
+    Batch units first get their missing tapes recorded on the same pool,
+    one task per tape (:func:`repro.exec.batch_sweep._warm_tapes`), so
+    the chunks that follow replay from the tape store.
+    """
+    chunks = [units[i : i + chunk_size] for i in range(0, len(units), chunk_size)]
+    with ExitStack() as stack:
+        if tape_root is None and any(unit.batch for unit in units):
+            # No persistent cache: an ephemeral sweep-local store still
+            # lets the warm phase hand tapes to the unit workers.
+            tape_dir = tempfile.TemporaryDirectory(prefix="repro-tapes-")
+            tape_root = Path(stack.enter_context(tape_dir))
+        missing = _missing_tapes(units, tape_root) if tape_root is not None else {}
+        workers = min(jobs, max(len(chunks), len(missing)))
+        if profile is not None:
+            profile.workers = max(profile.workers, workers)
+        pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        if missing:
+            _warm_tapes(missing, pool, tape_root, report)  # type: ignore[arg-type]
+        futures = [pool.submit(_run_chunk, chunk, tape_root) for chunk in chunks]
         wait(futures, return_when=FIRST_EXCEPTION)
-        out = []
+        outcomes = []
         for chunk, future in zip(chunks, futures):
             try:
-                results, seconds, chunk_wall, ff_skips = future.result()
+                chunk_outcomes = future.result()
             except _ChunkPointError as exc:
                 for other in futures:
                     other.cancel()
-                raise _point_error(chunk[exc.index], exc.cause) from exc.cause
+                failed = chunk[exc.index].tasks[0]
+                raise _point_error(failed, exc.cause) from exc.cause
             except Exception as exc:
-                # Infrastructure failure (e.g. a broken pool): no point
+                # Infrastructure failure (e.g. a broken pool): no unit
                 # index to blame, so name the chunk's first point.
                 for other in futures:
                     other.cancel()
-                raise _point_error(chunk[0], exc) from exc
-            out.extend(results)
-            for task, skipped in zip(chunk, ff_skips):
+                raise _point_error(chunk[0].tasks[0], exc) from exc
+            for unit, outcome in zip(chunk, chunk_outcomes):
                 # Workers mutate their own pickled copy of the config;
-                # carry the headline counter back to the parent's ledger
-                # so pooled and inline sweeps report the same totals.
-                config = getattr(task, "fast_forward", None)
-                if config is not None and skipped:
-                    config.aggregate.skipped_iterations += skipped
-            if profile is not None:
-                # Attribute the chunk's residual (request unpickling,
-                # loop bookkeeping) evenly so the recorded per-point
-                # times sum to the in-worker chunk wall time — worker
-                # startup and IPC stay excluded.
-                residual = (chunk_wall - sum(seconds)) / len(seconds)
-                for task, point_s, skipped in zip(chunk, seconds, ff_skips):
-                    profile.add(
-                        TaskTiming(
-                            key=str(task.key),
-                            source=SOURCE_RUN,
-                            seconds=point_s + residual,
-                            ff_skipped=skipped,
-                        )
-                    )
-    return out
+                # carry the skip count back to the parent's ledger so
+                # pooled and inline sweeps report the same totals.
+                config = getattr(unit.tasks[0], "fast_forward", None)
+                if config is not None and outcome[5]:
+                    config.aggregate.skipped_iterations += outcome[5]
+            outcomes.extend(chunk_outcomes)
+    return outcomes

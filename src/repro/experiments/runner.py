@@ -44,6 +44,7 @@ from typing import Callable
 
 from repro.exec import Executor, ResultCache
 from repro.exec.cache import env_max_bytes
+from repro.exec.sweep import BACKENDS
 from repro.experiments import (
     figure1,
     figure2,
@@ -161,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("event", "batch"),
+        choices=BACKENDS,
         default="event",
         help="simulation backend: 'event' simulates every point "
         "independently; 'batch' records gear-groupable points once and "

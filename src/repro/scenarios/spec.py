@@ -303,13 +303,9 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"unknown scenario kind {self.kind!r}; expected one of {KINDS}"
             )
-        from repro.exec.batch_sweep import BACKENDS
+        from repro.exec.sweep import check_backend
 
-        if self.backend not in BACKENDS:
-            known = ", ".join(repr(b) for b in BACKENDS)
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; choose from {known}"
-            )
+        check_backend(self.backend)
         object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
         if not self.nodes and self.kind != KIND_CALIBRATION:
             raise ConfigurationError(f"{self.kind} scenarios need a node grid")

@@ -10,6 +10,7 @@ and non-batchable points pass through unchanged.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -20,13 +21,16 @@ from repro.exec import (
     Executor,
     GearSweepTask,
     MeasurementTask,
+    PolicyMeasurementTask,
     ResultCache,
     TapeCache,
-    batch_sweep,
     tape_key,
 )
 from repro.exec.batch_sweep import _form_units, batch_cache_key
+from repro.exec.profile import ExecProfile
 from repro.exec.sweep import _auto_chunk_size, cache_key, sweep
+from repro.obs import RunObserver
+from repro.policy.adaptive import IdleLowPolicy
 from repro.util.errors import ConfigurationError
 from repro.workloads.jacobi import Jacobi
 from repro.workloads.nas import EP
@@ -86,7 +90,7 @@ class TestGrouping:
 
     def test_report_accounts_groups_and_passthrough(self, tasks):
         report = BatchReport()
-        batch_sweep(tasks, report=report)
+        sweep(tasks, backend="batch", batch_report=report)
         assert report.groups == 2
         assert report.grouped_points == 7
         assert report.passthrough_points == 1
@@ -105,13 +109,15 @@ class TestMergeDeterminism:
     """
 
     def test_pooled_merge_is_byte_identical_to_serial(self, tasks):
-        serial = _payloads(tasks, batch_sweep(tasks, jobs=1))
-        pooled = _payloads(tasks, batch_sweep(tasks, jobs=4))
+        serial = _payloads(tasks, sweep(tasks, backend="batch", jobs=1))
+        pooled = _payloads(tasks, sweep(tasks, backend="batch", jobs=4))
         assert pooled == serial
 
     def test_explicit_chunk_size_changes_nothing(self, tasks):
-        serial = _payloads(tasks, batch_sweep(tasks, jobs=1))
-        chunked = _payloads(tasks, batch_sweep(tasks, jobs=2, chunk_size=1))
+        serial = _payloads(tasks, sweep(tasks, backend="batch", jobs=1))
+        chunked = _payloads(
+            tasks, sweep(tasks, backend="batch", jobs=2, chunk_size=1)
+        )
         assert chunked == serial
 
     def test_chunks_count_units_not_points(self, tasks):
@@ -123,12 +129,12 @@ class TestMergeDeterminism:
 
     def test_more_workers_than_groups_still_groups_once(self, tasks):
         report = BatchReport()
-        batch_sweep(tasks, jobs=8, report=report)
+        sweep(tasks, backend="batch", jobs=8, batch_report=report)
         assert report.groups == 2  # recordings never split by the pool
 
     def test_duplicate_point_keys_rejected(self, tasks):
         with pytest.raises(ConfigurationError, match="duplicate"):
-            batch_sweep([tasks[0], tasks[0]])
+            sweep([tasks[0], tasks[0]], backend="batch")
 
 
 class TestCacheKeying:
@@ -138,10 +144,10 @@ class TestCacheKeying:
 
     def test_warm_cache_replays_identically(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path / "batch-cache")
-        cold = _payloads(tasks, batch_sweep(tasks, cache=cache))
+        cold = _payloads(tasks, sweep(tasks, backend="batch", cache=cache))
         report = BatchReport()
         warm = _payloads(
-            tasks, batch_sweep(tasks, cache=cache, report=report)
+            tasks, sweep(tasks, backend="batch", cache=cache, batch_report=report)
         )
         assert warm == cold
         assert cache.stats.hits == len(tasks)
@@ -149,7 +155,7 @@ class TestCacheKeying:
 
     def test_event_executor_never_reads_batch_entries(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path / "shared-cache")
-        batch_sweep(tasks, cache=cache)
+        sweep(tasks, backend="batch", cache=cache)
         hits_before = cache.stats.hits
         sweep(tasks[:1], cache=cache)
         # The event sweep missed: batch results are 1e-9-equivalent,
@@ -157,13 +163,88 @@ class TestCacheKeying:
         assert cache.stats.hits == hits_before
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("backend", ["event", "batch"])
+    def test_every_stored_key_follows_the_backend(
+        self, cluster, tmp_path, monkeypatch, backend, jobs
+    ):
+        four_kinds = [
+            GearSweepTask(cluster, Jacobi(SCALE), nodes=2, gears=(1, 4)),
+            MeasurementTask(cluster, EP(SCALE), nodes=2, gear=3),
+            PolicyMeasurementTask(
+                cluster, EP(SCALE), nodes=2, policy=IdleLowPolicy()
+            ),
+            CalibrationTask(cluster, EP(SCALE)),
+        ]
+        cache = ResultCache(root=tmp_path)
+        stored = []
+        store = cache.store
+
+        def recording_store(key, payload, *, meta=None):
+            stored.append(key)
+            return store(key, payload, meta=meta)
+
+        monkeypatch.setattr(cache, "store", recording_store)
+        sweep(four_kinds, backend=backend, jobs=jobs, cache=cache)
+        batchable = (GearSweepTask, MeasurementTask)
+        assert stored == [
+            batch_cache_key(task)
+            if backend == "batch" and type(task) in batchable
+            else cache_key(task)
+            for task in four_kinds
+        ]
+
+
+class TestProfileRows:
+    def test_cache_latency_lands_on_its_own_point(
+        self, cluster, tmp_path, monkeypatch
+    ):
+        # Units run in group order (EP@1 and EP@3 share a recording),
+        # not in pending order: the store latency of the slow Jacobi
+        # point must still be charged to Jacobi's own row.
+        delay = 0.05
+        pending = [
+            MeasurementTask(cluster, EP(SCALE), nodes=2, gear=1),
+            MeasurementTask(cluster, Jacobi(SCALE), nodes=2, gear=1),
+            MeasurementTask(cluster, EP(SCALE), nodes=2, gear=3),
+        ]
+        cache = ResultCache(root=tmp_path)
+        store = cache.store
+
+        def slow_for_jacobi(key, payload, *, meta=None):
+            if "Jacobi" in meta["point"]:
+                time.sleep(delay)
+            return store(key, payload, meta=meta)
+
+        monkeypatch.setattr(cache, "store", slow_for_jacobi)
+        profile = ExecProfile()
+        sweep(pending, backend="batch", cache=cache, profile=profile)
+        rows = {row.key: row for row in profile.timings}
+        assert rows[str(pending[1].key)].store_s >= delay
+        assert rows[str(pending[0].key)].store_s < delay
+        assert rows[str(pending[2].key)].store_s < delay
+        assert all(row.lookup_s > 0 for row in profile.timings)
+        # Rows come back in task order, whatever order the units ran in.
+        assert list(rows) == [str(task.key) for task in pending]
+
+
 class TestBackendSelection:
     def test_sweep_routes_batch_backend(self, tasks):
-        via_sweep = _payloads(
-            tasks, sweep(tasks, backend="batch")
+        # Unobserved, the batch backend groups the batchable points; an
+        # observer routes the sweep to the event engine, because a
+        # replayed tape produces no events to observe.
+        report = BatchReport()
+        sweep(tasks, backend="batch", batch_report=report)
+        assert (report.groups, report.passthrough_points) == (2, 1)
+        observed_report = BatchReport()
+        observed = sweep(
+            tasks,
+            backend="batch",
+            observer=RunObserver(),
+            batch_report=observed_report,
         )
-        direct = _payloads(tasks, batch_sweep(tasks))
-        assert via_sweep == direct
+        assert _payloads(tasks, observed) == _payloads(tasks, sweep(tasks))
+        assert observed_report == BatchReport()
 
     @pytest.mark.parametrize("make", [
         lambda: Executor(backend="turbo"),
@@ -193,29 +274,45 @@ class TestTapeCache:
         tape_cache = TapeCache(tmp_path / "tapes")
         cold_report = BatchReport()
         cold = _payloads(
-            tasks, batch_sweep(tasks, report=cold_report, tape_cache=tape_cache)
+            tasks,
+            sweep(
+                tasks,
+                backend="batch",
+                batch_report=cold_report,
+                tape_cache=tape_cache,
+            ),
         )
         assert cold_report.tape_cache_enabled
         assert (cold_report.tape_hits, cold_report.tape_misses) == (0, 2)
         warm_report = BatchReport()
         warm = _payloads(
-            tasks, batch_sweep(tasks, report=warm_report, tape_cache=tape_cache)
+            tasks,
+            sweep(
+                tasks,
+                backend="batch",
+                batch_report=warm_report,
+                tape_cache=tape_cache,
+            ),
         )
         assert warm == cold  # a loaded tape replays byte-identically
         assert (warm_report.tape_hits, warm_report.tape_misses) == (2, 0)
         assert warm_report.record_s == 0.0  # nothing re-recorded
 
     def test_pooled_sweep_shares_tapes_and_matches_serial(self, tasks, tmp_path):
-        serial = _payloads(tasks, batch_sweep(tasks))
+        serial = _payloads(tasks, sweep(tasks, backend="batch"))
         tape_cache = TapeCache(tmp_path / "tapes")
-        cold = _payloads(tasks, batch_sweep(tasks, jobs=4, tape_cache=tape_cache))
-        warm = _payloads(tasks, batch_sweep(tasks, jobs=4, tape_cache=tape_cache))
+        cold = _payloads(
+            tasks, sweep(tasks, backend="batch", jobs=4, tape_cache=tape_cache)
+        )
+        warm = _payloads(
+            tasks, sweep(tasks, backend="batch", jobs=4, tape_cache=tape_cache)
+        )
         assert cold == serial
         assert warm == serial
 
     def test_prune_evicts_tapes(self, tasks, tmp_path, monkeypatch):
         tape_cache = TapeCache(tmp_path / "tapes")
-        batch_sweep(tasks, tape_cache=tape_cache)
+        sweep(tasks, backend="batch", tape_cache=tape_cache)
         assert len(tape_cache) == 2
         # Explicit size bound: evict (LRU) until the store fits.
         assert tape_cache.prune(max_bytes=0) == 2
@@ -223,13 +320,13 @@ class TestTapeCache:
         assert tape_cache.stats.evicted == 2
         # The environment knob drives the same bound when prune() gets
         # no explicit argument (the runner's post-run prune path).
-        batch_sweep(tasks, tape_cache=tape_cache)
+        sweep(tasks, backend="batch", tape_cache=tape_cache)
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.000001")
         assert tape_cache.prune() == 2
         # Eviction is never silent corruption: the next sweep simply
         # re-records and produces the same numbers.
         report = BatchReport()
-        batch_sweep(tasks, report=report, tape_cache=tape_cache)
+        sweep(tasks, backend="batch", batch_report=report, tape_cache=tape_cache)
         assert (report.tape_hits, report.tape_misses) == (0, 2)
 
     def test_tape_store_is_invisible_to_the_result_cache(self, tasks, tmp_path):
@@ -238,7 +335,7 @@ class TestTapeCache:
         # never see (or prune) tape entries as its own.
         cache = ResultCache(root=tmp_path / "cache")
         tape_cache = TapeCache(tmp_path / "cache" / "tapes")
-        batch_sweep(tasks, cache=cache, tape_cache=tape_cache)
+        sweep(tasks, backend="batch", cache=cache, tape_cache=tape_cache)
         assert len(tape_cache) == 2
         assert len(cache) == len(tasks)
 
@@ -246,8 +343,11 @@ class TestTapeCache:
         self, tasks, tmp_path
     ):
         report = BatchReport()
-        batch_sweep(
-            tasks, report=report, tape_cache=TapeCache(tmp_path / "tapes")
+        sweep(
+            tasks,
+            backend="batch",
+            batch_report=report,
+            tape_cache=TapeCache(tmp_path / "tapes"),
         )
         line = report.summary()
         assert ", 0 fallback(s)" in line
@@ -259,7 +359,7 @@ class TestTapeCache:
 
     def test_no_cache_summary_omits_tape_counts(self, tasks):
         report = BatchReport()
-        batch_sweep(tasks, report=report)
+        sweep(tasks, backend="batch", batch_report=report)
         assert not report.tape_cache_enabled
         assert "tape cache" not in report.summary()
 
@@ -269,9 +369,9 @@ class TestTapeCache:
         # together is a miss: the sweep re-records instead of crashing
         # in replay, and ships exactly the clean sweep's numbers.
         task = GearSweepTask(cluster, Jacobi(SCALE), nodes=2, gears=ALL_GEARS)
-        clean = _payloads([task], batch_sweep([task]))
+        clean = _payloads([task], sweep([task], backend="batch"))
         tape_cache = TapeCache(tmp_path / "tapes")
-        batch_sweep([task], tape_cache=tape_cache)
+        sweep([task], backend="batch", tape_cache=tape_cache)
         key = tape_key(task, ALL_GEARS[0])
         payload = tape_cache.load(key)
         ops = payload["ops"][0]
@@ -283,7 +383,9 @@ class TestTapeCache:
             wait[1] = payload["recv_slots"][0]
         tape_cache.store(key, payload)
         report = BatchReport()
-        again = batch_sweep([task], report=report, tape_cache=tape_cache)
+        again = sweep(
+            [task], backend="batch", batch_report=report, tape_cache=tape_cache
+        )
         assert _payloads([task], again) == clean
         assert report.fallbacks == []
         assert report.record_s > 0.0  # the entry was re-recorded
@@ -316,8 +418,8 @@ class TestSweepForwarding:
         via_sweep = _payloads(
             tasks, sweep(tasks, backend="batch", tape_cache=tape_cache)
         )
-        direct = _payloads(tasks, batch_sweep(tasks))
-        assert via_sweep == direct
+        uncached = _payloads(tasks, sweep(tasks, backend="batch"))
+        assert via_sweep == uncached
         assert len(tape_cache) == 2  # the cache saw the recordings
 
 
@@ -332,8 +434,6 @@ class TestExecutorTapeCache:
         cache = ResultCache(root=tmp_path / "cache")
         assert Executor(cache=cache).tape_cache is None
         assert Executor(backend="batch").tape_cache is None
-        executor = Executor(backend="batch", cache=cache, tape_cache=False)
-        assert executor.tape_cache is None  # explicit opt-out
 
     def test_tapes_outlive_a_cleared_result_cache(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path / "cache")

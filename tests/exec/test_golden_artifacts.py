@@ -104,6 +104,24 @@ def test_chunked_parallel_artifact_matches_golden(name):
     )
 
 
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_chunked_parallel_batch_artifact_matches_serial_batch(name):
+    """The batch backend's pooled dispatch merges like its serial one.
+
+    Chunks count batch groups, so ``--jobs 4 --chunk-size 8`` under
+    ``--backend batch`` must reproduce the serial batch artifact byte
+    for byte (batch artifacts agree with the event goldens only to
+    ~1e-9, so they are compared with each other, not with the goldens).
+    """
+    serial = render_artifact(name, executor=Executor(backend="batch"))
+    pooled = render_artifact(
+        name, executor=Executor(backend="batch", jobs=4, chunk_size=8)
+    )
+    assert pooled == serial, (
+        f"{name}: chunked parallel batch artifact differs from serial batch"
+    )
+
+
 def test_regeneration_is_deterministic():
     """Two fresh in-process runs of one artifact are byte-identical.
 

@@ -9,6 +9,7 @@ and the cache's hit/miss/invalidation accounting is exact.
 from __future__ import annotations
 
 import pickle
+import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -25,11 +26,12 @@ from repro.exec import (
     code_version_token,
     sweep,
 )
+from repro.exec.batch_sweep import _Unit
 from repro.exec.profile import SOURCE_RUN, ExecProfile
 from repro.exec.sweep import (
     _auto_chunk_size,
     _ChunkPointError,
-    _execute_chunk,
+    _run_chunk,
     cache_key,
 )
 from repro.util.errors import ConfigurationError, SimulationError
@@ -261,14 +263,20 @@ class TestChunkedDispatch:
 
 class TestChunkedProfile:
     def test_per_point_seconds_sum_to_chunk_wall(self, cluster):
-        chunk = [GearSweepTask(cluster, EP(SCALE), nodes=n) for n in (1, 2)]
-        results, seconds, chunk_wall, ff_skips = _execute_chunk(chunk)
-        assert len(results) == len(seconds) == len(chunk)
-        assert ff_skips == [0, 0]
+        chunk = [
+            _Unit([GearSweepTask(cluster, EP(SCALE), nodes=n)], [i])
+            for i, n in enumerate((1, 2))
+        ]
+        start = time.perf_counter()
+        outcomes = _run_chunk(chunk)
+        wall = time.perf_counter() - start
+        assert [len(results) for results, *_ in outcomes] == [1, 1]
+        assert [ff_skips for *_, ff_skips in outcomes] == [0, 0]
+        seconds = [outcome[4] for outcome in outcomes]
         assert all(s > 0 for s in seconds)
-        # Loop bookkeeping is the only residual, so the per-point times
-        # can never exceed the chunk's own wall time.
-        assert sum(seconds) <= chunk_wall
+        # The loop bookkeeping is spread over the units, so their times
+        # sum to the chunk's own wall, inside the caller's wall.
+        assert sum(seconds) <= wall
 
     def test_chunked_sweep_profile_accounting(self, tasks):
         profile = ExecProfile()

@@ -483,7 +483,7 @@ class TestDeviationForcesExactFallback:
         Not 1e-9-close: the fallback literally reruns ``task.run()``, so
         every float must compare equal.
         """
-        from repro.exec.batch_sweep import BatchReport, batch_sweep
+        from repro.exec import BatchReport, sweep
         from repro.exec.tasks import MeasurementTask
 
         cluster = athlon_cluster()
@@ -493,7 +493,7 @@ class TestDeviationForcesExactFallback:
             for g in (1, 3, 6)
         ]
         report = BatchReport()
-        batch_results = batch_sweep(tasks, report=report)
+        batch_results = sweep(tasks, backend="batch", batch_report=report)
         event_results = [task.run() for task in tasks]
         assert report.fallbacks, "the deviating group must be logged"
         assert report.fallback_points == len(tasks)
