@@ -325,6 +325,29 @@ def _load_tape(cluster: Any, tape_root: Path, key: str) -> Any | None:
         return None
 
 
+def _record_tape(
+    task: SimTask, rec_gear: int, tape_root: Path | None, key: str
+) -> Any:
+    """Record the tape of the group led by ``task`` at ``rec_gear`` and,
+    with a tape store, store it under ``key``.
+
+    Raises:
+        BatchUnsupported: the recording cannot be certified.
+    """
+    from repro.sim.batch import record_tape, tape_to_payload
+
+    tape = record_tape(
+        task.cluster,  # type: ignore[attr-defined]
+        task.workload,  # type: ignore[attr-defined]
+        nodes=task.nodes,  # type: ignore[attr-defined]
+        gear=rec_gear,
+        fast_forward=getattr(task, "fast_forward", None),
+    )
+    if tape_root is not None:
+        TapeCache(tape_root).store(key, tape_to_payload(tape))
+    return tape
+
+
 def _record_tape_job(
     task: SimTask, rec_gear: int, tape_root: Path, key: str
 ) -> tuple[str | None, float, int]:
@@ -335,27 +358,17 @@ def _record_tape_job(
     pickles back from a pool worker.
     """
     from repro.exec.sweep import _ff_skipped  # sweep imports this module
-    from repro.sim.batch import BatchUnsupported, record_tape, tape_to_payload
+    from repro.sim.batch import BatchUnsupported
 
     start = time.perf_counter()
     skipped_before = _ff_skipped(task)
+    fail = None
     try:
-        tape = record_tape(
-            task.cluster,  # type: ignore[attr-defined]
-            task.workload,  # type: ignore[attr-defined]
-            nodes=task.nodes,  # type: ignore[attr-defined]
-            gear=rec_gear,
-            fast_forward=getattr(task, "fast_forward", None),
-        )
+        _record_tape(task, rec_gear, tape_root, key)
     except BatchUnsupported as exc:
-        return (
-            str(exc),
-            time.perf_counter() - start,
-            _ff_skipped(task) - skipped_before,
-        )
-    TapeCache(tape_root).store(key, tape_to_payload(tape))
+        fail = str(exc)
     return (
-        None,
+        fail,
         time.perf_counter() - start,
         _ff_skipped(task) - skipped_before,
     )
@@ -374,13 +387,7 @@ def _run_unit(
     definition.  With a tape store available the recording is loaded
     from it when present and stored into it when fresh.
     """
-    from repro.sim.batch import (
-        BatchUnsupported,
-        batch_gear_grid,
-        batch_gear_sweep,
-        record_tape,
-        tape_to_payload,
-    )
+    from repro.sim.batch import BatchUnsupported, batch_gear_grid, batch_gear_sweep
 
     tasks = unit.tasks
     if unit.prefail is not None:
@@ -394,16 +401,8 @@ def _run_unit(
             tape = _load_tape(first.cluster, tape_root, key)  # type: ignore[attr-defined]
         if tape is None:
             rec_start = time.perf_counter()
-            tape = record_tape(
-                first.cluster,  # type: ignore[attr-defined]
-                first.workload,  # type: ignore[attr-defined]
-                nodes=first.nodes,  # type: ignore[attr-defined]
-                gear=_recording_gear(first),
-                fast_forward=getattr(first, "fast_forward", None),
-            )
+            tape = _record_tape(first, _recording_gear(first), tape_root, key)
             record_s = time.perf_counter() - rec_start
-            if tape_root is not None:
-                TapeCache(tape_root).store(key, tape_to_payload(tape))
         replay_start = time.perf_counter()
         if type(first) is GearSweepTask:
             results: list[Any] = [

@@ -39,8 +39,8 @@ This module exploits it across a whole sweep:
    elementwise over ``(gears × segments)`` matrices, bitwise-identical
    to the engine's scalar arithmetic — and the tape's *interactions*
    (message completions, recorded macro-step jumps) are walked **once
-   for the whole grid**: the tape is compiled to structure-of-arrays
-   columns (:func:`compile_columns`) plus a send↔receive pairing read
+   for the whole grid**: each rank's op tuples are folded into a walk
+   plan (:func:`_build_plan`) that follows a send↔receive pairing read
    off the tape alone (the k-th send on a (source, dest, tag) channel
    completes the k-th receive the destination posts for that (source,
    tag) — the engine's FIFO matching), and every gear's timeline
@@ -67,6 +67,9 @@ This module exploits it across a whole sweep:
    P_idle(g))·d_seg(g) + disk-excess`` with the per-segment excess
    vectorized over the grid.  Window weights ``w`` replicate skipped
    cycles exactly as the event path's meter/trace replication does.
+   Both interpreters only compute timelines (finish times and
+   disk-phase boundaries); one rollup (:func:`_rollup_vector`) turns
+   either into measurements, the scalar one as a one-column grid.
 
 Any disqualification raises :class:`BatchUnsupported`; callers fall back
 to the event engine point-by-point, which is bitwise-exact by
@@ -137,7 +140,7 @@ _OP_MARK = 7
 
 #: Serialization format of :func:`tape_to_payload`.  Part of every tape
 #: cache key, so a format change can never collide with older entries.
-TAPE_FORMAT_VERSION = 2
+TAPE_FORMAT_VERSION = 3
 
 
 class BatchUnsupported(Exception):
@@ -213,8 +216,6 @@ class Tape:
     recording_active: float
     recording_reducible: float
     recording_gear: int
-    #: Iterations the recording's fast-forward macro-stepped past.
-    recorded_skips: int
     #: Wire transfers that queued on the backplane during the recording.
     recording_queued: int
     #: Lazily-built compiled form (walk plans + send↔receive pairing).
@@ -325,7 +326,6 @@ def _build_tape(
     recv_slots: list[int] = []
     total_uops = 0.0
     total_misses = 0.0
-    recorded_skips = 0
 
     for rank in range(nodes):
         ops: list[tuple] = []
@@ -427,7 +427,6 @@ def _build_tape(
                     period = jump[1]
                     ops.append((_OP_MARK, skipped, period))
                     rank_jumps.append((request.index, skipped, period))
-                    recorded_skips += skipped
                 else:
                     ops.append((_OP_MARK, 0, 0))
             elif cls is Elapse:
@@ -539,7 +538,6 @@ def _build_tape(
         recording_active=recording.active_time,
         recording_reducible=recording.reducible_time(),
         recording_gear=gear,
-        recorded_skips=recorded_skips,
         recording_queued=queued,
     )
 
@@ -746,112 +744,7 @@ def _replay_gear(
 
 
 # ----------------------------------------------------------------------
-# Compilation: SoA columns + gear-axis replay plan
-
-#: Parameter lanes of :class:`RankColumns` (fixed-width SoA layout).
-_INT_LANES = 4
-_FLOAT_LANES = 2
-
-
-@dataclass
-class RankColumns:
-    """Structure-of-arrays form of one rank's op tape.
-
-    ``codes[i]`` is the opcode of op ``i``; its parameters live in fixed
-    lanes of ``ints``/``floats`` (layout in :func:`compile_columns`).
-    The mapping is exact: :func:`columns_to_ops` reconstructs the tuple
-    stream value-for-value, so the columns — not the tuples — are the
-    form the vectorized replay plan is built from.
-    """
-
-    codes: np.ndarray  # (n,) int64 opcodes
-    ints: np.ndarray  # (n, 4) int64 integer parameters
-    floats: np.ndarray  # (n, 2) float64 parameters
-
-
-def compile_columns(ops: Sequence[tuple]) -> RankColumns:
-    """Compile one rank's op tuples into SoA columns.
-
-    Lane layout (unused lanes are zero):
-
-    ========  ======================================  =========================
-    opcode    ``ints`` lanes                          ``floats`` lanes
-    ========  ======================================  =========================
-    COMPUTE   0: segment index                        —
-    SEND      0: dest, 1: tag, 2: nbytes, 3: same     —
-    RECV      0: source, 1: tag, 2: slot              —
-    WAIT      0: slot                                 —
-    ELAPSE    —                                       0: seconds
-    DISK      —                                       0: duration
-    DSPEED    —                                       0: transition, 1: idle W
-    MARK      0: skipped, 1: period                   —
-    ========  ======================================  =========================
-    """
-    n = len(ops)
-    codes = np.zeros(n, dtype=np.int64)
-    ints = np.zeros((n, _INT_LANES), dtype=np.int64)
-    floats = np.zeros((n, _FLOAT_LANES), dtype=np.float64)
-    for i, op in enumerate(ops):
-        code = op[0]
-        codes[i] = code
-        if code == _OP_COMPUTE:
-            ints[i, 0] = op[1]
-        elif code == _OP_SEND:
-            ints[i, 0] = op[1]
-            ints[i, 1] = op[2]
-            ints[i, 2] = op[3]
-            ints[i, 3] = 1 if op[4] else 0
-        elif code == _OP_RECV:
-            ints[i, 0] = op[1]
-            ints[i, 1] = op[2]
-            ints[i, 2] = op[3]
-        elif code == _OP_WAIT:
-            ints[i, 0] = op[1]
-        elif code == _OP_MARK:
-            ints[i, 0] = op[1]
-            ints[i, 1] = op[2]
-        elif code in (_OP_ELAPSE, _OP_DISK):
-            floats[i, 0] = op[1]
-        else:  # _OP_DSPEED
-            floats[i, 0] = op[1]
-            floats[i, 1] = op[2]
-    return RankColumns(codes=codes, ints=ints, floats=floats)
-
-
-def columns_to_ops(columns: RankColumns) -> list[tuple]:
-    """Reconstruct the op tuple stream from SoA columns (exact inverse)."""
-    ops: list[tuple] = []
-    codes = columns.codes
-    ints = columns.ints
-    floats = columns.floats
-    for i in range(len(codes)):
-        code = int(codes[i])
-        if code == _OP_COMPUTE:
-            ops.append((code, int(ints[i, 0])))
-        elif code == _OP_SEND:
-            ops.append(
-                (
-                    code,
-                    int(ints[i, 0]),
-                    int(ints[i, 1]),
-                    int(ints[i, 2]),
-                    bool(ints[i, 3]),
-                )
-            )
-        elif code == _OP_RECV:
-            ops.append(
-                (code, int(ints[i, 0]), int(ints[i, 1]), int(ints[i, 2]))
-            )
-        elif code == _OP_WAIT:
-            ops.append((code, int(ints[i, 0])))
-        elif code == _OP_MARK:
-            ops.append((code, int(ints[i, 0]), int(ints[i, 1])))
-        elif code in (_OP_ELAPSE, _OP_DISK):
-            ops.append((code, float(floats[i, 0])))
-        else:  # _OP_DSPEED
-            ops.append((code, float(floats[i, 0]), float(floats[i, 1])))
-    return ops
-
+# Compilation: gear-axis replay plan
 
 # Interaction kinds of the vectorized replay plan.  Everything that is
 # not an interaction is a pure delay and is folded into the gaps.
@@ -866,7 +759,8 @@ _IN_END = 6  # sentinel: apply the tail gap, record the finish time
 
 @dataclass
 class _RankPlan:
-    """One rank's interaction schedule for the gear-axis walk.
+    """One rank's interaction schedule for the gear-axis walk, folded
+    from its op tuples by :func:`_build_plan`.
 
     Everything between two interactions is a *gap*: a gear-independent
     constant (endpoint overheads, elapses, disk busy time, disk-speed
@@ -946,21 +840,15 @@ def _pair_receives(
 
 
 def _build_plan(
-    tape: Tape,
-    rank: int,
-    columns: RankColumns,
-    pairing: dict[int, tuple[int, int]],
+    tape: Tape, rank: int, pairing: dict[int, tuple[int, int]]
 ) -> _RankPlan:
-    """Fold one rank's columns and its receive pairing into a plan."""
+    """Fold one rank's op tuples and its receive pairing into a plan."""
     link = tape.cluster.network_model().spec
     overhead = link.software_overhead
-    codes = columns.codes
-    ints = columns.ints
-    floats = columns.floats
+    ops = tape.ops[rank]
     # Ranks with no recorded jump never read the mark history, so plain
     # marks compile to nothing at all (dense recordings have thousands).
-    mark_rows = codes == _OP_MARK
-    has_jump = bool(mark_rows.any()) and bool((ints[mark_rows, 0] > 0).any())
+    has_jump = any(op[0] == _OP_MARK and op[1] for op in ops)
 
     steps: list[tuple] = []
     gap_const: list[float] = []
@@ -980,8 +868,8 @@ def _build_plan(
         const = 0.0
         lo = hi
 
-    for i in range(len(codes)):
-        code = int(codes[i])
+    for op in ops:
+        code = op[0]
         if code == _OP_COMPUTE:
             # Segments are numbered in tape order (checked on load).
             hi += 1
@@ -990,8 +878,8 @@ def _build_plan(
             # it into the gap makes the walk's time *be* the inject time;
             # the receiver-side overhead rides inside the arrival const.
             const += overhead
-            nbytes = int(ints[i, 2])
-            if ints[i, 3]:
+            nbytes = op[3]
+            if op[4]:
                 emit(
                     (
                         _IN_LOCAL,
@@ -1011,18 +899,17 @@ def _build_plan(
                 )
             ordinal += 1
         elif code == _OP_RECV:
-            emit((_IN_RECV, int(ints[i, 2])))
+            emit((_IN_RECV, op[3]))
         elif code == _OP_WAIT:
-            slot = int(ints[i, 0])
-            emit((_IN_WAIT, slot, pairing[slot]))
+            emit((_IN_WAIT, op[1], pairing[op[1]]))
         elif code in (_OP_ELAPSE, _OP_DISK):
-            const += float(floats[i, 0])
+            const += op[1]
         elif code == _OP_DSPEED:
-            emit((_IN_PHASE, float(floats[i, 1])))
-            const += float(floats[i, 0])
+            emit((_IN_PHASE, op[2]))
+            const += op[1]
         else:  # _OP_MARK
             if has_jump:
-                emit((_IN_MARK, int(ints[i, 0]), int(ints[i, 1])))
+                emit((_IN_MARK, op[1], op[2]))
     emit((_IN_END,))
 
     boundary = np.zeros(len(steps), dtype=np.int64)
@@ -1049,8 +936,9 @@ def _build_plan(
 class CompiledTape:
     """Derived form of a tape: one walk plan per rank.
 
-    Built lazily by :func:`_compiled` and cached on the tape, so
-    repeated grid replays of one tape pay only the vectorized walk.
+    Built lazily by :func:`_compiled`, straight from the tape's op
+    tuples, and cached on the tape, so repeated grid replays of one
+    tape pay only the vectorized walk.
     The plans follow the send↔receive pairing read off the tape
     (:func:`_pair_receives`) and keep no backplane state; which gear
     columns that stateless walk may ship is decided per replay by the
@@ -1072,10 +960,7 @@ def _compile_tape(tape: Tape) -> CompiledTape:
     pairing = _pair_receives(tape.ops)
     return CompiledTape(
         None,
-        [
-            _build_plan(tape, rank, compile_columns(ops), pairing[rank])
-            for rank, ops in enumerate(tape.ops)
-        ],
+        [_build_plan(tape, rank, slots) for rank, slots in enumerate(pairing)],
     )
 
 
@@ -1085,24 +970,13 @@ def _compiled(tape: Tape) -> CompiledTape:
     return tape._compiled
 
 
-def _segment_durations(tape: Tape, gear_index: int) -> list[np.ndarray]:
-    """Per-rank compute-segment durations at one gear, engine-exact."""
-    cluster = tape.cluster
-    cpu = cluster.node.cpu
-    denom = cpu.issue_rate * cluster.gears[gear_index].frequency_hz
-    return [
-        tape.seg_uops[rank] / denom + tape.seg_stall[rank]
-        for rank in range(tape.nodes)
-    ]
-
-
 def _duration_grid(
     tape: Tape, gear_indices: Sequence[int]
 ) -> list[np.ndarray]:
     """Per-rank ``(gears, segments)`` duration matrices.
 
-    Elementwise identical to :func:`_segment_durations` per row: the
-    broadcast performs the same scalar division and addition per cell.
+    Engine-exact: each cell is the engine's own scalar division and
+    addition, ``uops / (issue_rate · f) + misses · latency``.
     """
     cluster = tape.cluster
     cpu = cluster.node.cpu
@@ -1293,93 +1167,6 @@ def _contended_columns(
     return contended
 
 
-def _measure_gear(tape: Tape, gear_index: int) -> RunMeasurement:
-    """Scalar reference path: replay + roll up one gear exactly.
-
-    The vectorized grid falls back to it per gear column the contention
-    check cannot certify, and ``mode="scalar"`` runs it for every gear.
-    """
-    cluster = tape.cluster
-    node_spec = cluster.node
-    cpu = node_spec.cpu
-    power_model = node_spec.power_model()
-    cpu_model = power_model.cpu_model
-    ref_bw = node_spec.memory.reference_miss_bandwidth
-    upm = CounterBank(uops=tape.total_uops, l2_misses=tape.total_misses).upm
-
-    gear = cluster.gears[gear_index]
-    scale = cpu_model.dynamic_scale(gear)
-    leak = cpu_model.leakage_power(gear)
-    # Scalar prefixes mirror CPUPowerModel's left-associated products
-    # so the vectorized power matches the engine's floats exactly.
-    k_active = cpu.dynamic_power_full * scale * cpu.active_activity
-    cpu_idle = cpu.dynamic_power_full * scale * cpu.idle_activity + leak
-    pm_idle = power_model.base_power + cpu_idle
-    saf = cpu.stall_activity_fraction
-
-    dur_arrays = _segment_durations(tape, gear_index)
-    durations = [d.tolist() for d in dur_arrays]
-
-    finish, phases = _replay_gear(tape, durations)
-    end_time = max(finish) if finish else 0.0
-
-    energy = 0.0
-    active_time = 0.0
-    reducible_time = 0.0
-    for rank in range(tape.nodes):
-        d = dur_arrays[rank]
-        w = tape.seg_weight[rank]
-        if len(d):
-            stall_frac = tape.seg_stall[rank] / d
-            occupancy = (1.0 - stall_frac) + saf * stall_frac
-            cpu_active = k_active * occupancy + leak
-            intensity = np.minimum(
-                1.0, (tape.seg_misses[rank] / d) / ref_bw
-            )
-            p_active = (
-                power_model.base_power
-                + cpu_active
-                + power_model.memory_power_max * intensity
-            )
-            wd = w * d
-            energy += float(np.sum(wd * (p_active - pm_idle)))
-            rank_active = float(np.sum(wd))
-            rank_reducible = float(np.sum(tape.seg_reducible[rank] * wd))
-        else:
-            rank_active = 0.0
-            rank_reducible = 0.0
-        if rank_active > active_time:
-            active_time = rank_active
-        if rank_reducible > reducible_time:
-            reducible_time = rank_reducible
-        # Idle baseline: the rank draws (CPU idle + disk idle) for
-        # the whole run; disk-speed transitions split it into phases.
-        t = 0.0
-        disk_idle = tape.initial_disk_idle
-        for boundary, new_idle in phases[rank]:
-            energy += (pm_idle + disk_idle) * (boundary - t)
-            t = boundary
-            disk_idle = new_idle
-        energy += (pm_idle + disk_idle) * (end_time - t)
-        energy += tape.disk_excess[rank]
-
-    measurement = RunMeasurement(
-        workload=tape.workload_name,
-        cluster=cluster.name,
-        nodes=tape.nodes,
-        gear=gear_index,
-        time=end_time,
-        energy=energy,
-        active_time=active_time,
-        idle_time=max(0.0, end_time - active_time),
-        reducible_time=reducible_time,
-        upm=upm,
-    )
-    if gear_index == tape.recording_gear:
-        _self_check(tape, measurement)
-    return measurement
-
-
 @dataclass
 class _GridRollup:
     """Per-gear-column measurement arrays from one vectorized rollup."""
@@ -1400,10 +1187,11 @@ def _rollup_vector(
 ) -> _GridRollup:
     """Energy/counter rollup for all gear columns in one pass.
 
-    Mirrors :func:`_measure_gear`'s arithmetic elementwise over the gear
-    axis: every per-gear scalar becomes a ``(gears,)`` vector built from
-    the same left-associated scalar prefixes, and the per-segment matrix
-    ops reduce along the segment axis exactly as the per-gear rows do.
+    The only rollup: the walk passes its ``(gears,)`` timelines, the
+    scalar interpreter a one-column grid (:func:`_measure_gear`).  The
+    per-gear power terms are built from the same left-associated scalar
+    prefixes as :class:`~repro.cluster.cpu.CPUPowerModel`, so they
+    match the engine's floats exactly.
     """
     cluster = tape.cluster
     node_spec = cluster.node
@@ -1459,6 +1247,8 @@ def _rollup_vector(
             )
             active_time = np.maximum(active_time, rank_active)
             reducible_time = np.maximum(reducible_time, rank_reducible)
+        # Idle baseline: the rank draws (CPU idle + disk idle) for the
+        # whole run; disk-speed transitions split it into phases.
         t = np.zeros(G)
         disk_idle = tape.initial_disk_idle
         for boundary, new_idle in phases[rank]:
@@ -1494,6 +1284,31 @@ def _column_measurement(
         reducible_time=float(rollup.reducible[col]),
         upm=rollup.upm,
     )
+
+
+def _measure_gear(tape: Tape, gear_index: int) -> RunMeasurement:
+    """Scalar reference path: one gear's timeline, the shared rollup.
+
+    :func:`_replay_gear` computes the timeline and :func:`_rollup_vector`
+    rolls it up as a one-column grid, so the scalar path and the walk
+    differ only in how they find finish times and disk-phase
+    boundaries.  The vectorized grid falls back to it per gear column
+    the contention check cannot certify, and ``mode="scalar"`` runs it
+    for every gear.
+    """
+    dur_grid = _duration_grid(tape, [gear_index])
+    finish, phases = _replay_gear(tape, [d[0].tolist() for d in dur_grid])
+    rollup = _rollup_vector(
+        tape,
+        [gear_index],
+        dur_grid,
+        [np.array([t]) for t in finish],
+        [[(np.array([t]), idle) for t, idle in rank] for rank in phases],
+    )
+    measurement = _column_measurement(tape, gear_index, rollup, 0)
+    if gear_index == tape.recording_gear:
+        _self_check(tape, measurement)
+    return measurement
 
 
 def _replay_grid_scalar(
@@ -1617,7 +1432,6 @@ _TAPE_SCALAR_FIELDS = (
     "recording_active",
     "recording_reducible",
     "recording_gear",
-    "recorded_skips",
     "recording_queued",
 )
 
@@ -1777,7 +1591,6 @@ def batch_gear_grid(
     nodes: int,
     gears: Sequence[int] | None = None,
     fast_forward: "FastForwardConfig | None" = None,
-    replay_mode: str = "grid",
     stats: ReplayStats | None = None,
     tape: Tape | None = None,
 ) -> list[RunMeasurement]:
@@ -1816,7 +1629,7 @@ def batch_gear_grid(
             f"tape records {tape.workload_name!r} on {tape.nodes} node(s), "
             f"not {workload.name!r} on {nodes}"
         )
-    return replay_grid(tape, gear_indices, mode=replay_mode, stats=stats)
+    return replay_grid(tape, gear_indices, stats=stats)
 
 
 def batch_gear_sweep(
@@ -1826,7 +1639,6 @@ def batch_gear_sweep(
     nodes: int,
     gears: Sequence[int] | None = None,
     fast_forward: "FastForwardConfig | None" = None,
-    replay_mode: str = "grid",
     stats: ReplayStats | None = None,
     tape: Tape | None = None,
 ) -> EnergyTimeCurve:
@@ -1838,7 +1650,6 @@ def batch_gear_sweep(
         nodes=nodes,
         gears=gears,
         fast_forward=fast_forward,
-        replay_mode=replay_mode,
         stats=stats,
         tape=tape,
     )

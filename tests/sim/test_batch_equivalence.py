@@ -72,7 +72,7 @@ def _assert_grid_equivalent(
     """Batch grid vs one event run per gear, three quantities each.
 
     One recording backs both replay modes, so this also pins the
-    tentpole's own contract: the vectorized gear-axis walk agrees with
+    replay's own contract: the vectorized gear-axis walk agrees with
     the scalar reference interpreter at the same tolerance, for every
     workload and gear, and the mode accounting covers the whole grid.
     """
@@ -81,17 +81,9 @@ def _assert_grid_equivalent(
     )
     stats = ReplayStats()
     batch = batch_gear_grid(
-        cluster,
-        workload,
-        nodes=nodes,
-        gears=gears,
-        replay_mode="grid",
-        stats=stats,
-        tape=tape,
+        cluster, workload, nodes=nodes, gears=gears, stats=stats, tape=tape
     )
-    scalar = batch_gear_grid(
-        cluster, workload, nodes=nodes, gears=gears, replay_mode="scalar", tape=tape
-    )
+    scalar = replay_grid(tape, list(gears), mode="scalar")
     assert len(batch) == len(gears)
     assert stats.vector_gears + stats.scalar_gears == len(gears)
     for gear, measurement, reference in zip(gears, batch, scalar):
@@ -137,14 +129,17 @@ class TestEquivalenceGrid:
     def test_square_grid_workloads(self, cluster, make):
         _assert_grid_equivalent(cluster, make(0.5), nodes=4)
 
-    def test_checkpointed_disk_phases(self):
+    @pytest.mark.parametrize("disk_speed", [1, 3])
+    def test_checkpointed_disk_phases(self, disk_speed):
         # Blocking checkpoint writes and DRPM spindle transitions ride
         # the tape too (disk time is gear-invariant; its excess power is
-        # rolled up separately from the CPU terms).
+        # rolled up separately from the CPU terms).  Speed 1 is the
+        # initial spindle speed, so only speed 3 records a transition
+        # and splits each rank's idle power into phases.
         disk_cluster = athlon_cluster(max_nodes=8, disk=drpm_disk())
         _assert_grid_equivalent(
             disk_cluster,
-            CheckpointedStencil(1.0, checkpoint_every=2),
+            CheckpointedStencil(1.0, checkpoint_every=2, disk_speed=disk_speed),
             nodes=4,
         )
 
