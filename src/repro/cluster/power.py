@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.cluster.cpu import CPUPowerModel, CPUSpec
 from repro.cluster.gears import Gear
 from repro.util.errors import ConfigurationError, SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.obs.registry import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -113,19 +110,6 @@ class PowerMeter:
         self._seg_end = 0.0
         self._seg_watts = 0.0
         self._energy = 0.0
-        self._registry: "MetricsRegistry | None" = None
-        self._metric_prefix = ""
-
-    def attach(self, registry: "MetricsRegistry", prefix: str) -> None:
-        """Stream future intervals into ``registry``.
-
-        Every accepted interval publishes one ``<prefix>.power_w``
-        timeseries sample (at the interval start) and adds its joules to
-        the ``<prefix>.energy_j`` counter.  Detached (the default), the
-        meter publishes nothing and costs one ``is not None`` check.
-        """
-        self._registry = registry
-        self._metric_prefix = prefix
 
     def record(self, start: float, end: float, watts: float) -> None:
         """Record that power was ``watts`` over ``[start, end)``.
@@ -157,11 +141,6 @@ class PowerMeter:
             self._seg_end = end
             self._seg_watts = watts
         self._energy += watts * (end - start)
-        if self._registry is not None:
-            self._registry.observe(f"{self._metric_prefix}.power_w", start, watts)
-            self._registry.inc(
-                f"{self._metric_prefix}.energy_j", watts * (end - start)
-            )
 
     def replicate_window(
         self, start: float, end: float, period: float, copies: int
@@ -198,7 +177,6 @@ class PowerMeter:
             window.insert(0, (start, min(ends[lo - 1], end), watts[lo - 1]))
         if not window:
             return
-        registry = self._registry
         added = 0.0
         for k in range(1, copies + 1):
             shift = k * period
@@ -207,13 +185,7 @@ class PowerMeter:
                 ends.append(e + shift)
                 watts.append(w)
                 added += w * (e - s)
-                if registry is not None:
-                    self._registry.observe(
-                        f"{self._metric_prefix}.power_w", s + shift, w
-                    )
         self._energy += added
-        if registry is not None:
-            registry.inc(f"{self._metric_prefix}.energy_j", added)
 
     def _flush_segment(self) -> None:
         """Move the open segment into the interval store."""

@@ -304,29 +304,36 @@ def _form_units(pending: Sequence[tuple[SimTask, str | None]]) -> list[_Unit]:
     return units
 
 
-def _load_tape(cluster: Any, tape_root: Path, key: str) -> Any | None:
-    """Deserialize a cached tape, or None on miss/corruption/version skew.
+def _load_tape(task: SimTask, tapes: TapeCache, key: str) -> Any | None:
+    """Deserialize the cached tape of ``task``'s group, or None on a miss.
 
-    A payload that does not decode or whose op streams do not hold
-    together (format bump, truncated write an atomic rename should have
-    prevented, hand-edited entry) is treated as a miss — the caller
-    re-records.  A payload that decodes but no longer matches its
-    recording totals is caught later by the replay self-check, which
-    rejects the whole tape into the event fallback.
+    A payload that does not decode, fails
+    :func:`~repro.sim.batch.tape_from_payload`'s checks or records
+    another workload, node count or recording gear than the group's
+    (format bump, truncated write an atomic rename should have
+    prevented, hand-edited entry) is a miss counted in
+    ``tapes.stats.invalidated`` — the caller re-records.  A payload that
+    decodes but no longer matches its recording totals is caught later
+    by the replay self-check, which rejects the whole tape into the
+    event fallback.
     """
     from repro.sim.batch import tape_from_payload
 
-    payload = TapeCache(tape_root).load(key)
-    if payload is None:
-        return None
-    try:
-        return tape_from_payload(cluster, payload)
-    except (ValueError, KeyError, TypeError, IndexError):
-        return None
+    workload, nodes = task.workload, task.nodes  # type: ignore[attr-defined]
+    expected = (workload.name, nodes, _recording_gear(task))
+
+    def decode(payload: Any) -> Any:
+        tape = tape_from_payload(task.cluster, payload)  # type: ignore[attr-defined]
+        got = (tape.workload_name, tape.nodes, tape.recording_gear)
+        if got != expected:
+            raise ValueError(f"tape records {got}, the group needs {expected}")
+        return tape
+
+    return tapes.load(key, decode)
 
 
 def _record_tape(
-    task: SimTask, rec_gear: int, tape_root: Path | None, key: str
+    task: SimTask, rec_gear: int, tapes: TapeCache | None, key: str
 ) -> Any:
     """Record the tape of the group led by ``task`` at ``rec_gear`` and,
     with a tape store, store it under ``key``.
@@ -343,39 +350,36 @@ def _record_tape(
         gear=rec_gear,
         fast_forward=getattr(task, "fast_forward", None),
     )
-    if tape_root is not None:
-        TapeCache(tape_root).store(key, tape_to_payload(tape))
+    if tapes is not None:
+        tapes.store(key, tape_to_payload(tape))
     return tape
 
 
 def _record_tape_job(
     task: SimTask, rec_gear: int, tape_root: Path, key: str
-) -> tuple[str | None, float, int]:
+) -> tuple[str | None, float, Any]:
     """Record one group's tape into the cache (parallel-recording phase).
 
     Returns (certification-failure reason or None, in-worker recording
-    seconds, fast-forwarded iterations) — plain values so the tuple
-    pickles back from a pool worker.
+    seconds, the fast-forward ledger delta or None) — plain values so
+    the tuple pickles back from a pool worker.
     """
-    from repro.exec.sweep import _ff_skipped  # sweep imports this module
+    # sweep imports this module
+    from repro.exec.sweep import _ff_delta, _ff_ledger
     from repro.sim.batch import BatchUnsupported
 
     start = time.perf_counter()
-    skipped_before = _ff_skipped(task)
+    ledger = _ff_ledger(task)
     fail = None
     try:
-        _record_tape(task, rec_gear, tape_root, key)
+        _record_tape(task, rec_gear, TapeCache(tape_root), key)
     except BatchUnsupported as exc:
         fail = str(exc)
-    return (
-        fail,
-        time.perf_counter() - start,
-        _ff_skipped(task) - skipped_before,
-    )
+    return fail, time.perf_counter() - start, _ff_delta(task, ledger)
 
 
 def _run_unit(
-    unit: _Unit, tape_root: Path | None
+    unit: _Unit, tapes: TapeCache | None
 ) -> tuple[list[Any], str | None, float, float]:
     """Execute one batch group.
 
@@ -397,11 +401,11 @@ def _run_unit(
     record_s = 0.0
     try:
         tape = None
-        if tape_root is not None:
-            tape = _load_tape(first.cluster, tape_root, key)  # type: ignore[attr-defined]
+        if tapes is not None:
+            tape = _load_tape(first, tapes, key)
         if tape is None:
             rec_start = time.perf_counter()
-            tape = _record_tape(first, _recording_gear(first), tape_root, key)
+            tape = _record_tape(first, _recording_gear(first), tapes, key)
             record_s = time.perf_counter() - rec_start
         replay_start = time.perf_counter()
         if type(first) is GearSweepTask:
@@ -462,10 +466,11 @@ def _warm_tapes(
     have packed those groups onto fewer workers.  A certification
     failure marks every owning unit ``prefail`` so each falls back to
     the event engine without re-attempting the recording; the
-    fast-forward skip delta folds into the parent ledger exactly like
+    fast-forward ledger delta folds into the parent ledger exactly like
     the unit chunks' deltas do.
     """
-    from repro.exec.sweep import _point_error  # sweep imports this module
+    # sweep imports this module
+    from repro.exec.sweep import _merge_ff, _point_error
 
     futures = {
         key: pool.submit(
@@ -481,18 +486,16 @@ def _warm_tapes(
     for key, future in futures.items():
         owners = missing[key]
         try:
-            fail, record_s, skipped = future.result()
+            fail, record_s, ff = future.result()
         except Exception as exc:
             for other in futures.values():
                 other.cancel()
             raise _point_error(owners[0].tasks[0], exc) from exc
         if report is not None:
             report.record_s += record_s
-        config = getattr(owners[0].tasks[0], "fast_forward", None)
-        if config is not None and skipped:
-            config.aggregate.skipped_iterations += skipped
+        _merge_ff(owners[0].tasks[0], ff)
         owners[0].warm_s += record_s
-        owners[0].warm_skipped += skipped
+        owners[0].warm_skipped += ff.skipped_iterations if ff else 0
         if fail is not None:
             for unit in owners:
                 unit.prefail = fail

@@ -27,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.exec.fingerprint import code_version_token
 
@@ -136,11 +136,18 @@ class ResultCache:
         """
         return self._entry_path(key).is_file()
 
-    def load(self, key: str) -> Any | None:
+    def load(
+        self, key: str, decode: Callable[[Any], Any] | None = None
+    ) -> Any | None:
         """Payload stored under ``key``, or None on a miss.
 
-        A corrupt or mismatched entry is deleted, counted as invalidated,
-        and reported as a miss.
+        A stored entry is untrusted input.  With ``decode``, the payload
+        is passed through it and the decoded value returned; a decoder
+        raises :class:`ValueError` (a stray ``LookupError`` or
+        ``TypeError`` is treated alike) when the payload does not hold
+        together.  A corrupt, mismatched or undecodable entry is
+        deleted, counted as invalidated, and reported as a miss, so the
+        caller recomputes it.
         """
         path = self._entry_path(key)
         try:
@@ -149,15 +156,21 @@ class ResultCache:
             self.stats.misses += 1
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self._discard(path)
-            self.stats.misses += 1
-            return None
-        if not isinstance(entry, dict) or entry.get("key") != key:
-            self._discard(path)
-            self.stats.misses += 1
-            return None
+            entry = None
+        if (
+            not isinstance(entry, dict)
+            or entry.get("key") != key
+            or "payload" not in entry
+        ):
+            return self._invalid(path)
+        payload = entry["payload"]
+        if decode is not None:
+            try:
+                payload = decode(payload)
+            except (ValueError, LookupError, TypeError):
+                return self._invalid(path)
         self.stats.hits += 1
-        return entry["payload"]
+        return payload
 
     def store(self, key: str, payload: Any, *, meta: dict[str, Any] | None = None) -> Path:
         """Write ``payload`` under ``key`` atomically; returns the path."""
@@ -174,6 +187,11 @@ class ResultCache:
         os.replace(tmp, path)
         self.stats.stores += 1
         return path
+
+    def _invalid(self, path: Path) -> None:
+        """Discard an entry that failed to load; the lookup is a miss."""
+        self._discard(path)
+        self.stats.misses += 1
 
     def _discard(self, path: Path) -> None:
         try:

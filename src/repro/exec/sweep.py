@@ -32,13 +32,14 @@ point and per cache interaction in every mode.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tempfile
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from contextlib import ExitStack
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 from repro.exec.batch_sweep import (
     BATCHABLE,
@@ -55,6 +56,7 @@ from repro.exec.cache import ResultCache, TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
 from repro.exec.profile import SOURCE_CACHE, SOURCE_RUN, ExecProfile, TaskTiming
 from repro.exec.tasks import SimTask
+from repro.mpi.fastforward import FastForwardStats
 from repro.util.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -80,19 +82,57 @@ def cache_key(task: SimTask) -> str:
     )
 
 
-def _ff_skipped(task: SimTask) -> int:
-    """Iterations fast-forward has skipped under this task's config so far.
+def _ff_ledger(task: SimTask) -> FastForwardStats | None:
+    """A copy of the fast-forward ledger of this task's config, or None.
 
-    Reads the config's cross-run ``aggregate`` ledger; sampling it
-    before and after a unit runs attributes the delta to that unit.
-    Works identically inline and inside a pool worker (the worker
-    mutates its own pickled copy of the config and the delta travels
-    back with the chunk's outcomes).
+    The config's cross-run ``aggregate`` ledger; sampling it before and
+    after a unit runs attributes the difference (:func:`_ff_delta`) to
+    that unit.  Works identically inline and inside a pool worker: the
+    worker mutates its own pickled copy of the config, and the delta
+    travels back with the unit's outcome to be merged into the
+    parent's ledger (:func:`_merge_ff`).
     """
     config = getattr(task, "fast_forward", None)
-    if config is None:
-        return 0
-    return config.aggregate.skipped_iterations
+    return None if config is None else dataclasses.replace(config.aggregate)
+
+
+def _ff_delta(
+    task: SimTask, before: FastForwardStats | None
+) -> FastForwardStats | None:
+    """What fast-forward did under the task's config since ``before``."""
+    if before is None:
+        return None
+    after = task.fast_forward.aggregate  # type: ignore[attr-defined]
+    return FastForwardStats(
+        **{
+            f.name: getattr(after, f.name) - getattr(before, f.name)
+            for f in dataclasses.fields(FastForwardStats)
+        }
+    )
+
+
+def _merge_ff(task: SimTask, delta: FastForwardStats | None) -> None:
+    """Fold a pool worker's ledger delta into the parent's config, so
+    pooled and inline sweeps report the same totals."""
+    if delta is not None:
+        task.fast_forward.aggregate.merge(delta)  # type: ignore[attr-defined]
+
+
+class _Outcome(NamedTuple):
+    """What running one unit produced, as it travels back from a worker."""
+
+    #: Results in unit order.
+    results: list[Any]
+    #: Batch fallback reason, or None.
+    fallback: str | None
+    record_s: float
+    replay_s: float
+    #: The unit's wall seconds (chunk overhead spread evenly).
+    wall_s: float
+    #: Fast-forward ledger delta of the unit's config (None without one).
+    ff: FastForwardStats | None
+    #: Tape-cache entries that failed to load and were re-recorded.
+    tapes_invalidated: int
 
 
 class _ChunkPointError(Exception):
@@ -113,23 +153,23 @@ def _run_chunk(
     units: Sequence[_Unit],
     tape_root: Path | None = None,
     observer: "RunObserver | None" = None,
-) -> list[tuple[list[Any], str | None, float, float, float, int]]:
+) -> list[_Outcome]:
     """Run consecutive units in this process: inline, or one worker call.
 
-    Per unit: (results in unit order, batch fallback reason, recording
-    seconds, replay seconds, wall seconds, fast-forwarded iterations).
     The chunk's own loop overhead is spread evenly over the units, so
     their wall seconds sum to the chunk's wall measured here; worker
     startup and IPC stay excluded.
     """
     chunk_start = time.perf_counter()
+    tapes = TapeCache(tape_root) if tape_root is not None else None
     runs = []
     for index, unit in enumerate(units):
         start = time.perf_counter()
-        skipped_before = _ff_skipped(unit.tasks[0])
+        ledger = _ff_ledger(unit.tasks[0])
+        invalidated = tapes.stats.invalidated if tapes is not None else 0
         try:
             if unit.batch:
-                done = _run_unit(unit, tape_root)
+                done = _run_unit(unit, tapes)
             elif observer is not None:
                 # Only pass the observer when one is attached: tasks that
                 # predate observability keep their plain run() signature.
@@ -139,17 +179,20 @@ def _run_chunk(
         except Exception as exc:
             raise _ChunkPointError(index, exc) from exc
         runs.append(
-            (
+            _Outcome(
                 *done,
-                time.perf_counter() - start,
-                _ff_skipped(unit.tasks[0]) - skipped_before,
+                wall_s=time.perf_counter() - start,
+                ff=_ff_delta(unit.tasks[0], ledger),
+                tapes_invalidated=(
+                    tapes.stats.invalidated - invalidated if tapes else 0
+                ),
             )
         )
     if not runs:
         return []
-    overhead = time.perf_counter() - chunk_start - sum(run[4] for run in runs)
+    overhead = time.perf_counter() - chunk_start - sum(r.wall_s for r in runs)
     residual = overhead / len(runs)
-    return [(*run[:4], run[4] + residual, run[5]) for run in runs]
+    return [r._replace(wall_s=r.wall_s + residual) for r in runs]
 
 
 def _point_error(task: SimTask, exc: BaseException) -> SimulationError:
@@ -272,13 +315,13 @@ def sweep(
             key = batch_cache_key(task)
         else:
             key = cache_key(task)
-        payload = cache.load(key)
+        result = cache.load(key, task.decode)
         lookup_s = time.perf_counter() - lookup_start
-        if payload is None:
+        if result is None:
             pending.append((task, key))
             lookups.append(lookup_s)
             continue
-        results[task.key] = task.decode(payload)
+        results[task.key] = result
         if profile is not None:
             profile.add(
                 TaskTiming(
@@ -311,27 +354,28 @@ def sweep(
     computed: list[Any] = [None] * len(pending)
     seconds = [0.0] * len(pending)
     skips = [0] * len(pending)
-    for unit, (unit_results, fallback, record_s, replay_s, unit_s, skipped) in zip(
-        units, outcomes
-    ):
+    for unit, outcome in zip(units, outcomes):
         # A unit's points share its wall (plus any warm-phase recording)
         # evenly, so the rows still sum to the measured walls; the
         # fast-forward delta goes to the first point, as the ledger saw
         # one recording run.
-        share = (unit_s + unit.warm_s) / len(unit.tasks)
-        for index, result in zip(unit.indices, unit_results):
+        share = (outcome.wall_s + unit.warm_s) / len(unit.tasks)
+        for index, result in zip(unit.indices, outcome.results):
             computed[index] = result
             seconds[index] = share
+        skipped = outcome.ff.skipped_iterations if outcome.ff else 0
         skips[unit.indices[0]] = skipped + unit.warm_skipped
+        if tape_cache is not None:
+            tape_cache.stats.invalidated += outcome.tapes_invalidated
         if report is not None:
-            report.record_s += record_s
-            report.replay_s += replay_s
-            if fallback is not None:
+            report.record_s += outcome.record_s
+            report.replay_s += outcome.replay_s
+            if outcome.fallback is not None:
                 report.fallbacks.append(
                     BatchFallback(
                         point=str(unit.tasks[0].key),
                         points=len(unit.tasks),
-                        reason=fallback,
+                        reason=outcome.fallback,
                     )
                 )
     for index, (task, key) in enumerate(pending):
@@ -370,7 +414,7 @@ def _run_pool(
     tape_root: Path | None,
     profile: ExecProfile | None,
     report: BatchReport | None,
-) -> list[tuple[list[Any], str | None, float, float, float, int]]:
+) -> list[_Outcome]:
     """Run unit chunks on a process pool; outcomes come back in unit order.
 
     Batch units first get their missing tapes recorded on the same pool,
@@ -409,11 +453,6 @@ def _run_pool(
                     other.cancel()
                 raise _point_error(chunk[0].tasks[0], exc) from exc
             for unit, outcome in zip(chunk, chunk_outcomes):
-                # Workers mutate their own pickled copy of the config;
-                # carry the skip count back to the parent's ledger so
-                # pooled and inline sweeps report the same totals.
-                config = getattr(unit.tasks[0], "fast_forward", None)
-                if config is not None and outcome[5]:
-                    config.aggregate.skipped_iterations += outcome[5]
+                _merge_ff(unit.tasks[0], outcome.ff)
             outcomes.extend(chunk_outcomes)
     return outcomes

@@ -35,6 +35,7 @@ from repro.core.curves import EnergyTimeCurve
 from repro.core.run import RunMeasurement, gear_sweep, run_workload
 from repro.exec.fingerprint import jsonable
 from repro.reporting import curve_from_dict, curve_to_dict
+from repro.util.units import is_amount
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -69,6 +70,61 @@ def _with_ff(describe: dict, config: "FastForwardConfig | None") -> dict:
     if config is not None:
         describe["fast_forward"] = config.describe()
     return describe
+
+
+def _expect(payload: Any, name: str, expected: Any) -> Any:
+    """``payload[name]``, checked to equal ``expected`` in type and value."""
+    value = payload.get(name)
+    if type(value) is not type(expected) or value != expected:
+        raise ValueError(f"cached {name} is {value!r}, expected {expected!r}")
+    return value
+
+
+def _amount(payload: Any, name: str) -> Any:
+    """``payload[name]``, checked to be a finite, non-negative number."""
+    value = payload.get(name)
+    if not is_amount(value):
+        raise ValueError(f"cached {name} is {value!r}")
+    return value
+
+
+def _mapping(payload: Any, what: str) -> dict:
+    if not isinstance(payload, dict):
+        raise ValueError(f"cached {what} is not a mapping")
+    return payload
+
+
+def _decode_measurement(
+    payload: Any, task: "MeasurementTask | PolicyMeasurementTask", gear: int
+) -> RunMeasurement:
+    """Rebuild a cached :class:`RunMeasurement`, validating it first.
+
+    The one decoder of both measurement kinds.  The entry must name the
+    task's own workload, cluster, node count and gear; its times and
+    energy must be finite, non-negative numbers, and ``upm`` a
+    non-negative float (infinite when the run missed nothing, NaN when
+    nothing ran).
+
+    Raises:
+        ValueError: the payload does not hold together; the cache
+            treats it as a miss (:meth:`ResultCache.load`).
+    """
+    payload = _mapping(payload, "measurement")
+    upm = payload.get("upm")
+    if type(upm) is not float or upm < 0.0:
+        raise ValueError(f"cached upm is {upm!r}")
+    return RunMeasurement(
+        workload=_expect(payload, "workload", task.workload.name),
+        cluster=_expect(payload, "cluster", task.cluster.name),
+        nodes=_expect(payload, "nodes", task.nodes),
+        gear=_expect(payload, "gear", gear),
+        time=_amount(payload, "time_s"),
+        energy=_amount(payload, "energy_j"),
+        active_time=_amount(payload, "active_time_s"),
+        idle_time=_amount(payload, "idle_time_s"),
+        reducible_time=_amount(payload, "reducible_time_s"),
+        upm=upm,
+    )
 
 
 def _describe_cluster(cluster: ClusterSpec) -> Any:
@@ -130,7 +186,13 @@ class SimTask(ABC):
 
     @abstractmethod
     def decode(self, payload: Any) -> Any:
-        """Rebuild a result from a cached payload."""
+        """Rebuild a result from a cached payload, validating it first.
+
+        Raises:
+            ValueError: a field is missing, mistyped, non-finite, out of
+                range or not this task's; the cache then treats the
+                entry as a miss.
+        """
 
 
 @dataclass(frozen=True)
@@ -186,6 +248,18 @@ class GearSweepTask(SimTask):
         return curve_to_dict(result)
 
     def decode(self, payload: Any) -> EnergyTimeCurve:
+        payload = _mapping(payload, "curve")
+        gears = self.gears if self.gears is not None else self.cluster.gears.indices
+        _expect(payload, "workload", self.workload.name)
+        _expect(payload, "nodes", self.nodes)
+        points = payload.get("points")
+        if type(points) is not list or len(points) != len(gears):
+            raise ValueError(f"cached curve has points {points!r}")
+        for point, gear in zip(points, gears):
+            point = _mapping(point, "curve point")
+            _expect(point, "gear", gear)
+            _amount(point, "time_s")
+            _amount(point, "energy_j")
         return curve_from_dict(payload)
 
 
@@ -253,18 +327,7 @@ class MeasurementTask(SimTask):
         }
 
     def decode(self, payload: Any) -> RunMeasurement:
-        return RunMeasurement(
-            workload=payload["workload"],
-            cluster=payload["cluster"],
-            nodes=payload["nodes"],
-            gear=payload["gear"],
-            time=payload["time_s"],
-            energy=payload["energy_j"],
-            active_time=payload["active_time_s"],
-            idle_time=payload["idle_time_s"],
-            reducible_time=payload["reducible_time_s"],
-            upm=payload["upm"],
-        )
+        return _decode_measurement(payload, self, self.gear)
 
 
 @dataclass(frozen=True)
@@ -344,18 +407,7 @@ class PolicyMeasurementTask(SimTask):
         }
 
     def decode(self, payload: Any) -> RunMeasurement:
-        return RunMeasurement(
-            workload=payload["workload"],
-            cluster=payload["cluster"],
-            nodes=payload["nodes"],
-            gear=payload["gear"],
-            time=payload["time_s"],
-            energy=payload["energy_j"],
-            active_time=payload["active_time_s"],
-            idle_time=payload["idle_time_s"],
-            reducible_time=payload["reducible_time_s"],
-            upm=payload["upm"],
-        )
+        return _decode_measurement(payload, self, 0)
 
 
 @dataclass(frozen=True)
@@ -412,13 +464,19 @@ class CalibrationTask(SimTask):
         }
 
     def decode(self, payload: Any) -> GearCalibration:
-        def by_gear(mapping: dict[str, float]) -> dict[int, float]:
-            return {int(g): v for g, v in mapping.items()}
+        payload = _mapping(payload, "calibration")
+        gears = [str(g) for g in self.cluster.gears.indices]
+
+        def by_gear(name: str) -> dict[int, float]:
+            mapping = _mapping(payload.get(name), name)
+            if sorted(mapping) != sorted(gears):
+                raise ValueError(f"cached {name} covers gears {list(mapping)}")
+            return {int(g): _amount(mapping, g) for g in mapping}
 
         return GearCalibration(
-            workload=payload["workload"],
-            slowdown=by_gear(payload["slowdown"]),
-            active_power=by_gear(payload["active_power"]),
-            idle_power=by_gear(payload["idle_power"]),
-            single_node_time=by_gear(payload["single_node_time"]),
+            workload=_expect(payload, "workload", self.workload.name),
+            slowdown=by_gear("slowdown"),
+            active_power=by_gear("active_power"),
+            idle_power=by_gear("idle_power"),
+            single_node_time=by_gear("single_node_time"),
         )

@@ -5,8 +5,7 @@ integrals, per-rank MPI enter/exit logs — and this package surfaces the
 same telemetry from the simulated cluster:
 
 - :class:`~repro.obs.registry.MetricsRegistry` collects counters, gauges
-  and timeseries published by instrumented layers (the simulator engine,
-  power meters, policy communicators, the run harness);
+  and timeseries;
 - :class:`~repro.obs.observer.RunObserver` implementations ride along
   simulated runs: :class:`~repro.obs.observer.TraceObserver` writes each
   run as a Chrome ``trace_event`` JSON (open in ``chrome://tracing`` or
@@ -15,8 +14,8 @@ same telemetry from the simulated cluster:
 - :func:`~repro.obs.export.write_metrics` dumps a registry as JSON
   lines.
 
-Observability is off by default everywhere (hook points hold ``None``),
-so uninstrumented runs are byte-identical to pre-observability ones.
+Observability is off by default: a ``World`` without an observer
+calls no hook, so unobserved runs are byte-identical to observed ones.
 See ``docs/OBSERVABILITY.md`` for the hook-point map and file formats.
 """
 
@@ -28,7 +27,7 @@ from repro.obs.observer import (
     RunObserver,
     TraceObserver,
 )
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, NullRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import (
     GearChange,
     render_chrome_trace,
@@ -41,8 +40,6 @@ __all__ = [
     "GearChange",
     "MetricsObserver",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "RunLabel",
     "RunObserver",
     "TraceObserver",

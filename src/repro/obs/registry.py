@@ -1,15 +1,10 @@
 """The metrics registry: counters, gauges, and timeseries.
 
-:class:`MetricsRegistry` is the sink every instrumented layer publishes
-into — the simulator counts events, power meters stream watt samples,
-policy communicators report blocking spans.  Publishing is *opt-in and
-zero-cost when off*: instrumented objects hold ``None`` by default and
-guard every hook with a single ``is not None`` check, so uninstrumented
-runs execute exactly the pre-observability code path.
-
-:class:`NullRegistry` is for call sites that want to publish
-unconditionally: every method is a no-op, so it can be passed where a
-registry is required without accumulating anything.
+:class:`MetricsRegistry` is the sink
+:class:`~repro.obs.observer.MetricsObserver` fills from each finished
+run's result — per-run counters, gear changes and sampled power.  The
+simulator itself publishes nothing, so a run without an observer pays
+nothing for it.
 
 Three metric kinds, all keyed by dotted string names:
 
@@ -58,11 +53,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     # Reading
-
-    @property
-    def enabled(self) -> bool:
-        """Whether publishing accumulates (False only for the null sink)."""
-        return True
 
     def counter(self, name: str) -> float:
         """Current value of counter ``name`` (0.0 if never incremented)."""
@@ -113,29 +103,3 @@ class MetricsRegistry:
             f"<MetricsRegistry {len(self._counters)} counters, "
             f"{len(self._gauges)} gauges, {len(self._series)} series>"
         )
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry that discards everything published into it.
-
-    Useful where an API requires a registry but the caller wants
-    observability off; reading back always sees an empty registry.
-    """
-
-    @property
-    def enabled(self) -> bool:
-        """Always False: nothing accumulates."""
-        return False
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Discard."""
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Discard."""
-
-    def observe(self, name: str, time: float, value: float) -> None:
-        """Discard."""
-
-
-#: Shared no-op sink for call sites that need *a* registry unconditionally.
-NULL_REGISTRY = NullRegistry()

@@ -29,31 +29,14 @@ from repro.workloads.base import Workload
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mpi.fastforward import FastForwardConfig
     from repro.obs.observer import RunObserver
-    from repro.obs.registry import MetricsRegistry
 
 
 class PolicyComm(Comm):
-    """A communicator that delegates gear control to a policy.
+    """A communicator that delegates gear control to a policy."""
 
-    With a ``metrics`` registry attached, every observed blocking span
-    publishes a ``policy.rank<k>.waits`` counter, accumulated
-    ``policy.rank<k>.waited_s`` seconds, and a
-    ``policy.rank<k>.blocked_s`` timeseries sample — the per-rank slack
-    signal adaptive policies act on.  Detached (the default), the layer
-    costs one ``is not None`` check per blocking span.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        policy: GearPolicy,
-        *,
-        metrics: "MetricsRegistry | None" = None,
-    ):
+    def __init__(self, rank: int, size: int, policy: GearPolicy):
         super().__init__(rank, size)
         self.policy = policy
-        self.metrics = metrics
         self._last_observation = 0.0
 
     # ------------------------------------------------------------------
@@ -80,12 +63,6 @@ class PolicyComm(Comm):
         yield SetGear(self.policy.compute_gear())
         end = yield Now()
         self.policy.observe_wait(end - start, end - self._last_observation)
-        if self.metrics is not None:
-            self.metrics.inc(f"policy.rank{self.rank}.waits")
-            self.metrics.inc(f"policy.rank{self.rank}.waited_s", end - start)
-            self.metrics.observe(
-                f"policy.rank{self.rank}.blocked_s", end, end - start
-            )
         self._last_observation = end
         return result
 
@@ -120,7 +97,6 @@ def run_with_policy(
     nodes: int,
     policy: GearPolicy,
     observer: "RunObserver | None" = None,
-    metrics: "MetricsRegistry | None" = None,
     fast_forward: "FastForwardConfig | None" = None,
 ) -> RunMeasurement:
     """Run a workload under a gear policy and measure it.
@@ -135,8 +111,6 @@ def run_with_policy(
     Args:
         observer: optional run observer (trace/metrics capture); the run
             is labelled with gear 0, marking "policy-managed".
-        metrics: optional registry the per-rank :class:`PolicyComm`
-            instances publish blocking spans into.
         fast_forward: optional steady-state fast-forward config.  Only
             sound once the policy's decisions have settled into the
             periodic pattern the detector keys on; the policy-zoo
@@ -146,9 +120,7 @@ def run_with_policy(
     policies = policy.prepare(cluster, nodes)
 
     def program(comm: Comm):
-        managed = PolicyComm(
-            comm.rank, comm.size, policies[comm.rank], metrics=metrics
-        )
+        managed = PolicyComm(comm.rank, comm.size, policies[comm.rank])
         return workload.program(managed)
 
     if observer is not None:

@@ -17,17 +17,22 @@ This module exploits it across a whole sweep:
    tape holds the gear-invariant segment stream: compute blocks with
    their operation counts, communication edges with payload sizes and
    tags, waits with their handle references, disk bursts, disk-speed
-   transitions, and iteration marks (with the fast-forward jumps the
-   recording itself took).  The fast-forward signature machinery runs
-   during the recording — with the task's own config when set, else in
-   an observe-only mode that never jumps — and any signature deviation
-   disqualifies the tape.
+   transitions, and iteration marks.  Without a fast-forward config the
+   recording is a plain event run.  With one, the recording may
+   macro-step: the tape keeps the jumps it took, and a signature
+   deviation during it disqualifies the tape, since the jump windows
+   are trusted only on a stable signature.
 
-2. **Certify.**  A tape is replayable only if its structure is provably
-   gear-invariant.  Program logic can depend on the gear only through
-   :class:`~repro.mpi.requests.Now` (timings leak into control flow) or
-   :class:`~repro.mpi.requests.SetGear` (adaptive policies), so either
-   request fails certification; everything else resumes with
+2. **Certify.**  This is the only gate on a tape: its request stream
+   must be provably gear-invariant.  Program logic can depend on the
+   gear only through a resume value that does.  Three requests have
+   one, and each fails certification:
+   :class:`~repro.mpi.requests.Now` (timings leak into control flow),
+   :class:`~repro.mpi.requests.SetGear` (adaptive policies), and an
+   :class:`~repro.mpi.requests.Irecv` with ``ANY_SOURCE`` or
+   ``ANY_TAG`` (the message it matches — the payload and
+   ``handle.peer`` its wait resumes with — depends on arrival order,
+   and the gear reorders arrivals).  Every other request resumes with
    gear-invariant values (payloads, handles, skip counts), which makes
    the whole request stream gear-invariant by induction.  Recorded
    fast-forward jumps additionally require consistent reducible-walk
@@ -37,29 +42,30 @@ This module exploits it across a whole sweep:
 3. **Replay.**  Per-segment durations are revalued for *all* gears in
    one NumPy pass — ``t(f) = uops/(issue_rate · f) + misses · latency``
    elementwise over ``(gears × segments)`` matrices, bitwise-identical
-   to the engine's scalar arithmetic — and the tape's *interactions*
-   (message completions, recorded macro-step jumps) are walked **once
-   for the whole grid**: each rank's op tuples are folded into a walk
-   plan (:func:`_build_plan`) that follows a send↔receive pairing read
-   off the tape alone (the k-th send on a (source, dest, tag) channel
-   completes the k-th receive the destination posts for that (source,
-   tag) — the engine's FIFO matching), and every gear's timeline
-   advances in lockstep as ``(gears,)`` time vectors.  Stretches
-   between interactions collapse to one cumulative-sum gap per gear;
-   receive completions are pure ``max`` dataflow, and each rank
-   advances until it waits on a send not yet walked.  The walk keeps
-   no backplane state: every wire transfer arrives at ``inject +
-   latency + occupancy``.  That is exact for a gear column in which no
-   wire transfer finds ``concurrency`` others in flight at its
-   injection time — the engine's server pool then queues nothing,
-   whatever the injection order — so the walk certifies each column
-   by that contention check.  A column that fails it is re-replayed
-   by the scalar interpreter (:func:`_replay_gear`) — exact, reported
-   via :class:`ReplayStats`, never silent.  Wildcard receives (the
-   matching order is time-dependent), one-column grids and recordings
-   that queued on the backplane skip the walk altogether.  The scalar
-   interpreter remains the reference path, selectable via
-   ``mode="scalar"`` and equivalence-tested against the walk at 1e-9.
+   to the engine's scalar arithmetic.  Without wildcards the engine
+   matches each (source, dest, tag) channel FIFO, which no timing can
+   reorder, so the tape defines one send↔receive pairing
+   (:func:`_pair_receives`), and both interpreters complete every
+   receive from its paired send at ``max(post, arrival) + overhead``.
+   The tape's *interactions* (message completions, recorded macro-step
+   jumps) are walked **once for the whole grid**: each rank's op tuples
+   are folded into a walk plan (:func:`_build_plan`), and every gear's
+   timeline advances in lockstep as ``(gears,)`` time vectors.  Stretches between
+   interactions collapse to one cumulative-sum gap per gear; receive
+   completions are pure ``max`` dataflow, and each rank advances until
+   it waits on a send not yet walked.  The walk keeps no backplane
+   state: every wire transfer arrives at ``inject + latency +
+   occupancy``.  That is exact for a gear column in which no wire
+   transfer finds ``concurrency`` others in flight at its injection
+   time — the engine's server pool then queues nothing, whatever the
+   injection order — so the walk certifies each column by that
+   contention check.  A column that fails it is re-replayed by the
+   scalar interpreter (:func:`_replay_gear`), which keeps the engine's
+   stateful server pool — exact, reported via :class:`ReplayStats`,
+   never silent.  One-column grids and recordings that queued on the
+   backplane skip the walk altogether.  The scalar interpreter remains
+   the reference path, selectable via ``mode="scalar"`` and
+   equivalence-tested against the walk at 1e-9.
 
 4. **Roll up.**  Energy decomposes exactly: each rank draws its idle
    power for the whole run plus a busy *excess* for compute and disk
@@ -113,19 +119,13 @@ from repro.mpi.requests import (
 from repro.mpi.tracing import BLOCKING_OPS
 from repro.mpi.world import World, WorldResult
 from repro.util.errors import ConfigurationError
+from repro.util.units import is_amount
 from repro.workloads.base import Workload
 
 #: Relative tolerance of the recording-gear self-check: the replay of the
 #: reference gear must reproduce the recording's own measurements this
 #: closely or the whole tape is rejected.
 SELF_CHECK_RTOL = 1e-9
-
-#: A fast-forward config that observes signatures but can never jump —
-#: used to certify recordings of tasks that carry no config of their own.
-#: ``min_jump`` above any possible iteration count means marks always
-#: resume with 0, so the recorded timeline is bitwise what a plain
-#: (no fast-forward) event run produces.
-_OBSERVE_ONLY = FastForwardConfig(min_jump=1_000_000_000)
 
 # Tape opcodes (first element of every op tuple).
 _OP_COMPUTE = 0
@@ -146,10 +146,11 @@ TAPE_FORMAT_VERSION = 3
 class BatchUnsupported(Exception):
     """The recorded run cannot be revalued across gears.
 
-    Raised when certification fails (a ``Now`` or ``SetGear`` request,
-    a signature deviation during the recording, inconsistent jump-window
-    state) or when the replay self-check misses.  Callers fall back to
-    the exact event engine, which handles every program.
+    Raised when certification fails (a ``Now``, ``SetGear`` or wildcard
+    receive request, a signature deviation during a recording that
+    fast-forwards, inconsistent jump-window state) or when the replay
+    self-check misses.  Callers fall back to the exact event engine,
+    which handles every program.
     """
 
 
@@ -174,10 +175,9 @@ class ReplayStats:
     #: One code per decision to replay columns scalar in grid mode:
     #: ``single_column`` (a one-column grid), ``recording_queued(n)``
     #: (the recording queued ``n`` transfers on the backplane, so its
-    #: own column cannot be certified), ``wildcard_recv(rank)`` (the
-    #: pairing is time-dependent) or ``contention(gear)`` (that column
-    #: failed the contention check; at the recording gear the whole
-    #: grid replays scalar).
+    #: own column cannot be certified) or ``contention(gear)`` (that
+    #: column failed the contention check; at the recording gear the
+    #: whole grid replays scalar).
     fallback_reasons: list[str] = field(default_factory=list)
 
 
@@ -218,9 +218,13 @@ class Tape:
     recording_gear: int
     #: Wire transfers that queued on the backplane during the recording.
     recording_queued: int
-    #: Lazily-built compiled form (walk plans + send↔receive pairing).
-    #: Derived state: not part of the tape's identity or its payload.
-    _compiled: "CompiledTape | None" = field(
+    #: Derived state, built lazily and cached: the send↔receive pairing
+    #: (:func:`_pairing_of`) and the walk plans (:func:`_plans_of`).
+    #: Not part of the tape's identity or its payload.
+    _pairing: "list[dict[int, tuple[int, int]]] | None" = field(
+        default=None, repr=False, compare=False
+    )
+    _plans: "list[_RankPlan] | None" = field(
         default=None, repr=False, compare=False
     )
 
@@ -267,23 +271,23 @@ def record_tape(
     workload.validate_nodes(nodes)
     cluster.validate_run(nodes, gear)
     entries: list[list[tuple[Any, Any]]] = [[] for _ in range(nodes)]
-    config = fast_forward if fast_forward is not None else _OBSERVE_ONLY
     world = World(
         cluster,
         _recording_program(workload.program, entries),
         nodes=nodes,
         gear=gear,
-        fast_forward=config,
+        fast_forward=fast_forward,
     )
     recording = world.run()
     ff = world._ff
-    assert ff is not None
-    if ff.stats.deviations:
-        raise BatchUnsupported(
-            f"{ff.stats.deviations} signature deviation(s) during recording: "
-            "the event structure is not iteration-stable"
-        )
-    jumps = {(rank, idx): (jump, period) for rank, idx, jump, period in ff.jump_log}
+    jumps: dict[tuple[int, int], tuple[int, int]] = {}
+    if ff is not None:
+        if ff.stats.deviations:
+            raise BatchUnsupported(
+                f"{ff.stats.deviations} signature deviation(s) during "
+                "recording: the event structure is not iteration-stable"
+            )
+        jumps = {(r, idx): (jump, period) for r, idx, jump, period in ff.jump_log}
     return _build_tape(
         cluster,
         workload,
@@ -367,20 +371,18 @@ def _build_tape(
                 if depth == 0 and seen_send:
                     pending.append(seg)
             elif cls is Isend:
-                ops.append(
-                    (
-                        _OP_SEND,
-                        request.dest,
-                        request.tag,
-                        request.nbytes,
-                        request.dest == rank,
-                    )
-                )
+                dest = request.dest
+                ops.append((_OP_SEND, dest, request.tag, request.nbytes, dest == rank))
                 handle_map[value.uid] = ("send", -1)
                 if depth == 0:
                     seen_send = True
                     pending = []
             elif cls is Irecv:
+                if request.source == ANY_SOURCE or request.tag == ANY_TAG:
+                    raise BatchUnsupported(
+                        f"rank {rank}: wildcard receive — the message it "
+                        "matches depends on arrival order"
+                    )
                 ops.append((_OP_RECV, request.source, request.tag, slots))
                 handle_map[value.uid] = ("recv", slots)
                 slots += 1
@@ -553,103 +555,34 @@ def _replay_gear(
 
     Returns per-rank finish times and per-rank disk-speed phase
     boundaries ``(time, new disk idle watts)``.  The interpreter mirrors
-    :class:`~repro.mpi.world.World` exactly — same matching algorithm,
-    same network server pool, same FIFO tie-breaking — so the timeline
-    is the event engine's, without generators, traces, or meters.
+    :class:`~repro.mpi.world.World`'s timeline exactly — same network
+    server pool, same FIFO tie-breaking, the same heap entries pushed in
+    the same order — without generators, traces or meters.  It keeps no
+    matching index: each receive completes from the send the tape pairs
+    it with (:func:`_pair_receives`), at ``max(post, arrival) +
+    overhead`` as ``World._complete_recv`` computes it.  (The engine's
+    third term, the time of the match, never wins: a match happens at
+    the later of post and send, and no arrival precedes its send.)
     """
     nodes = tape.nodes
     network = tape.cluster.network_model()
     schedule_transfer = network.schedule_transfer
     overhead = network.endpoint_overhead()
     ops_by_rank = tape.ops
+    pairing = _pairing_of(tape)
     nops = [len(ops) for ops in ops_by_rank]
     pos = [0] * nodes
+    sent = [0] * nodes
     finish: list[float | None] = [None] * nodes
     heap: list[tuple[float, int, int]] = []
     seq = count()
-    msg_seq = count(1)
-    recv_uid = count()
     recv_post: list[list[float]] = [[0.0] * n for n in tape.recv_slots]
-    recv_done: list[list[float | None]] = [[None] * n for n in tape.recv_slots]
-    recv_waiting: list[list[bool]] = [[False] * n for n in tape.recv_slots]
-    posted: list[dict[tuple[int, int], deque]] = [{} for _ in range(nodes)]
-    unexpected: list[dict[tuple[int, int], deque]] = [{} for _ in range(nodes)]
+    # Send key (rank, send ordinal) -> its arrival, and -> the
+    # (rank, slot) whose wait blocks on it.
+    arrivals: dict[tuple[int, int], float] = {}
+    waiting: dict[tuple[int, int], tuple[int, int]] = {}
     phases: list[list[tuple[float, float]]] = [[] for _ in range(nodes)]
     marks: list[list[float]] = [[] for _ in range(nodes)]
-
-    def complete(rank: int, slot: int, arrival: float, now: float) -> None:
-        # Mirrors World._complete_recv: ready + per-endpoint overhead.
-        ready = max(recv_post[rank][slot], arrival, now)
-        done = ready + overhead
-        recv_done[rank][slot] = done
-        if recv_waiting[rank][slot]:
-            recv_waiting[rank][slot] = False
-            heappush(heap, (done, next(seq), rank))
-
-    def route(
-        dest: int, source: int, tag: int, arrival: float, now: float
-    ) -> None:
-        # Mirrors World._route (indexed FIFO, earliest-posted wins).
-        pd = posted[dest]
-        if pd:
-            best_key = None
-            best_uid = -1
-            for key in (
-                (source, tag),
-                (ANY_SOURCE, tag),
-                (source, ANY_TAG),
-                (ANY_SOURCE, ANY_TAG),
-            ):
-                queue = pd.get(key)
-                if queue:
-                    uid = queue[0][0]
-                    if best_key is None or uid < best_uid:
-                        best_key, best_uid = key, uid
-            if best_key is not None:
-                queue = pd[best_key]
-                _, slot = queue.popleft()
-                if not queue:
-                    del pd[best_key]
-                complete(dest, slot, arrival, now)
-                return
-        ud = unexpected[dest]
-        key = (source, tag)
-        queue = ud.get(key)
-        if queue is None:
-            ud[key] = deque(((arrival, next(msg_seq)),))
-        else:
-            queue.append((arrival, next(msg_seq)))
-
-    def match_unexpected(rank: int, source: int, tag: int):
-        # Mirrors World._match_unexpected (earliest-sent wins).
-        ud = unexpected[rank]
-        if not ud:
-            return None
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            queue = ud.get((source, tag))
-            if not queue:
-                return None
-            message = queue.popleft()
-            if not queue:
-                del ud[(source, tag)]
-            return message
-        best_key = None
-        best_seq = -1
-        for key, queue in ud.items():
-            if source != ANY_SOURCE and key[0] != source:
-                continue
-            if tag != ANY_TAG and key[1] != tag:
-                continue
-            mseq = queue[0][1]
-            if best_key is None or mseq < best_seq:
-                best_key, best_seq = key, mseq
-        if best_key is None:
-            return None
-        queue = ud[best_key]
-        message = queue.popleft()
-        if not queue:
-            del ud[best_key]
-        return message
 
     def advance(rank: int, now: float) -> None:
         ops = ops_by_rank[rank]
@@ -671,39 +604,34 @@ def _replay_gear(
                     heappush(heap, (now + d, next(seq), rank))
                     return
             elif code == _OP_SEND:
-                _, dest, tag, nbytes, same = op
+                key = (rank, sent[rank])
+                sent[rank] += 1
                 inject = now + overhead
-                arrival = schedule_transfer(inject, nbytes, same_node=same)
-                route(dest, rank, tag, arrival, now)
+                arrival = schedule_transfer(inject, op[3], same_node=op[4])
+                arrivals[key] = arrival
+                blocked = waiting.pop(key, None)
+                if blocked is not None:
+                    dest, slot = blocked
+                    done = max(recv_post[dest][slot], arrival) + overhead
+                    heappush(heap, (done, next(seq), dest))
                 if overhead != 0.0:
                     pos[rank] = p
                     heappush(heap, (inject, next(seq), rank))
                     return
             elif code == _OP_RECV:
-                _, source, tag, slot = op
-                recv_post[rank][slot] = now
-                message = match_unexpected(rank, source, tag)
-                if message is not None:
-                    complete(rank, slot, message[0], now)
-                else:
-                    key = (source, tag)
-                    queue = posted[rank].get(key)
-                    entry = (next(recv_uid), slot)
-                    if queue is None:
-                        posted[rank][key] = deque((entry,))
-                    else:
-                        queue.append(entry)
+                recv_post[rank][op[3]] = now
             elif code == _OP_WAIT:
-                done = recv_done[rank][op[1]]
-                if done is not None:
-                    if done <= now:
-                        continue
-                    pos[rank] = p
+                slot = op[1]
+                key = pairing[rank][slot]
+                arrival = arrivals.get(key)
+                pos[rank] = p
+                if arrival is None:
+                    waiting[key] = (rank, slot)
+                    return
+                done = max(recv_post[rank][slot], arrival) + overhead
+                if done > now:
                     heappush(heap, (done, next(seq), rank))
                     return
-                recv_waiting[rank][op[1]] = True
-                pos[rank] = p
-                return
             elif code == _OP_MARK:
                 rank_marks = marks[rank]
                 rank_marks.append(now)
@@ -715,12 +643,7 @@ def _replay_gear(
                     pos[rank] = p
                     heappush(heap, (now + copies * cycle, next(seq), rank))
                     return
-            elif code == _OP_ELAPSE:
-                if op[1] != 0.0:
-                    pos[rank] = p
-                    heappush(heap, (now + op[1], next(seq), rank))
-                    return
-            elif code == _OP_DISK:
+            elif code == _OP_ELAPSE or code == _OP_DISK:
                 if op[1] != 0.0:
                     pos[rank] = p
                     heappush(heap, (now + op[1], next(seq), rank))
@@ -808,8 +731,10 @@ def _pair_receives(
     k-th send on a (source, dest, tag) channel completes the k-th
     receive ``dest`` posts for that (source, tag): the engine matches
     each channel FIFO by posting and sending order, which no timing can
-    reorder once no receive is a wildcard.  Wildcard receives, and
-    receives no send ever completes, are left out.
+    reorder (certification admits no wildcard receive).  Receives no
+    send ever completes are left out.  Both interpreters read the
+    pairing through :func:`_pairing_of`, which computes it once per
+    tape.
     """
     channels: dict[tuple[int, int, int], list[int]] = {}
     for rank, ops in enumerate(ops_by_rank):
@@ -878,26 +803,14 @@ def _build_plan(
             # it into the gap makes the walk's time *be* the inject time;
             # the receiver-side overhead rides inside the arrival const.
             const += overhead
-            nbytes = op[3]
-            if op[4]:
-                emit(
-                    (
-                        _IN_LOCAL,
-                        (rank, ordinal),
-                        nbytes / link.memcpy_bandwidth + overhead,
-                    )
-                )
-            else:
-                occupancy = nbytes / link.bandwidth
-                emit(
-                    (
-                        _IN_WIRE,
-                        (rank, ordinal),
-                        occupancy,
-                        link.latency + occupancy + overhead,
-                    )
-                )
+            key = (rank, ordinal)
             ordinal += 1
+            if op[4]:
+                copy = op[3] / link.memcpy_bandwidth
+                emit((_IN_LOCAL, key, copy + overhead))
+            else:
+                occupancy = op[3] / link.bandwidth
+                emit((_IN_WIRE, key, occupancy, link.latency + occupancy + overhead))
         elif code == _OP_RECV:
             emit((_IN_RECV, op[3]))
         elif code == _OP_WAIT:
@@ -932,42 +845,26 @@ def _build_plan(
     )
 
 
-@dataclass
-class CompiledTape:
-    """Derived form of a tape: one walk plan per rank.
+def _pairing_of(tape: Tape) -> list[dict[int, tuple[int, int]]]:
+    """The tape's send↔receive pairing, computed once and cached."""
+    if tape._pairing is None:
+        tape._pairing = _pair_receives(tape.ops)
+    return tape._pairing
 
-    Built lazily by :func:`_compiled`, straight from the tape's op
-    tuples, and cached on the tape, so repeated grid replays of one
-    tape pay only the vectorized walk.
-    The plans follow the send↔receive pairing read off the tape
-    (:func:`_pair_receives`) and keep no backplane state; which gear
-    columns that stateless walk may ship is decided per replay by the
-    contention check.  ``skip`` is ``wildcard_recv(rank)`` when a
-    wildcard receive makes the pairing time-dependent, and the tape
-    then replays through the scalar interpreter for every gear.
+
+def _plans_of(tape: Tape) -> list[_RankPlan]:
+    """The tape's walk plans, one per rank, built once and cached.
+
+    The plans follow the tape's pairing and keep no backplane state;
+    which gear columns that stateless walk may ship is decided per
+    replay by the contention check.
     """
-
-    skip: str | None
-    plans: list[_RankPlan]
-
-
-def _compile_tape(tape: Tape) -> CompiledTape:
-    """Compile a tape: pair its receives, then one plan per rank."""
-    for rank, ops in enumerate(tape.ops):
-        for op in ops:
-            if op[0] == _OP_RECV and (op[1] == ANY_SOURCE or op[2] == ANY_TAG):
-                return CompiledTape(f"wildcard_recv({rank})", [])
-    pairing = _pair_receives(tape.ops)
-    return CompiledTape(
-        None,
-        [_build_plan(tape, rank, slots) for rank, slots in enumerate(pairing)],
-    )
-
-
-def _compiled(tape: Tape) -> CompiledTape:
-    if tape._compiled is None:
-        tape._compiled = _compile_tape(tape)
-    return tape._compiled
+    if tape._plans is None:
+        tape._plans = [
+            _build_plan(tape, rank, slots)
+            for rank, slots in enumerate(_pairing_of(tape))
+        ]
+    return tape._plans
 
 
 def _duration_grid(
@@ -995,7 +892,7 @@ def _duration_grid(
 
 
 def _vector_walk(
-    tape: Tape, compiled: CompiledTape, dur_grid: list[np.ndarray]
+    tape: Tape, plans: list[_RankPlan], dur_grid: list[np.ndarray]
 ) -> tuple[
     list[np.ndarray], list[list[tuple[np.ndarray, float]]], np.ndarray
 ]:
@@ -1027,7 +924,7 @@ def _vector_walk(
     offs: list[np.ndarray] = []
     zero_col = np.zeros((G, 1))
     for rank in range(nodes):
-        plan = compiled.plans[rank]
+        plan = plans[rank]
         D = dur_grid[rank]
         segcum = np.concatenate([zero_col, np.cumsum(D, axis=1)], axis=1)
         gaps = plan.gap_const[None, :] + (
@@ -1062,8 +959,7 @@ def _vector_walk(
     np_maximum = np.maximum
 
     def advance(rank: int) -> None:
-        plan = compiled.plans[rank]
-        steps = plan.steps
+        steps = plans[rank].steps
         off = offs[rank]
         rank_posts = posts[rank]
         b = base[rank]
@@ -1330,15 +1226,15 @@ def replay_grid(
 ) -> list[RunMeasurement]:
     """Revalue the tape at every gear of a grid.
 
-    ``mode="grid"`` (the default) compiles the tape once (cached on the
-    tape) and walks the whole grid as gear-axis vectors; gear columns
-    the contention check cannot certify are re-replayed by the scalar
-    interpreter — exact, counted in ``stats``, never silent.  The walk
-    is skipped, with its reason in ``stats``, where its result would be
-    thrown away: a one-column grid, a recording that queued on the
-    backplane (its own column cannot be certified) and a tape with
-    wildcard receives.  ``mode="scalar"`` runs the reference
-    interpreter per gear.
+    ``mode="grid"`` (the default) builds the tape's walk plans once
+    (cached on the tape) and walks the whole grid as gear-axis vectors;
+    gear columns the contention check cannot certify are re-replayed by
+    the scalar interpreter — exact, counted in ``stats``, never silent.
+    The walk is skipped, with its reason in ``stats``, where its result
+    would be thrown away: a one-column grid, and a recording that
+    queued on the backplane (its own column cannot be certified).
+    ``mode="scalar"`` runs the reference interpreter per gear.  Both
+    modes complete receives from the one pairing the tape defines.
 
     The recording gear is always revalued — appended to the grid when
     absent — and checked against the recording's own event-engine
@@ -1358,16 +1254,14 @@ def replay_grid(
     if mode == "scalar":
         return _replay_grid_scalar(tape, gear_indices, stats)
     if len(gear_indices) == 1:
-        reason = "single_column"
-    elif tape.recording_queued:
-        reason = f"recording_queued({tape.recording_queued})"
-    else:
-        reason = _compiled(tape).skip
-    if reason is not None:
-        stats.fallback_reasons.append(reason)
+        stats.fallback_reasons.append("single_column")
+        return _replay_grid_scalar(tape, gear_indices, stats)
+    if tape.recording_queued:
+        stats.fallback_reasons.append(
+            f"recording_queued({tape.recording_queued})"
+        )
         return _replay_grid_scalar(tape, gear_indices, stats)
 
-    compiled = _compiled(tape)
     extended = list(gear_indices)
     try:
         check_col = extended.index(tape.recording_gear)
@@ -1375,7 +1269,7 @@ def replay_grid(
         check_col = len(extended)
         extended.append(tape.recording_gear)
     dur_grid = _duration_grid(tape, extended)
-    finish, phases, contended = _vector_walk(tape, compiled, dur_grid)
+    finish, phases, contended = _vector_walk(tape, _plans_of(tape), dur_grid)
     if contended[check_col]:
         stats.fallback_reasons.append(f"contention({tape.recording_gear})")
         return _replay_grid_scalar(tape, gear_indices, stats)
@@ -1467,96 +1361,134 @@ def tape_to_payload(tape: Tape) -> dict:
 
 #: Tuple length of each opcode's ops, opcode included.
 _OP_ARITY = {
-    _OP_COMPUTE: 2,
-    _OP_SEND: 5,
-    _OP_RECV: 4,
-    _OP_WAIT: 2,
-    _OP_ELAPSE: 2,
-    _OP_DISK: 2,
-    _OP_DSPEED: 3,
-    _OP_MARK: 3,
+    _OP_COMPUTE: 2, _OP_SEND: 5, _OP_RECV: 4, _OP_WAIT: 2,
+    _OP_ELAPSE: 2, _OP_DISK: 2, _OP_DSPEED: 3, _OP_MARK: 3,
 }
+
+#: Scalar tape fields that hold a count, and those that hold an amount
+#: (a finite, non-negative time, energy, power or counter total).
+_TAPE_COUNTS = ("nodes", "recording_gear", "recording_queued")
+_TAPE_AMOUNTS = (
+    "total_uops", "total_misses", "initial_disk_idle", "recording_time",
+    "recording_energy", "recording_active", "recording_reducible",
+)
+
+
+def _is_count(value: Any) -> bool:
+    """``value`` is a non-negative int (bools excluded)."""
+    return type(value) is int and value >= 0
 
 
 def tape_from_payload(cluster: ClusterSpec, payload: dict) -> Tape:
     """Rebuild a tape from :func:`tape_to_payload` output.
 
-    The op streams are checked on the way in, so an entry that decodes
-    but no longer holds together cannot crash a replay: every op has
-    its opcode's length, compute segments and receive slots are
-    numbered in tape order and match the per-rank arrays and
-    ``recv_slots``, sends and receives name existing ranks, every wait
-    is on a slot already posted that some send completes (wildcard
-    receives aside), and every recorded jump has the marks its window
-    needs.
+    A cached payload is untrusted input, so it is checked on the way in,
+    and an entry that decodes but does not hold together can neither
+    crash a replay nor ship a wrong number:
+
+    - every field is present with its type: counts, ranks, slots, tags
+      and byte sizes are non-negative ints, flags are bools, and every
+      duration, power, total and per-rank array value is a finite,
+      non-negative number;
+    - every op has its opcode's length; compute segments and receive
+      slots are numbered in tape order and match the per-rank arrays
+      and ``recv_slots``;
+    - sends and receives name an existing rank and a tag, so a wildcard
+      receive is malformed;
+    - every wait is on a slot already posted that some send completes,
+      and every recorded jump has the marks its window needs.
+
+    The pairing the wait check computes stays cached on the tape, so
+    its replays do not compute it again.
 
     Raises:
         ValueError: the payload's format version is not the current
-            one, or its op streams are inconsistent.  Callers treat
-            this as a cache miss and re-record —
+            one, or a field is missing, mistyped or inconsistent.
+            Callers treat this as a cache miss and re-record —
             :data:`TAPE_FORMAT_VERSION` is part of every tape cache
             key, so a version mismatch only fires on hand-fed payloads.
     """
+    if not isinstance(payload, dict):
+        raise ValueError("tape payload is not a mapping")
     version = payload.get("format")
     if version != TAPE_FORMAT_VERSION:
-        raise ValueError(
-            f"tape format {version!r} != {TAPE_FORMAT_VERSION}"
-        )
-    kwargs: dict[str, Any] = {
-        name: payload[name] for name in _TAPE_SCALAR_FIELDS
-    }
-    for name in _TAPE_ARRAY_FIELDS:
-        kwargs[name] = [
-            np.asarray(values, dtype=np.float64)
-            for values in payload[name]
-        ]
+        raise ValueError(f"tape format {version!r} != {TAPE_FORMAT_VERSION}")
+    names = ("ops", *_TAPE_SCALAR_FIELDS, *_TAPE_ARRAY_FIELDS)
+    missing = [name for name in names if name not in payload]
+    if missing:
+        raise ValueError(f"tape payload lacks {missing}")
+    kwargs: dict[str, Any] = {name: payload[name] for name in _TAPE_SCALAR_FIELDS}
+    bad = [name for name in _TAPE_COUNTS if not _is_count(kwargs[name])]
+    bad += [name for name in _TAPE_AMOUNTS if not is_amount(kwargs[name])]
+    if type(kwargs["workload_name"]) is not str:
+        bad.append("workload_name")
+    if bad:
+        raise ValueError(f"bad tape field(s) {bad}")
     nodes = kwargs["nodes"]
     recv_slots = kwargs["recv_slots"]
     per_rank = [payload["ops"], recv_slots, kwargs["disk_excess"]]
-    per_rank += [kwargs[name] for name in _TAPE_ARRAY_FIELDS]
-    if any(len(values) != nodes for values in per_rank):
+    per_rank += [payload[name] for name in _TAPE_ARRAY_FIELDS]
+    if any(type(values) is not list or len(values) != nodes for values in per_rank):
         raise ValueError(f"per-rank fields do not all have {nodes} entries")
+    if not all(map(_is_count, recv_slots)) or not all(
+        map(is_amount, kwargs["disk_excess"])
+    ):
+        raise ValueError("bad recv_slots or disk_excess")
+    for name in _TAPE_ARRAY_FIELDS:
+        arrays = [np.asarray(values) for values in payload[name]]
+        for arr in arrays:
+            if arr.dtype != np.float64 or arr.ndim != 1 or not np.all(
+                (arr >= 0.0) & (arr < np.inf)
+            ):
+                raise ValueError(f"{name}: not finite non-negative floats")
+        kwargs[name] = arrays
     ops: list[list[tuple]] = []
-    # Per rank, waited slots whose receive is not a wildcard.
     waited: list[set[int]] = []
     for rank, rank_ops in enumerate(payload["ops"]):
+        if type(rank_ops) is not list:
+            raise ValueError(f"rank {rank}: ops are not a list")
         rank_tuples: list[tuple] = []
         segs = slots = marks = 0
-        wildcards: set[int] = set()
         waits: set[int] = set()
         for raw in rank_ops:
-            op = tuple(raw)
-            code = op[0]
-            if _OP_ARITY.get(code) != len(op):
-                raise ValueError(f"rank {rank}: malformed op {op!r}")
+            op = tuple(raw) if type(raw) is list else ()
+            code = op[0] if op else None
+            if type(code) is not int or _OP_ARITY.get(code) != len(op):
+                raise ValueError(f"rank {rank}: malformed op {raw!r}")
             if code == _OP_COMPUTE:
-                if op[1] != segs:
+                if type(op[1]) is not int or op[1] != segs:
                     raise ValueError(
                         f"rank {rank}: segment {op[1]!r} where {segs} is next"
                     )
                 segs += 1
             elif code == _OP_SEND:
-                if not 0 <= op[1] < nodes or op[3] < 0:
+                _, dest, tag, nbytes, same = op
+                ok = _is_count(dest) and dest < nodes and same is (dest == rank)
+                if not (ok and _is_count(tag) and _is_count(nbytes)):
                     raise ValueError(f"rank {rank}: bad send {op!r}")
             elif code == _OP_RECV:
-                if op[3] != slots or not (
-                    op[1] == ANY_SOURCE or 0 <= op[1] < nodes
-                ):
+                _, source, tag, slot = op
+                ok = _is_count(source) and source < nodes and _is_count(tag)
+                if not (ok and type(slot) is int and slot == slots):
                     raise ValueError(f"rank {rank}: bad receive {op!r}")
-                if op[1] == ANY_SOURCE or op[2] == ANY_TAG:
-                    wildcards.add(slots)
                 slots += 1
             elif code == _OP_WAIT:
-                if not 0 <= op[1] < slots:
+                if type(op[1]) is not int or not 0 <= op[1] < slots:
                     raise ValueError(
                         f"rank {rank}: wait on slot {op[1]!r} with {slots} "
                         "posted"
                     )
                 waits.add(op[1])
             elif code == _OP_MARK:
-                if op[1] < 0 or (op[1] and not 1 <= op[2] <= marks):
+                _, skipped, period = op
+                if not (_is_count(skipped) and _is_count(period)) or (
+                    skipped and not 1 <= period <= marks
+                ):
                     raise ValueError(f"rank {rank}: bad jump mark {op!r}")
                 marks += 1
+            elif not all(map(is_amount, op[1:])):
+                # ELAPSE and DISK durations; DSPEED transition and watts.
+                raise ValueError(f"rank {rank}: bad duration {op!r}")
             rank_tuples.append(op)
         if slots != recv_slots[rank]:
             raise ValueError(
@@ -1569,15 +1501,16 @@ def tape_from_payload(cluster: ClusterSpec, payload: dict) -> Tape:
                 "segment arrays"
             )
         ops.append(rank_tuples)
-        waited.append(waits - wildcards)
-    for rank, slots_paired in enumerate(_pair_receives(ops)):
-        unpaired = waited[rank] - slots_paired.keys()
+        waited.append(waits)
+    pairing = _pair_receives(ops)
+    for rank, paired in enumerate(pairing):
+        unpaired = waited[rank] - paired.keys()
         if unpaired:
             raise ValueError(
                 f"rank {rank}: no send completes waited slot(s) "
                 f"{sorted(unpaired)}"
             )
-    return Tape(cluster=cluster, ops=ops, **kwargs)
+    return Tape(cluster=cluster, ops=ops, _pairing=pairing, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -9,38 +9,28 @@ Determinism guarantees:
 Performance: the heap holds plain ``(time, seq, callback)`` tuples,
 built by :meth:`Simulator.schedule` without any Python-level
 constructor, and :meth:`Simulator.run` drains the queue in a single
-fused loop with the metrics check hoisted out of the per-event path.
-Comparisons during sifting are C-level tuple comparisons that never
-reach the callback element because ``seq`` is unique.
-
-Observability: pass a :class:`repro.obs.registry.MetricsRegistry` as
-``metrics`` and the engine publishes ``sim.scheduled`` / ``sim.events``
-counters and a ``sim.clock_s`` gauge.  The default (``None``) selects
-the uninstrumented drain loop and changes no behaviour.
+fused loop.  Comparisons during sifting are C-level tuple comparisons
+that never reach the callback element because ``seq`` is unique.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.util.errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.obs.registry import MetricsRegistry
 
 
 class Simulator:
     """A discrete-event simulator with a float-seconds clock."""
 
-    def __init__(self, *, metrics: "MetricsRegistry | None" = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         # (time, seq, callback) entries; seq is unique per simulator.
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._processed = 0
-        self._metrics = metrics
 
     @property
     def now(self) -> float:
@@ -68,8 +58,6 @@ class Simulator:
                 f"cannot schedule at {at}: clock is already at {self._now}"
             )
         heapq.heappush(self._heap, (at, next(self._seq), callback))
-        if self._metrics is not None:
-            self._metrics.inc("sim.scheduled")
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after a non-negative delay."""
@@ -100,8 +88,6 @@ class Simulator:
                 f"cannot jump to {at}: event pending at {self._heap[0][0]}"
             )
         self._now = at
-        if self._metrics is not None:
-            self._metrics.set_gauge("sim.clock_s", at)
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
@@ -110,9 +96,6 @@ class Simulator:
         time, _seq, callback = heapq.heappop(self._heap)
         self._now = time
         self._processed += 1
-        if self._metrics is not None:
-            self._metrics.inc("sim.events")
-            self._metrics.set_gauge("sim.clock_s", self._now)
         callback()
         return True
 
@@ -130,35 +113,12 @@ class Simulator:
             raise SimulationError(
                 f"simulation exceeded {max_events} events without draining"
             )
-        if self._metrics is not None:
-            self._run_instrumented(max_events)
-            return
         pop = heapq.heappop
         executed = 0
         while heap:
             time, _seq, callback = pop(heap)
             self._now = time
             self._processed += 1
-            callback()
-            executed += 1
-            if executed == max_events and heap:
-                raise SimulationError(
-                    f"simulation exceeded {max_events} events without draining"
-                )
-
-    def _run_instrumented(self, max_events: int | None) -> None:
-        """The metrics-publishing drain loop (the slow path)."""
-        heap = self._heap
-        pop = heapq.heappop
-        metrics = self._metrics
-        assert metrics is not None
-        executed = 0
-        while heap:
-            time, _seq, callback = pop(heap)
-            self._now = time
-            self._processed += 1
-            metrics.inc("sim.events")
-            metrics.set_gauge("sim.clock_s", time)
             callback()
             executed += 1
             if executed == max_events and heap:

@@ -55,6 +55,18 @@ def _validated(value: float, name: str, *, allow_zero: bool = True) -> float:
     return value
 
 
+def is_amount(value: object) -> bool:
+    """Whether ``value`` is a finite, non-negative int or float.
+
+    Bools are excluded.  The type-strict check for a quantity read back
+    from untrusted data (a cache entry), where a string, NaN or negative
+    number would otherwise pass straight into a result.
+    """
+    return (type(value) is float or type(value) is int) and (
+        0 <= value < math.inf  # type: ignore[operator]
+    )
+
+
 def seconds(value: float) -> float:
     """Validate and return a non-negative, finite duration in seconds."""
     return _validated(value, "time (seconds)")

@@ -101,13 +101,23 @@ class TestProfileAccounting:
         assert pooled.ff_skipped_total > 0
 
     def test_pooled_sweep_folds_skips_into_parent_ledger(self, cluster):
-        config = FastForwardConfig(max_period=8)
-        tasks = [
-            MeasurementTask(cluster, Jacobi(), nodes=n, fast_forward=config)
-            for n in (1, 2)
-        ]
-        sweep(tasks, jobs=2, chunk_size=1)
-        assert config.aggregate.skipped_iterations > 0
+        # Workers mutate their own copy of the config; every field of
+        # the ledger must come back, under both backends (the batch
+        # one records in the pool's warm phase).
+        def ledger(backend, jobs):
+            config = FastForwardConfig(max_period=8)
+            tasks = [
+                MeasurementTask(cluster, Jacobi(), nodes=n, fast_forward=config)
+                for n in (1, 2)
+            ]
+            sweep(tasks, jobs=jobs, chunk_size=1, backend=backend)
+            return config.aggregate
+
+        for backend in ("event", "batch"):
+            serial = ledger(backend, 1)
+            assert serial.jumps > 0
+            assert serial.skipped_iterations > 0
+            assert ledger(backend, 2) == serial
 
     def test_unconfigured_tasks_report_zero_skips(self, cluster):
         profile = ExecProfile()

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec import Executor
+from repro.mpi import FastForwardConfig
 from repro.experiments import (
     figure1,
     figure2,
@@ -41,6 +42,9 @@ from repro.reporting import result_to_dict
 GOLDEN_SCALE = 0.05
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+#: Relative tolerance of batch artifacts against the event goldens.
+BATCH_RTOL = 1e-9
 
 EXPERIMENTS = {
     "figure1": figure1,
@@ -120,6 +124,47 @@ def test_chunked_parallel_batch_artifact_matches_serial_batch(name):
     assert pooled == serial, (
         f"{name}: chunked parallel batch artifact differs from serial batch"
     )
+
+
+def _assert_close(golden, got, path=""):
+    """Same structure and non-float values; floats within BATCH_RTOL."""
+    if isinstance(golden, float) or isinstance(got, float):
+        numeric = (int, float)
+        assert type(golden) in numeric and type(got) in numeric, path
+        scale = max(abs(golden), abs(got))
+        assert abs(golden - got) <= BATCH_RTOL * scale, (
+            f"{path}: golden {golden!r}, batch {got!r}"
+        )
+    elif isinstance(golden, dict):
+        assert isinstance(got, dict) and golden.keys() == got.keys(), path
+        for key in golden:
+            _assert_close(golden[key], got[key], f"{path}/{key}")
+    elif isinstance(golden, list):
+        assert isinstance(got, list) and len(golden) == len(got), path
+        for index, (ours, theirs) in enumerate(zip(golden, got)):
+            _assert_close(ours, theirs, f"{path}/{index}")
+    else:
+        assert type(golden) is type(got) and golden == got, path
+
+
+@pytest.mark.parametrize("fast_forward", [False, True], ids=["plain", "ff"])
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_batch_artifact_matches_golden(name, fast_forward):
+    """The batch backend reproduces each event golden to 1e-9.
+
+    Plain recordings and fast-forward recordings both: batch results are
+    checked against the event engine's own artifacts, not only against
+    other batch runs.
+    """
+    path = GOLDEN_DIR / f"{name}.json"
+    if not path.exists():
+        pytest.skip(f"golden {path.name} not generated yet")
+    executor = Executor(
+        backend="batch",
+        fast_forward=FastForwardConfig() if fast_forward else None,
+    )
+    got = json.loads(render_artifact(name, executor=executor))
+    _assert_close(json.loads(path.read_text()), got)
 
 
 def test_regeneration_is_deterministic():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs import NULL_REGISTRY, MetricsRegistry, NullRegistry
+from repro.obs import MetricsRegistry
 from repro.util.errors import ConfigurationError
 
 names = st.sampled_from(["a", "b.c", "run.CG-n1-g1.time_s", "sim.events"])
@@ -99,18 +99,3 @@ class TestMerge:
         assert a.counter("n") == 3.0
         assert a.gauge("g") == 5.0
         assert a.series("s") == [(0.0, 1.0), (1.0, 2.0)]
-
-
-class TestNullRegistry:
-    def test_discards_everything(self):
-        NULL_REGISTRY.inc("c", 5.0)
-        NULL_REGISTRY.set_gauge("g", 1.0)
-        NULL_REGISTRY.observe("s", 0.0, 1.0)
-        assert NULL_REGISTRY.counter("c") == 0.0
-        assert NULL_REGISTRY.gauge("g") is None
-        assert NULL_REGISTRY.series("s") == []
-        assert len(NULL_REGISTRY) == 0
-
-    def test_enabled_flags(self):
-        assert MetricsRegistry().enabled is True
-        assert NullRegistry().enabled is False

@@ -4,9 +4,10 @@ The contract under test: a gear grid revalued from one recorded tape
 (:mod:`repro.sim.batch`) agrees with independent event-engine runs to
 1e-9 relative across every workload in the suite, composing with
 steady-state fast-forward on the recording; and any certification
-failure — a signature deviation during the recording, for instance —
-refuses the tape loudly, so the exec layer's fallback reruns the points
-on the event engine, bitwise what a plain sweep produces.
+failure — a wildcard receive, or a signature deviation during a
+recording that fast-forwards — refuses the tape loudly, so the exec
+layer's fallback reruns the points on the event engine, bitwise what a
+plain sweep produces.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from repro.sim.batch import (
     BatchUnsupported,
     ReplayStats,
     _column_measurement,
-    _compiled,
     _duration_grid,
     _measure_gear,
+    _plans_of,
     _rollup_vector,
     _vector_walk,
     batch_gear_grid,
@@ -193,7 +194,7 @@ class TestVectorizedReplay:
         tape = record_tape(cluster, Jacobi(0.2), nodes=4, gear=1)
         stats = ReplayStats()
         replay_grid(tape, [3], stats=stats)
-        assert tape._compiled is None
+        assert tape._plans is None
         assert stats.scalar_gears == 1
         assert stats.fallback_reasons == ["single_column"]
 
@@ -209,7 +210,7 @@ class TestVectorizedReplay:
         assert tape.recording_queued > 0
         stats = ReplayStats()
         replay_grid(tape, list(ALL_GEARS), stats=stats)
-        assert tape._compiled is None
+        assert tape._plans is None
         assert stats.scalar_gears == len(ALL_GEARS)
         assert stats.fallback_reasons == [
             f"recording_queued({tape.recording_queued})"
@@ -345,7 +346,7 @@ class TestContentionCheck:
         # whose walk replay_grid skips.
         dur_grid = _duration_grid(tape, gears)
         finish, phases, contended = _vector_walk(
-            tape, _compiled(tape), dur_grid
+            tape, _plans_of(tape), dur_grid
         )
         rollup = _rollup_vector(tape, gears, dur_grid, finish, phases)
         events = [
@@ -393,27 +394,90 @@ class TestContentionCheck:
             assert _rel(measurement.time, event.time) <= RTOL
             assert _rel(measurement.energy, event.energy) <= RTOL
 
-    def test_wildcard_receive_skips_the_walk(self):
+    def test_wildcard_receive_is_rejected(self):
         rounds = [([(1.0e6, 0.0)] * 3, [(0, 2, 512), (1, 2, 4096)])]
         cluster = _pool_cluster(2)
         workload = _Exchange(rounds, wildcard=True)
-        tape = record_tape(cluster, workload, nodes=3, gear=1)
-        stats = ReplayStats()
-        out = replay_grid(tape, list(ALL_GEARS), stats=stats)
-        assert stats.fallback_reasons == ["wildcard_recv(2)"]
-        assert stats.scalar_gears == len(ALL_GEARS)
-        for gear, measurement in zip(ALL_GEARS, out):
-            event = run_workload(cluster, workload, nodes=3, gear=gear)
-            assert _rel(measurement.time, event.time) <= RTOL
+        with pytest.raises(BatchUnsupported, match="wildcard receive"):
+            record_tape(cluster, workload, nodes=3, gear=1)
+
+
+class _FirstComeServed(Workload):
+    """Rank 0 serves whichever of ranks 1 and 2 reports first.
+
+    Rank 1's report follows CPU-bound work, which slows with the gear;
+    rank 2's follows memory-bound work, which barely does.  So rank 1
+    reports first at the fastest gears and rank 2 at the slower ones,
+    and rank 0's own work — long if rank 1 came first, short otherwise
+    — depends on the gear through its wildcard receive.
+    """
+
+    def __init__(self):
+        self.spec = WorkloadSpec(
+            name="FirstComeServed",
+            iterations=1,
+            total_uops=4.5e8,
+            upm=80.0,
+            miss_latency=25e-9,
+            serial_fraction=0.0,
+            paper_comm_class=CommScheme.CONSTANT,
+            description="first-come-served wildcard receives",
+        )
+
+    def program(self, comm: Comm) -> Program:
+        if comm.rank == 0:
+            first = yield from comm.recv(ANY_SOURCE, tag=0)
+            yield from comm.recv(ANY_SOURCE, tag=0)
+            yield from comm.compute(4.0e8 if first == 1 else 1.0e6)
+        elif comm.rank == 1:
+            yield from comm.compute(5.0e7)
+            yield from comm.send(0, nbytes=8, tag=0, payload=1)
+        else:
+            yield from comm.compute(1.0e5, 4.0e5)
+            yield from comm.send(0, nbytes=8, tag=0, payload=2)
+        return None
+
+
+class TestWildcardReceivesFallBack:
+    """A wildcard receive's match depends on arrival order, which the
+    gear changes, so its tape must fall back to the event engine."""
+
+    def test_recording_is_rejected(self):
+        with pytest.raises(BatchUnsupported, match="wildcard receive"):
+            record_tape(athlon_cluster(), _FirstComeServed(), nodes=3, gear=1)
+
+    def test_exec_fallback_is_bitwise_event(self):
+        """The batch sweep's fallback results ARE event results.
+
+        Not 1e-9-close: the fallback literally reruns ``task.run()``, so
+        every float must compare equal.  A replay of the gear-1 tape
+        would serve rank 1 first at every gear, and so come back several
+        times too slow at gears 3-6.
+        """
+        from repro.exec import BatchReport, sweep
+        from repro.exec.tasks import MeasurementTask
+
+        cluster = athlon_cluster()
+        tasks = [
+            MeasurementTask(cluster, _FirstComeServed(), nodes=3, gear=g)
+            for g in ALL_GEARS
+        ]
+        report = BatchReport()
+        batch_results = sweep(tasks, backend="batch", batch_report=report)
+        event_results = [task.run() for task in tasks]
+        assert report.fallback_points == len(tasks)
+        assert "wildcard receive" in report.fallbacks[0].reason
+        for ours, theirs in zip(batch_results, event_results):
+            assert ours == theirs
 
 
 class _DeviatingRing(Workload):
     """A ring workload whose iteration ``deviate_at`` does extra work.
 
     Every other iteration repeats the same compute + ring-exchange
-    signature, so the recording's observe-only fast-forward establishes
-    a reference pattern — which the perturbed iteration then breaks,
-    registering a signature deviation that must reject the tape.
+    signature, so a recording that watches signatures establishes a
+    reference pattern, which the perturbed iteration then breaks.  The
+    request stream itself is gear-invariant all the same.
     """
 
     BASE_ITERATIONS = 16
@@ -454,7 +518,8 @@ class _DeviatingRing(Workload):
 
 
 class TestDeviationForcesExactFallback:
-    """A broken steady pattern must never ship through the tape."""
+    """A broken steady pattern never ships through a jumping recording,
+    and never stops a plain one."""
 
     @given(
         deviate_at=st.integers(min_value=4, max_value=14),
@@ -462,38 +527,31 @@ class TestDeviationForcesExactFallback:
     )
     @settings(max_examples=10, deadline=None)
     def test_recording_deviation_rejects_the_tape(self, deviate_at, extra):
-        cluster = athlon_cluster()
+        # A config that watches signatures but never jumps, so the
+        # deviation is seen whatever iteration it falls on.
+        config = FastForwardConfig(min_jump=1_000_000_000)
         workload = _DeviatingRing(deviate_at=deviate_at, extra=extra)
         with pytest.raises(BatchUnsupported, match="deviation"):
-            record_tape(cluster, workload, nodes=2, gear=1)
+            record_tape(
+                athlon_cluster(), workload, nodes=2, gear=1, fast_forward=config
+            )
 
     @given(
         deviate_at=st.integers(min_value=4, max_value=14),
-        extra=st.sampled_from((0.25, 2.0)),
+        extra=st.sampled_from((0.25, 2.0, 3.0)),
     )
-    @settings(max_examples=6, deadline=None)
-    def test_exec_fallback_is_bitwise_event(self, deviate_at, extra):
-        """The batch sweep's fallback results ARE event results.
-
-        Not 1e-9-close: the fallback literally reruns ``task.run()``, so
-        every float must compare equal.
-        """
-        from repro.exec import BatchReport, sweep
-        from repro.exec.tasks import MeasurementTask
-
+    @settings(max_examples=10, deadline=None)
+    def test_plain_recording_replays_every_gear(self, deviate_at, extra):
+        # Periodicity is not the certificate: without a fast-forward
+        # config the deviating ring records plainly and replays exactly.
         cluster = athlon_cluster()
         workload = _DeviatingRing(deviate_at=deviate_at, extra=extra)
-        tasks = [
-            MeasurementTask(cluster, workload, nodes=2, gear=g)
-            for g in (1, 3, 6)
-        ]
-        report = BatchReport()
-        batch_results = sweep(tasks, backend="batch", batch_report=report)
-        event_results = [task.run() for task in tasks]
-        assert report.fallbacks, "the deviating group must be logged"
-        assert report.fallback_points == len(tasks)
-        assert "deviation" in report.fallbacks[0].reason
-        for ours, theirs in zip(batch_results, event_results):
-            assert ours.time == theirs.time
-            assert ours.energy == theirs.energy
-            assert ours.active_time == theirs.active_time
+        tape = record_tape(cluster, workload, nodes=2, gear=1)
+        grid = replay_grid(tape, list(ALL_GEARS))
+        scalar = replay_grid(tape, list(ALL_GEARS), mode="scalar")
+        for gear, walked, reference in zip(ALL_GEARS, grid, scalar):
+            event = run_workload(cluster, workload, nodes=2, gear=gear)
+            for replayed in (walked, reference):
+                assert _rel(event.time, replayed.time) <= RTOL
+                assert _rel(event.energy, replayed.energy) <= RTOL
+                assert _rel(event.active_time, replayed.active_time) <= RTOL

@@ -103,27 +103,6 @@ class TestGuards:
         sim.run(max_events=None)  # the event is still there and runnable
         assert sim.processed == 1
 
-    def test_max_events_exact_on_instrumented_loop(self):
-        from repro.obs.registry import MetricsRegistry
-
-        sim = Simulator(metrics=MetricsRegistry())
-        for i in range(5):
-            sim.schedule(float(i), lambda: None)
-        sim.run(max_events=5)
-        assert sim.processed == 5
-
-        sim = Simulator(metrics=MetricsRegistry())
-        fired = []
-
-        def rearm():
-            fired.append(sim.now)
-            sim.schedule_after(1.0, rearm)
-
-        sim.schedule(0.0, rearm)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=5)
-        assert len(fired) == 5
-
     def test_step_returns_false_when_drained(self):
         sim = Simulator()
         assert sim.step() is False

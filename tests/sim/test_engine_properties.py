@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.util.errors import SimulationError
 
@@ -114,17 +113,3 @@ def test_callbacks_scheduling_more_events_keep_accounting_exact(times, extra):
     assert len(fired) == total
     assert sim.processed == total
     assert sim.pending == 0
-
-
-@given(times=tied_times)
-@settings(max_examples=25)
-def test_metrics_hook_counts_every_event_without_changing_order(times):
-    plain, metered = Simulator(), Simulator(metrics=(reg := MetricsRegistry()))
-    orders: list[list[int]] = [[], []]
-    for sim, order in zip((plain, metered), orders):
-        for i, at in enumerate(times):
-            sim.schedule(at, lambda order=order, i=i: order.append(i))
-        sim.run()
-    assert orders[0] == orders[1]
-    assert reg.counter("sim.events") == len(times)
-    assert reg.counter("sim.scheduled") == len(times)
