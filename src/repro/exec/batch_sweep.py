@@ -38,7 +38,7 @@ are handled as a stage of their own:
   token, and the tape format version.  Later sweeps (same process or
   not) deserialize instead of re-recording; the replay-time self-check
   still runs on every loaded tape, so a stale or corrupt entry rejects
-  itself into the exact event fallback.
+  itself: it is discarded and the group records afresh.
 - **Parallel recording** — with ``jobs > 1`` the missing tapes are
   recorded first, one pool task per distinct tape key, before any unit
   chunk is dispatched (:func:`_warm_tapes`); units then load their tape
@@ -182,10 +182,9 @@ class BatchReport:
     ) -> None:
         """Account one sweep's units before anything runs.
 
-        Tape hits and misses are counted per distinct tape (cross-kind
-        units can share one) in the parent — workers rebuild their own
-        cache handles, so their :class:`~repro.exec.cache.CacheStats`
-        never travel back.
+        Tape hits and misses are counted once the units have run, per
+        distinct tape (cross-kind units can share one), by
+        :meth:`count_tapes`.
         """
         for unit in units:
             if unit.batch:
@@ -193,14 +192,26 @@ class BatchReport:
                 self.grouped_points += len(unit.tasks)
             else:
                 self.passthrough_points += len(unit.tasks)
-        if tape_cache is None:
-            return
-        self.tape_cache_enabled = True
-        for key in dict.fromkeys(unit.tape_key for unit in units if unit.batch):
-            if tape_cache.contains(key):  # type: ignore[arg-type]
-                self.tape_hits += 1
-            else:
-                self.tape_misses += 1
+        if tape_cache is not None:
+            self.tape_cache_enabled = True
+
+    def count_tapes(self, units: Sequence[_Unit], loaded: Sequence[bool]) -> None:
+        """Count each distinct tape of ``units`` as a hit or a miss.
+
+        ``loaded[i]`` says whether unit ``i`` replayed a tape it loaded
+        from the store; the first unit of each tape, in sweep order,
+        decides.  A tape invalidated at load, or discarded after failing
+        its replay, was recorded afresh and is a miss.  Counted in the
+        parent — workers rebuild their own cache handles, so their
+        :class:`~repro.exec.cache.CacheStats` never travel back.
+        """
+        first: dict[str, bool] = {}
+        for unit, hit in zip(units, loaded):
+            if unit.batch:
+                first.setdefault(unit.tape_key, hit)  # type: ignore[arg-type]
+        hits = sum(first.values())
+        self.tape_hits += hits
+        self.tape_misses += len(first) - hits
 
     def summary(self) -> str:
         """One human-readable summary for CLI/bench reporting.
@@ -314,8 +325,8 @@ def _load_tape(task: SimTask, tapes: TapeCache, key: str) -> Any | None:
     prevented, hand-edited entry) is a miss counted in
     ``tapes.stats.invalidated`` — the caller re-records.  A payload that
     decodes but no longer matches its recording totals is caught later
-    by the replay self-check, which rejects the whole tape into the
-    event fallback.
+    by the replay self-check; :func:`_run_unit` then discards it and
+    re-records likewise.
     """
     from repro.sim.batch import tape_from_payload
 
@@ -380,59 +391,81 @@ def _record_tape_job(
 
 def _run_unit(
     unit: _Unit, tapes: TapeCache | None
-) -> tuple[list[Any], str | None, float, float]:
+) -> tuple[list[Any], str | None, float, float, bool]:
     """Execute one batch group.
 
     Returns (results in task order, fallback reason, recording seconds,
-    replay seconds).  Any :class:`~repro.sim.batch.BatchUnsupported` —
-    from certification, from the recording-gear self-check, or carried
-    in as ``prefail`` from the parallel-recording phase — downgrades
-    the whole unit to per-point event-engine runs, which are exact by
-    definition.  With a tape store available the recording is loaded
-    from it when present and stored into it when fresh.
+    replay seconds, whether the tape replayed was loaded from the
+    store).  Any :class:`~repro.sim.batch.BatchUnsupported` — from
+    certification, from the recording-gear self-check of a fresh
+    recording, or carried in as ``prefail`` from the parallel-recording
+    phase — downgrades the whole unit to per-point event-engine runs,
+    which are exact by definition.  With a tape store available the
+    recording is loaded from it when present and stored into it when
+    fresh.  A loaded tape that fails its replay is discarded, counted in
+    ``tapes.stats.invalidated``, and recorded afresh once, so a stale
+    entry costs one recording instead of a fallback on every sweep; the
+    failed replay's seconds still count as replay.
     """
-    from repro.sim.batch import BatchUnsupported, batch_gear_grid, batch_gear_sweep
+    from repro.sim.batch import BatchUnsupported
 
     tasks = unit.tasks
     if unit.prefail is not None:
-        return [task.run() for task in tasks], unit.prefail, 0.0, 0.0
+        return [task.run() for task in tasks], unit.prefail, 0.0, 0.0, False
     first = tasks[0]
     key: str = unit.tape_key  # type: ignore[assignment]
-    record_s = 0.0
+    record_s = replay_s = 0.0
     try:
-        tape = None
-        if tapes is not None:
-            tape = _load_tape(first, tapes, key)
-        if tape is None:
-            rec_start = time.perf_counter()
-            tape = _record_tape(first, _recording_gear(first), tapes, key)
-            record_s = time.perf_counter() - rec_start
-        replay_start = time.perf_counter()
-        if type(first) is GearSweepTask:
-            results: list[Any] = [
-                batch_gear_sweep(
-                    first.cluster,
-                    first.workload,
-                    nodes=first.nodes,
-                    gears=first.gears,
-                    fast_forward=first.fast_forward,
-                    tape=tape,
-                )
-            ]
-        else:
-            results = list(
-                batch_gear_grid(
-                    first.cluster,  # type: ignore[attr-defined]
-                    first.workload,  # type: ignore[attr-defined]
-                    nodes=first.nodes,  # type: ignore[attr-defined]
-                    gears=[t.gear for t in tasks],  # type: ignore[union-attr]
-                    fast_forward=getattr(first, "fast_forward", None),
-                    tape=tape,
-                )
-            )
-        return results, None, record_s, time.perf_counter() - replay_start
+        tape = _load_tape(first, tapes, key) if tapes is not None else None
+        if tape is not None:
+            start = time.perf_counter()
+            try:
+                results = _replay_unit(tasks, tape)
+                return results, None, 0.0, time.perf_counter() - start, True
+            except BatchUnsupported:
+                tapes.discard(key)  # type: ignore[union-attr]
+                replay_s = time.perf_counter() - start
+        start = time.perf_counter()
+        tape = _record_tape(first, _recording_gear(first), tapes, key)
+        record_s = time.perf_counter() - start
+        start = time.perf_counter()
+        results = _replay_unit(tasks, tape)
+        replay_s += time.perf_counter() - start
+        return results, None, record_s, replay_s, False
     except BatchUnsupported as exc:
-        return [task.run() for task in tasks], str(exc), record_s, 0.0
+        return [task.run() for task in tasks], str(exc), record_s, replay_s, False
+
+
+def _replay_unit(tasks: list[SimTask], tape: Any) -> list[Any]:
+    """Revalue one batch group's grid from its tape (see :func:`_run_unit`).
+
+    Raises:
+        BatchUnsupported: the replay failed, its self-check included.
+    """
+    from repro.sim.batch import batch_gear_grid, batch_gear_sweep
+
+    first = tasks[0]
+    if type(first) is GearSweepTask:
+        return [
+            batch_gear_sweep(
+                first.cluster,
+                first.workload,
+                nodes=first.nodes,
+                gears=first.gears,
+                fast_forward=first.fast_forward,
+                tape=tape,
+            )
+        ]
+    return list(
+        batch_gear_grid(
+            first.cluster,  # type: ignore[attr-defined]
+            first.workload,  # type: ignore[attr-defined]
+            nodes=first.nodes,  # type: ignore[attr-defined]
+            gears=[t.gear for t in tasks],  # type: ignore[union-attr]
+            fast_forward=getattr(first, "fast_forward", None),
+            tape=tape,
+        )
+    )
 
 
 def _missing_tapes(

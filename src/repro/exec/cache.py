@@ -188,6 +188,14 @@ class ResultCache:
         self.stats.stores += 1
         return path
 
+    def discard(self, key: str) -> None:
+        """Delete the entry under ``key``, counted as invalidated.
+
+        For an entry that loaded but proved wrong in use, such as a tape
+        that fails its replay self-check; the next lookup misses.
+        """
+        self._discard(self._entry_path(key))
+
     def _invalid(self, path: Path) -> None:
         """Discard an entry that failed to load; the lookup is a miss."""
         self._discard(path)

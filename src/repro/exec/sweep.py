@@ -131,8 +131,11 @@ class _Outcome(NamedTuple):
     wall_s: float
     #: Fast-forward ledger delta of the unit's config (None without one).
     ff: FastForwardStats | None
-    #: Tape-cache entries that failed to load and were re-recorded.
+    #: Tape-cache entries discarded (failed to load or to replay) and
+    #: re-recorded.
     tapes_invalidated: int
+    #: Whether the unit replayed a tape loaded from the store.
+    tape_loaded: bool
 
 
 class _ChunkPointError(Exception):
@@ -173,19 +176,24 @@ def _run_chunk(
             elif observer is not None:
                 # Only pass the observer when one is attached: tasks that
                 # predate observability keep their plain run() signature.
-                done = [unit.tasks[0].run(observer=observer)], None, 0.0, 0.0
+                done = [unit.tasks[0].run(observer=observer)], None, 0.0, 0.0, False
             else:
-                done = [unit.tasks[0].run()], None, 0.0, 0.0
+                done = [unit.tasks[0].run()], None, 0.0, 0.0, False
         except Exception as exc:
             raise _ChunkPointError(index, exc) from exc
+        results, fallback, record_s, replay_s, loaded = done
         runs.append(
             _Outcome(
-                *done,
+                results,
+                fallback,
+                record_s,
+                replay_s,
                 wall_s=time.perf_counter() - start,
                 ff=_ff_delta(unit.tasks[0], ledger),
                 tapes_invalidated=(
                     tapes.stats.invalidated - invalidated if tapes else 0
                 ),
+                tape_loaded=loaded,
             )
         )
     if not runs:
@@ -401,6 +409,8 @@ def sweep(
                 )
             )
     if report is not None:
+        if tape_cache is not None:
+            report.count_tapes(units, [outcome.tape_loaded for outcome in outcomes])
         report.merge_s += time.perf_counter() - merge_start
     if profile is not None:
         profile.wall_s += time.perf_counter() - sweep_start
@@ -454,5 +464,8 @@ def _run_pool(
                 raise _point_error(chunk[0].tasks[0], exc) from exc
             for unit, outcome in zip(chunk, chunk_outcomes):
                 _merge_ff(unit.tasks[0], outcome.ff)
-            outcomes.extend(chunk_outcomes)
+                if unit.tape_key in missing:
+                    # The warm phase recorded the tape this unit loaded.
+                    outcome = outcome._replace(tape_loaded=False)
+                outcomes.append(outcome)
     return outcomes

@@ -16,6 +16,7 @@ from repro.mpi.requests import (
     ANY_TAG,
     Compute,
     Elapse,
+    Exchange,
     Handle,
     Irecv,
     Isend,
@@ -36,6 +37,7 @@ __all__ = [
     "ANY_TAG",
     "Compute",
     "Elapse",
+    "Exchange",
     "Handle",
     "Irecv",
     "Isend",

@@ -1,7 +1,11 @@
 """Collective algorithms, built from point-to-point messages.
 
-Each algorithm is a generator over the raw request vocabulary so the cost
-of a collective emerges from the same message timing as everything else.
+Each algorithm is a generator over the request vocabulary so the cost of
+a collective emerges from the same message timing as everything else.
+A round that both sends and receives (barrier, recursive-doubling
+allreduce, both allgathers, alltoall) is one
+:class:`~repro.mpi.requests.Exchange`; the tree and linear algorithms
+move data one way per round, with ``Isend``/``Irecv`` and ``Wait``.
 Defaults follow the classic MPICH choices of the paper's era:
 
 - broadcast / reduce: binomial tree — ``ceil(log2 P)`` rounds;
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
-from repro.mpi.requests import Irecv, Isend, Wait
+from repro.mpi.requests import Exchange, Irecv, Isend, Wait
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -57,9 +61,7 @@ def barrier(comm: "Comm", tag: int) -> Op:
     while step < size:
         dest = (rank + step) % size
         source = (rank - step) % size
-        recv_handle = yield Irecv(source, tag)
-        yield from _send(dest, tag, HEADER_BYTES)
-        yield Wait(recv_handle)
+        yield Exchange(dest, source, tag, HEADER_BYTES)
         step <<= 1
 
 
@@ -158,9 +160,7 @@ def allreduce_recursive_doubling(
     mask = 1
     while mask < size:
         peer = rank ^ mask
-        recv_handle = yield Irecv(peer, tag)
-        yield from _send(peer, tag, nbytes, accumulated)
-        other = yield Wait(recv_handle)
+        other = yield Exchange(peer, peer, tag, nbytes, accumulated)
         # Combine in rank order so non-commutative ops are deterministic.
         if peer < rank:
             accumulated = op(other, accumulated)
@@ -212,9 +212,9 @@ def allgather_ring(comm: "Comm", value: Any, nbytes: int, tag: int) -> Op:
     left = (rank - 1) % size
     carried_index = rank
     for _ in range(size - 1):
-        recv_handle = yield Irecv(left, tag)
-        yield from _send(right, tag, nbytes, (carried_index, values[carried_index]))
-        carried_index, carried_value = yield Wait(recv_handle)
+        carried_index, carried_value = yield Exchange(
+            right, left, tag, nbytes, (carried_index, values[carried_index])
+        )
         values[carried_index] = carried_value
     return values
 
@@ -228,9 +228,9 @@ def allgather_recursive_doubling(comm: "Comm", value: Any, nbytes: int, tag: int
     mask = 1
     while mask < size:
         peer = rank ^ mask
-        recv_handle = yield Irecv(peer, tag)
-        yield from _send(peer, tag, nbytes * len(values), dict(values))
-        values.update((yield Wait(recv_handle)))
+        values.update(
+            (yield Exchange(peer, peer, tag, nbytes * len(values), dict(values)))
+        )
         mask <<= 1
     return [values[i] for i in range(size)]
 
@@ -251,9 +251,9 @@ def alltoall(
             (rank + round_index) % size
         )
         source = peer if (size & (size - 1)) == 0 else ((rank - round_index) % size)
-        recv_handle = yield Irecv(source, tag + round_index)
-        yield from _send(peer, tag + round_index, nbytes, values[peer])
-        received[source] = yield Wait(recv_handle)
+        received[source] = yield Exchange(
+            peer, source, tag + round_index, nbytes, values[peer]
+        )
     return received
 
 

@@ -28,6 +28,7 @@ from repro.mpi.requests import (
     Compute,
     DiskIO,
     Elapse,
+    Exchange,
     Handle,
     Irecv,
     Isend,
@@ -190,16 +191,16 @@ class Comm:
         tag: int = 0,
         payload: Any = None,
     ) -> Op:
-        """Simultaneous send and receive (no deadlock); returns recv payload."""
-        yield TraceMark("sendrecv", "begin", send_bytes)
-        recv_handle = yield from self.irecv(source, tag=tag)
-        send_handle = yield from self.isend(
-            dest, nbytes=send_bytes, tag=tag, payload=payload
-        )
-        value = yield from self.wait(recv_handle)
-        yield from self.wait(send_handle)
-        yield TraceMark("sendrecv", "end")
-        return value
+        """Simultaneous send and receive (no deadlock); returns recv payload.
+
+        One :class:`~repro.mpi.requests.Exchange` request: the runtime
+        posts the receive from ``source``, injects the send to ``dest``,
+        then waits on the receive and the send, all inside one traced
+        ``"sendrecv"`` call.  ``source`` may be ``ANY_SOURCE``.
+        """
+        self._check_user_tag(tag)
+        request = Exchange(dest, source, tag, send_bytes, payload, True)
+        return (yield request)
 
     # ------------------------------------------------------------------
     # Collectives (each traced as one logical call)

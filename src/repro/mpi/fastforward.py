@@ -106,6 +106,7 @@ from repro.mpi.requests import (
     Compute,
     DiskIO,
     Elapse,
+    Exchange,
     Irecv,
     Isend,
     IterationMark,
@@ -286,6 +287,14 @@ def _enc_wait(rt: "_RankRuntime", r: Wait) -> tuple[tuple, bool]:
     return ("W", h.kind, h.peer, _norm_tag(h.tag)), True
 
 
+def _enc_exchange(rt: "_RankRuntime", r: Exchange) -> tuple[tuple, bool]:
+    # Every field but the payload fixes the Irecv/Isend/Wait/TraceMark
+    # sequence the exchange stands for.  The one field of that sequence
+    # not known here, a wildcard receive's peer at its wait, the runtime
+    # signs at the wait (World._exchange_waits).
+    return ("X", r.dest, r.source, _norm_tag(r.tag), r.nbytes, r.sendrecv), True
+
+
 def _enc_set_gear(rt: "_RankRuntime", r: SetGear) -> tuple[tuple, bool]:
     return ("G", r.gear_index), False
 
@@ -317,6 +326,7 @@ _ENCODERS = {
     Isend: _enc_isend,
     Irecv: _enc_irecv,
     Wait: _enc_wait,
+    Exchange: _enc_exchange,
     SetGear: _enc_set_gear,
     Elapse: _enc_elapse,
     DiskIO: _enc_disk_io,

@@ -14,12 +14,17 @@ Now           read the simulated clock                       float seconds
 Isend         post an eager asynchronous send                Handle
 Irecv         post a receive                                 Handle
 Wait          block until a handle completes                 recv payload
+Exchange      receive and send at once, waiting on both      recv payload
 TraceMark     bracket a logical (collective) operation       None
 IterationMark declare an iteration boundary (fast-forward)   int skipped
 ============  =============================================  ==============
 
 Workload code normally goes through :class:`repro.mpi.comm.Comm` instead
-of yielding these directly.
+of yielding these directly.  ``Comm.sendrecv`` and every round of the
+exchanging collectives (barrier, recursive-doubling allreduce, the
+allgathers, alltoall) are one :class:`Exchange` each; it performs
+exactly the ``Irecv``/``Isend``/``Wait``/``TraceMark`` sequence the
+runtime would otherwise be handed one request at a time.
 """
 
 from __future__ import annotations
@@ -194,6 +199,57 @@ class Wait(NamedTuple):
     """Block until the handle completes; resumes with its payload."""
 
     handle: Handle
+
+
+class Exchange(
+    NamedTuple(
+        "Exchange",
+        [
+            ("dest", int),
+            ("source", int),
+            ("tag", int),
+            ("nbytes", int),
+            ("payload", Any),
+            ("sendrecv", bool),
+        ],
+    )
+):
+    """Post a receive, inject an eager send, and wait on both.
+
+    The receive is from ``source`` (``ANY_SOURCE`` allowed) and the send
+    of ``nbytes`` carries ``payload`` to ``dest``; both use ``tag``.  The
+    rank resumes once, with the received payload, and its trace, meter
+    and timing are those of the equivalent raw requests: ``Irecv``,
+    ``Isend``, then a ``Wait`` on each handle.  Two shapes exist:
+
+    - ``sendrecv=True``, for ``Comm.sendrecv``: its own ``"sendrecv"``
+      call, bracketed like a ``TraceMark`` pair, waiting on the receive
+      and then the send;
+    - ``sendrecv=False`` (the default), for a collective round: nested
+      in its collective's bracket, waiting on the send and then the
+      receive.
+
+    The order matters to the trace: the send's zero-length wait lands at
+    the inject time in a round and at the receive's completion in a
+    ``sendrecv``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        dest: int,
+        source: int,
+        tag: int,
+        nbytes: int,
+        payload: Any = None,
+        sendrecv: bool = False,
+    ) -> "Exchange":
+        if nbytes < 0:
+            raise ConfigurationError(f"nbytes must be >= 0, got {nbytes}")
+        if tag < 0:
+            raise ConfigurationError(f"exchange tag must be >= 0, got {tag}")
+        return tuple.__new__(cls, (dest, source, tag, nbytes, payload, sendrecv))
 
 
 class IterationMark(NamedTuple("IterationMark", [("index", int), ("total", int)])):

@@ -45,6 +45,7 @@ from repro.mpi.requests import (
     Compute,
     DiskIO,
     Elapse,
+    Exchange,
     Handle,
     Irecv,
     Isend,
@@ -118,6 +119,11 @@ class _RankRuntime:
         # the World sets it) and the value its pending resume delivers.
         self.wake: Callable[[], None] | None = None
         self.resume_value: Any = _NO_RESUME
+        # The exchange the rank is blocked inside, whose continuation
+        # runs at its next resume, and the exchange's receive while its
+        # waits are still to run (None once it waits on the receive).
+        self.exchange: Exchange | None = None
+        self.exchange_recv: Handle | None = None
 
 
 @dataclass
@@ -195,11 +201,10 @@ class WorldResult:
 def _describe(blocked_on: object) -> str:
     """Deadlock text for what a rank blocked on.
 
-    Waits block with their request, so the text is only built here.
+    Waits block with their handle, so the text is only built here.
     """
-    if isinstance(blocked_on, Wait):
-        handle = blocked_on.handle
-        return f"wait_{handle.kind}(peer={handle.peer}, tag={handle.tag})"
+    if isinstance(blocked_on, Handle):
+        return f"wait_{blocked_on.kind}(peer={blocked_on.peer}, tag={blocked_on.tag})"
     return str(blocked_on or "unknown")
 
 
@@ -348,8 +353,14 @@ class World:
         escaping exception, BLOCKED set by the handler that blocks.
         Each handler returns the value to resume the program with, or
         the :data:`~repro.sim.process.BLOCKED` sentinel once the rank's
-        resume is scheduled or armed on a handle.
+        resume is scheduled or armed on a handle.  A rank blocked inside
+        an :class:`Exchange` first runs the exchange's continuation,
+        and resumes its program only once that completes.
         """
+        if rt.exchange is not None:
+            value = self._continue_exchange(rt, value)
+            if value is BLOCKED:
+                return
         handlers = self._HANDLERS
         ff = self._ff
         process = rt.process
@@ -499,13 +510,23 @@ class World:
         rt.process.block("compute")
         return BLOCKED
 
-    def _do_isend(self, rt: _RankRuntime, request: Isend) -> Any:
-        now = self.engine._now
-        dest, tag, nbytes, payload = request
+    def _inject(
+        self,
+        rt: _RankRuntime,
+        now: float,
+        dest: int,
+        tag: int,
+        nbytes: int,
+        payload: Any,
+    ) -> float:
+        """Inject an eager send and trace it; returns its inject time.
+
+        The message is routed at once: it completes a matching posted
+        receive or joins the destination's unexpected queue.
+        """
         if not 0 <= dest < self.nodes:
             raise SimulationError(f"rank {rt.rank} sends to invalid rank {dest}")
-        overhead = self._endpoint_overhead
-        inject = now + overhead
+        inject = now + self._endpoint_overhead
         arrival = self.network.schedule_transfer(
             inject, nbytes, same_node=(dest == rt.rank)
         )
@@ -513,20 +534,19 @@ class World:
         self._route(
             _Message(rt.rank, dest, tag, nbytes, payload, arrival, self._msg_seq)
         )
-        handle = Handle("send", rt.rank, dest, tag, nbytes, now, inject)
         rt.trace.add_span(
             "isend", CATEGORY_P2P, now, inject, nbytes, dest, rt.nested
         )
-        if overhead == 0:
-            return handle
-        rt.pending_idle_from = now
-        self._resume_later(rt, inject, handle)
-        rt.process.block("isend overhead")
-        return BLOCKED
+        return inject
 
-    def _do_irecv(self, rt: _RankRuntime, request: Irecv) -> Handle:
-        now = self.engine._now
-        source, tag = request
+    def _post_recv(
+        self, rt: _RankRuntime, now: float, source: int, tag: int
+    ) -> Handle:
+        """Post a receive and trace it; returns its handle.
+
+        The receive takes the earliest matching unexpected message, or
+        is posted for the next matching send.
+        """
         if source != ANY_SOURCE and not 0 <= source < self.nodes:
             raise SimulationError(
                 f"rank {rt.rank} receives from invalid rank {source}"
@@ -548,14 +568,15 @@ class World:
                 queue.append(handle)
         return handle
 
-    def _do_wait(self, rt: _RankRuntime, request: Wait) -> Any:
+    def _wait_on(self, rt: _RankRuntime, handle: Handle, op: str) -> Any:
+        """Wait on one of the rank's handles, tracing the wait as ``op``.
+
+        Returns the handle's payload when it is already complete (a
+        zero-length span), else defers the span and idle segment to the
+        resume, which is scheduled, or armed on the handle while it is
+        unmatched, and returns BLOCKED.
+        """
         now = self.engine._now
-        handle = request.handle
-        if handle.rank != rt.rank:
-            raise SimulationError(
-                f"rank {rt.rank} waits on rank {handle.rank}'s handle"
-            )
-        op = "wait_recv" if handle.kind == "recv" else "wait_send"
         complete_at = handle.complete_at
         if complete_at is not None and complete_at <= now:
             rt.trace.add_span(
@@ -568,8 +589,121 @@ class World:
             self._resume_later(rt, complete_at, handle.payload)
         else:
             handle._waiter = rt
-        rt.process.block(request)
+        rt.process.block(handle)
         return BLOCKED
+
+    def _do_isend(self, rt: _RankRuntime, request: Isend) -> Any:
+        now = self.engine._now
+        dest, tag, nbytes, payload = request
+        inject = self._inject(rt, now, dest, tag, nbytes, payload)
+        handle = Handle("send", rt.rank, dest, tag, nbytes, now, inject)
+        if self._endpoint_overhead == 0:
+            return handle
+        rt.pending_idle_from = now
+        self._resume_later(rt, inject, handle)
+        rt.process.block("isend overhead")
+        return BLOCKED
+
+    def _do_irecv(self, rt: _RankRuntime, request: Irecv) -> Handle:
+        return self._post_recv(rt, self.engine._now, request.source, request.tag)
+
+    def _do_wait(self, rt: _RankRuntime, request: Wait) -> Any:
+        handle = request.handle
+        if handle.rank != rt.rank:
+            raise SimulationError(
+                f"rank {rt.rank} waits on rank {handle.rank}'s handle"
+            )
+        return self._wait_on(
+            rt, handle, "wait_recv" if handle.kind == "recv" else "wait_send"
+        )
+
+    def _do_exchange(self, rt: _RankRuntime, request: Exchange) -> Any:
+        """Post the receive and inject the send at once.
+
+        A ``sendrecv`` exchange opens its bracket first.  With an
+        endpoint overhead the rank then blocks until the inject time, as
+        an ``Isend`` does; the waits run at that time, in
+        :meth:`_exchange_waits`.
+        """
+        now = self.engine._now
+        dest, source, tag, nbytes, payload, sendrecv = request
+        if sendrecv:
+            rt.collective_stack.append(("sendrecv", now, nbytes))
+            rt.nested = True
+        recv = self._post_recv(rt, now, source, tag)
+        inject = self._inject(rt, now, dest, tag, nbytes, payload)
+        if self._endpoint_overhead == 0:
+            return self._exchange_waits(rt, request, recv)
+        rt.pending_idle_from = now
+        rt.exchange = request
+        rt.exchange_recv = recv
+        self._resume_later(rt, inject)
+        rt.process.block("isend overhead")
+        return BLOCKED
+
+    def _exchange_send_wait(self, rt: _RankRuntime, request: Exchange) -> None:
+        """The wait on an exchange's send: a zero-length span, since the
+        rank resumes no earlier than the send's inject time."""
+        now = self.engine._now
+        rt.trace.add_span(
+            "wait_send",
+            CATEGORY_WAIT,
+            now,
+            now,
+            request.nbytes,
+            request.dest,
+            rt.nested,
+        )
+
+    def _exchange_waits(
+        self, rt: _RankRuntime, request: Exchange, recv: Handle
+    ) -> Any:
+        """An exchange's waits, from the inject time on: the send's first
+        for a collective round, then the receive's."""
+        if not request.sendrecv:
+            self._exchange_send_wait(rt, request)
+        if request.source == ANY_SOURCE and self._ff is not None:
+            # The wait on a wildcard receive signs the peer it has
+            # matched so far, as a Wait request on the handle would.
+            self._ff.feed(rt, Wait(recv))
+        value = self._wait_on(rt, recv, "wait_recv")
+        if value is BLOCKED:
+            rt.exchange = request
+            return BLOCKED
+        return self._exchange_close(rt, request, value)
+
+    def _exchange_close(
+        self, rt: _RankRuntime, request: Exchange, value: Any
+    ) -> Any:
+        """Finish an exchange whose receive completed; returns ``value``.
+
+        A ``sendrecv`` waits on its send now, then closes its bracket.
+        """
+        if request.sendrecv:
+            self._exchange_send_wait(rt, request)
+            stack = rt.collective_stack
+            op, t_begin, nbytes = stack.pop()
+            nested = rt.nested = bool(stack)
+            rt.trace.add_span(
+                op,
+                CATEGORY_COLLECTIVE,
+                t_begin,
+                self.engine._now,
+                nbytes,
+                None,
+                nested,
+            )
+        return value
+
+    def _continue_exchange(self, rt: _RankRuntime, value: Any) -> Any:
+        """Resume a rank inside an exchange: run its waits after the
+        inject block, or close it after the receive."""
+        request = rt.exchange
+        recv = rt.exchange_recv
+        rt.exchange = rt.exchange_recv = None
+        if recv is not None:
+            return self._exchange_waits(rt, request, recv)
+        return self._exchange_close(rt, request, value)
 
     def _do_iteration_mark(self, rt: _RankRuntime, request: IterationMark) -> Any:
         ff = self._ff
@@ -716,6 +850,7 @@ World._HANDLERS = {
     Isend: World._do_isend,
     Irecv: World._do_irecv,
     Wait: World._do_wait,
+    Exchange: World._do_exchange,
     Now: World._do_now,
     SetGear: World._do_set_gear,
     Elapse: World._do_elapse,

@@ -9,6 +9,13 @@ blocking operations consult a :class:`GearPolicy`:
 - the measured blocking time is fed back via ``observe_wait`` so
   adaptive policies can learn.
 
+A ``sendrecv`` is not a collective here: each of its two waits is
+bracketed on its own, as :meth:`PolicyComm.wait` brackets any wait.
+:meth:`Comm.sendrecv` hands the runtime one
+:class:`~repro.mpi.requests.Exchange`, which waits inside the runtime
+where no gear can shift, so :meth:`PolicyComm.sendrecv` composes the
+exchange from its own ``irecv``, ``isend`` and ``wait`` instead.
+
 The application program is unchanged — this is exactly the paper's
 "new MPI implementation that will automatically monitor executing
 programs and automatically reduce the energy gear appropriately".
@@ -21,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.cluster.cluster import ClusterSpec
 from repro.core.run import RunMeasurement
 from repro.mpi.comm import Comm, Op
-from repro.mpi.requests import Handle, Now, SetGear, Wait
+from repro.mpi.requests import Handle, Now, SetGear, TraceMark, Wait
 from repro.mpi.world import World
 from repro.policy.base import GearPolicy
 from repro.workloads.base import Workload
@@ -80,6 +87,26 @@ class PolicyComm(Comm):
             return results
 
         return (yield from self._blocking(body()))
+
+    def sendrecv(
+        self,
+        dest: int,
+        source: int,
+        *,
+        send_bytes: int,
+        tag: int = 0,
+        payload: Any = None,
+    ) -> Op:
+        """Send and receive, each of the two waits at the blocked gear."""
+        yield TraceMark("sendrecv", "begin", send_bytes)
+        recv_handle = yield from self.irecv(source, tag=tag)
+        send_handle = yield from self.isend(
+            dest, nbytes=send_bytes, tag=tag, payload=payload
+        )
+        value = yield from self.wait(recv_handle)
+        yield from self.wait(send_handle)
+        yield TraceMark("sendrecv", "end")
+        return value
 
     def _bracketed(self, op: str, nbytes: int, body: Op) -> Op:
         """Collectives run wholly at the blocked gear (no compute inside)."""

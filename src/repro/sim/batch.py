@@ -28,11 +28,13 @@ This module exploits it across a whole sweep:
    gear only through a resume value that does.  Three requests have
    one, and each fails certification:
    :class:`~repro.mpi.requests.Now` (timings leak into control flow),
-   :class:`~repro.mpi.requests.SetGear` (adaptive policies), and an
-   :class:`~repro.mpi.requests.Irecv` with ``ANY_SOURCE`` or
-   ``ANY_TAG`` (the message it matches — the payload and
-   ``handle.peer`` its wait resumes with — depends on arrival order,
-   and the gear reorders arrivals).  Every other request resumes with
+   :class:`~repro.mpi.requests.SetGear` (adaptive policies), and a
+   wildcard receive — an :class:`~repro.mpi.requests.Irecv` with
+   ``ANY_SOURCE`` or ``ANY_TAG``, or an
+   :class:`~repro.mpi.requests.Exchange` with ``ANY_SOURCE`` (the
+   message it matches — the payload and ``handle.peer`` its wait
+   resumes with — depends on arrival order, and the gear reorders
+   arrivals).  Every other request resumes with
    gear-invariant values (payloads, handles, skip counts), which makes
    the whole request stream gear-invariant by induction.  Recorded
    fast-forward jumps additionally require consistent reducible-walk
@@ -107,6 +109,7 @@ from repro.mpi.requests import (
     Compute,
     DiskIO,
     Elapse,
+    Exchange,
     Irecv,
     Isend,
     IterationMark,
@@ -386,6 +389,28 @@ def _build_tape(
                 ops.append((_OP_RECV, request.source, request.tag, slots))
                 handle_map[value.uid] = ("recv", slots)
                 slots += 1
+            elif cls is Exchange:
+                # The ops of the Irecv, Isend and receive Wait it stands
+                # for; its send's wait is dropped, as below.
+                if request.source == ANY_SOURCE:
+                    raise BatchUnsupported(
+                        f"rank {rank}: wildcard receive — the message it "
+                        "matches depends on arrival order"
+                    )
+                dest, tag = request.dest, request.tag
+                ops.append((_OP_RECV, request.source, tag, slots))
+                ops.append((_OP_SEND, dest, tag, request.nbytes, dest == rank))
+                ops.append((_OP_WAIT, slots))
+                slots += 1
+                if depth == 0:
+                    # A sendrecv's inner spans are nested, and its
+                    # bracket is a blocking point.  A collective round's
+                    # send restarts the walk, and its receive wait then
+                    # banks nothing.
+                    if request.sendrecv:
+                        reducible.update(pending)
+                    pending = []
+                    seen_send = False
             elif cls is Wait:
                 kind, slot = handle_map[request.handle.uid]
                 if kind == "recv":

@@ -19,7 +19,9 @@ from repro.exec import (
 )
 from repro.exec.cache import CACHE_MAX_MB_ENV, env_max_bytes
 from repro.exec.sweep import cache_key
-from repro.mpi import FastForwardConfig
+from repro.experiments.figure3 import figure3
+from repro.experiments.table1 import table1
+from repro.mpi import FastForwardConfig, FastForwardStats
 from repro.workloads import EP, Jacobi
 
 #: Engages within Jacobi's 100 iterations.
@@ -72,6 +74,26 @@ class TestExecutorStamping:
         [fast] = Executor(fast_forward=FastForwardConfig(max_period=8)).run([task])
         assert abs(full.time - fast.time) <= 1e-9 * full.time
         assert abs(full.energy - fast.energy) <= 1e-9 * full.energy
+
+
+class TestLedger:
+    def test_paper_scale_ledger_is_pinned(self):
+        # The golden artifacts run at a scale where fast-forward never
+        # jumps, and the batch smoke compares outputs at 1e-9, which a
+        # run that jumps less also meets.  So the full-scale ledger is
+        # pinned here, field by field: a lost jump fails this test.
+        config = FastForwardConfig()
+        executor = Executor(fast_forward=config)
+        figure3(scale=1.0, executor=executor)
+        table1(scale=1.0, executor=executor)
+        assert config.aggregate == FastForwardStats(
+            marks=7302,
+            jumps=198,
+            skipped_iterations=12388,
+            deviations=0,
+            armed_rounds=30,
+            vetoed_rounds=0,
+        )
 
 
 class TestProfileAccounting:

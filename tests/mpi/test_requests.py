@@ -7,6 +7,7 @@ from repro.mpi.requests import (
     Compute,
     DiskIO,
     Elapse,
+    Exchange,
     Handle,
     Irecv,
     Isend,
@@ -30,6 +31,7 @@ REQUESTS = [
     Isend(1, 0, 8, "payload"),
     Irecv(0, 3),
     Wait(Handle("recv", 0, 1, 0)),
+    Exchange(1, 0, 3, 8, "payload"),
     IterationMark(2, 10),
     TraceMark("bcast", "begin", 64),
 ]
@@ -51,6 +53,32 @@ class TestIsend:
         req = Isend(dest=1, tag=0, nbytes=8)
         assert (req.dest, req.tag, req.nbytes, req.payload) == (1, 0, 8, None)
         assert req == Isend(1, 0, 8)
+
+
+class TestExchange:
+    def test_rejects_negative_bytes(self):
+        with pytest.raises(ConfigurationError):
+            Exchange(dest=1, source=0, tag=0, nbytes=-1)
+
+    def test_rejects_negative_tag(self):
+        with pytest.raises(ConfigurationError):
+            Exchange(dest=1, source=0, tag=-2, nbytes=0)
+
+    def test_zero_byte_message_allowed(self):
+        Exchange(dest=0, source=0, tag=0, nbytes=0)
+
+    def test_keyword_construction(self):
+        req = Exchange(dest=1, source=2, tag=0, nbytes=8)
+        assert (req.dest, req.source, req.tag, req.nbytes, req.payload) == (
+            1,
+            2,
+            0,
+            8,
+            None,
+        )
+        # The default is a collective round's shape.
+        assert req.sendrecv is False
+        assert req == Exchange(1, 2, 0, 8)
 
 
 class TestElapse:

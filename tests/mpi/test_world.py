@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from repro.cluster.machines import athlon_cluster
+from repro.mpi.comm import COLLECTIVE_TAG_BASE
 from repro.mpi.requests import ANY_SOURCE, ANY_TAG
 from repro.mpi.world import World
 from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
@@ -119,6 +120,45 @@ class TestPointToPoint:
             yield from comm.send(5, nbytes=8)
 
         with pytest.raises(SimulationError):
+            run(program, nodes=2)
+
+    @pytest.mark.parametrize(
+        "dest, source, message",
+        [
+            (1, 5, "rank 0 receives from invalid rank 5"),
+            (5, 1, "rank 0 sends to invalid rank 5"),
+            (-1, 1, "rank 0 sends to invalid rank -1"),
+            # The receive is checked first.
+            (5, 7, "rank 0 receives from invalid rank 7"),
+        ],
+    )
+    def test_sendrecv_invalid_rank_rejected(self, dest, source, message):
+        def program(comm):
+            yield from comm.sendrecv(dest, source, send_bytes=8)
+
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            run(program, nodes=2)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"send_bytes": -1}, r"nbytes must be >= 0, got -1"),
+            (
+                {"send_bytes": 8, "tag": COLLECTIVE_TAG_BASE},
+                rf"user tags must be in \[0, {COLLECTIVE_TAG_BASE}\), "
+                rf"got {COLLECTIVE_TAG_BASE}",
+            ),
+            (
+                {"send_bytes": 8, "tag": -1},
+                rf"user tags must be in \[0, {COLLECTIVE_TAG_BASE}\), got -1",
+            ),
+        ],
+    )
+    def test_sendrecv_bad_size_or_tag_rejected(self, kwargs, message):
+        def program(comm):
+            yield from comm.sendrecv(1 - comm.rank, 1 - comm.rank, **kwargs)
+
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             run(program, nodes=2)
 
 
@@ -242,16 +282,62 @@ class TestDeadlocks:
                 send_bytes=64,
             )
             yield from comm.compute(uops=1e6)
+            yield from comm.barrier()
+            yield from comm.allreduce(comm.rank, nbytes=8)
+            yield from comm.allgather(comm.rank, nbytes=8)
+            yield from comm.alltoall(list(range(comm.size)), nbytes=8)
 
         gc.disable()
         try:
-            w = World(athlon_cluster(), program, nodes=2, gear=1)
-            w.run()
-            alive = weakref.ref(w)
-            del w
-            assert alive() is None
+            for nodes in (2, 3):
+                w = World(athlon_cluster(), program, nodes=nodes, gear=1)
+                w.run()
+                alive = weakref.ref(w)
+                del w
+                assert alive() is None
         finally:
             gc.enable()
+
+    def test_sendrecv_without_partner_deadlocks(self):
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.sendrecv(1, 1, send_bytes=64, tag=7)
+            else:
+                yield from comm.compute(uops=1e6)
+
+        with pytest.raises(DeadlockError) as err:
+            run(program)
+        assert str(err.value) == (
+            "simulation deadlocked: rank 0 blocked on wait_recv(peer=1, tag=7)"
+        )
+
+    def test_allreduce_round_without_partner_deadlocks(self):
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.allreduce(1, nbytes=8)
+            else:
+                yield from comm.compute(uops=1e6)
+
+        with pytest.raises(DeadlockError) as err:
+            run(program)
+        assert str(err.value) == (
+            "simulation deadlocked: rank 0 blocked on "
+            f"wait_recv(peer=1, tag={COLLECTIVE_TAG_BASE + 1})"
+        )
+
+    def test_second_resume_inside_an_exchange_rejected(self):
+        def program(comm):
+            if comm.rank == 1:
+                yield from comm.compute(uops=1e8)
+            yield from comm.sendrecv(1 - comm.rank, 1 - comm.rank, send_bytes=8)
+
+        w = World(athlon_cluster(), program, nodes=2, gear=1)
+        rt = w._runtimes[0]
+        # Rank 0 waits on its receive until rank 1 has computed; a wake
+        # armed meanwhile collides with the one the message brings.
+        w.engine.schedule(1e-3, lambda: w._resume_later(rt, 1.0))
+        with pytest.raises(SimulationError, match="already has a resume pending"):
+            w.run()
 
     def test_world_runs_once(self):
         def program(comm):

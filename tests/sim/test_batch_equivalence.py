@@ -245,7 +245,7 @@ class TestVectorizedReplay:
         assert stats.vector_gears + stats.scalar_gears == len(ALL_GEARS) - 1
 
 
-class _Exchange(Workload):
+class _MessageRounds(Workload):
     """Rounds of per-rank compute, each followed by a message exchange.
 
     ``rounds`` holds ``(work, messages)`` pairs: ``work[rank]`` is that
@@ -339,7 +339,7 @@ class TestContentionCheck:
     def test_certified_columns_match_scalar_and_event(self, case):
         nodes, concurrency, rounds = case
         cluster = _pool_cluster(concurrency)
-        workload = _Exchange(rounds)
+        workload = _MessageRounds(rounds)
         tape = record_tape(cluster, workload, nodes=nodes, gear=1)
         gears = list(ALL_GEARS)
         # The walk itself, on every tape — queued recordings included,
@@ -381,7 +381,7 @@ class TestContentionCheck:
             )
         ]
         cluster = _pool_cluster(1)
-        workload = _Exchange(rounds)
+        workload = _MessageRounds(rounds)
         tape = record_tape(cluster, workload, nodes=2, gear=1)
         assert tape.recording_queued == 0
         stats = ReplayStats()
@@ -397,7 +397,7 @@ class TestContentionCheck:
     def test_wildcard_receive_is_rejected(self):
         rounds = [([(1.0e6, 0.0)] * 3, [(0, 2, 512), (1, 2, 4096)])]
         cluster = _pool_cluster(2)
-        workload = _Exchange(rounds, wildcard=True)
+        workload = _MessageRounds(rounds, wildcard=True)
         with pytest.raises(BatchUnsupported, match="wildcard receive"):
             record_tape(cluster, workload, nodes=3, gear=1)
 
