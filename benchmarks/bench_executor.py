@@ -12,8 +12,9 @@ Regenerates the full paper suite (Figures 1-5 + Table 1) four ways:
   forces inline, uncached execution — the cost ceiling of tracing).
 
 The asserted contract: all five produce identical exported artifacts,
-the warm rerun is >= 5x faster than the cold one, and observer hook
-dispatch stays within 1.5x of the serial baseline.  Run standalone
+the warm rerun simulates and stores nothing and is >= 5x faster than
+the cold one, and observer hook dispatch stays within 1.5x of the
+serial baseline.  Run standalone
 (``PYTHONPATH=src python benchmarks/bench_executor.py``) for the timing
 table alone.
 """
@@ -67,7 +68,11 @@ def compare_modes(scale: float) -> tuple[TextTable, dict[str, float]]:
         t_serial, baseline = _timed(scale, Executor())
         t_parallel, parallel = _timed(scale, Executor(jobs=4))
         t_cold, cold = _timed(scale, Executor(cache=cache))
+        misses, stores = cache.stats.misses, cache.stats.stores
         t_warm, warm = _timed(scale, Executor(cache=cache))
+        assert (cache.stats.misses, cache.stats.stores) == (misses, stores), (
+            "the warm-cache pass missed or stored entries"
+        )
         t_observed, observed = _timed(scale, Executor(observer=RunObserver()))
         stats = cache.stats
     for name, text in baseline.items():

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.cluster.cluster import ClusterSpec
 from repro.core.metrics import slowdown_ratio
-from repro.core.run import run_workload
+from repro.core.run import RunMeasurement, run_workload
 from repro.util.errors import ModelError
 from repro.workloads.base import Workload
 
@@ -104,12 +104,8 @@ def calibrate_gears(
     consumption while the application runs".
     """
     indices = list(gears) if gears is not None else list(cluster.gears.indices)
-    if 1 not in indices:
-        raise ModelError("calibration needs the fastest gear as the reference")
-    times: dict[int, float] = {}
-    powers: dict[int, float] = {}
-    for g in indices:
-        measurement = run_workload(
+    measurements = [
+        run_workload(
             cluster,
             workload,
             nodes=1,
@@ -117,15 +113,33 @@ def calibrate_gears(
             observer=observer,
             fast_forward=fast_forward,
         )
-        times[g] = measurement.time
-        powers[g] = measurement.average_power
+        for g in indices
+    ]
+    return calibration_from_runs(cluster, workload.name, measurements)
+
+
+def calibration_from_runs(
+    cluster: ClusterSpec, workload: str, measurements: Sequence[RunMeasurement]
+) -> GearCalibration:
+    """S_g, P_g and I_g from one-node runs, one per gear, then checked.
+
+    The one assembly of a calibration: :func:`calibrate_gears` and the
+    executor's :class:`~repro.exec.tasks.CalibrationTask` both build
+    theirs here.  The gear-1 run is the slowdown reference.
+
+    Raises:
+        ModelError: no run at the fastest gear, or the calibration
+            breaks an invariant :meth:`GearCalibration.check` tests.
+    """
+    times = {m.gear: m.time for m in measurements}
+    if 1 not in times:
+        raise ModelError("calibration needs the fastest gear as the reference")
     reference = times[1]
-    slowdowns = {g: slowdown_ratio(times[g], reference) for g in indices}
     calibration = GearCalibration(
-        workload=workload.name,
-        slowdown=slowdowns,
-        active_power=powers,
-        idle_power=idle_power_by_gear(cluster, indices),
+        workload=workload,
+        slowdown={g: slowdown_ratio(t, reference) for g, t in times.items()},
+        active_power={m.gear: m.average_power for m in measurements},
+        idle_power=idle_power_by_gear(cluster, list(times)),
         single_node_time=times,
     )
     calibration.check()

@@ -37,11 +37,13 @@ class RunMeasurement:
         idle_time: T^I — execution time minus T^A.
         reducible_time: T^R — conservative reducible work.
         upm: whole-run micro-ops per L2 miss.
-        result: the underlying :class:`WorldResult`, or None when the
-            measurement was restored from the on-disk result cache (the
-            headline numbers above are cached; the full event-level
-            result is not).  Excluded from equality: two measurements
-            with the same headline numbers are the same measurement.
+        result: the underlying :class:`WorldResult` of a direct
+            :func:`run_workload` call.  Results that come back from the
+            executor (:mod:`repro.exec`) never carry it, whether the run
+            was simulated, replayed or restored from the result cache:
+            only the headline numbers above are kept.  Excluded from
+            equality: two measurements with the same headline numbers
+            are the same measurement.
     """
 
     workload: str
@@ -144,8 +146,20 @@ def gear_sweep(
         )
         for g in gear_indices
     ]
+    return curve_from_runs(workload.name, nodes, measurements)
+
+
+def curve_from_runs(
+    workload: str, nodes: int, measurements: Sequence[RunMeasurement]
+) -> EnergyTimeCurve:
+    """The energy-time curve of a gear sweep's runs, one point per run.
+
+    The one assembly of a curve: :func:`gear_sweep` and the executor's
+    :class:`~repro.exec.tasks.GearSweepTask` both build their curves
+    here, from measurements in grid order.
+    """
     return EnergyTimeCurve(
-        workload=workload.name,
+        workload=workload,
         nodes=nodes,
         points=tuple(m.curve_point() for m in measurements),
     )

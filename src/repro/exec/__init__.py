@@ -2,12 +2,14 @@
 
 Every paper artifact decomposes into independent *simulation points*
 (one :class:`~repro.exec.tasks.SimTask` per gear sweep, measurement or
-calibration).  :func:`~repro.exec.sweep.sweep` fans those points out
-across a process pool and merges the results deterministically;
-:class:`~repro.exec.cache.ResultCache` memoises each point on disk,
-keyed by a content fingerprint of the full cluster/workload
-configuration plus a package code-version token, so re-running an
-experiment whose inputs have not changed costs one JSON read per point.
+calibration), and every point into the simulated runs it is assembled
+from (:class:`~repro.exec.tasks.RunTask`).  :func:`~repro.exec.sweep.sweep`
+fans the runs out across a process pool and merges the results
+deterministically; :class:`~repro.exec.cache.ResultCache` memoises each
+run on disk, keyed by a content fingerprint of the full
+cluster/workload configuration plus a package code-version token, so
+re-running an experiment whose inputs have not changed costs one JSON
+read per run, and a point that repeats another's run reuses it.
 
 :class:`~repro.exec.executor.Executor` bundles the two into the object
 the experiment harness (``repro.experiments``) passes around.
@@ -30,6 +32,7 @@ from repro.exec.tasks import (
     GearSweepTask,
     MeasurementTask,
     PolicyMeasurementTask,
+    RunTask,
     SimTask,
 )
 
@@ -44,6 +47,7 @@ __all__ = [
     "MeasurementTask",
     "PolicyMeasurementTask",
     "ResultCache",
+    "RunTask",
     "SimTask",
     "TapeCache",
     "TaskTiming",

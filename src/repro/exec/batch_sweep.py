@@ -1,13 +1,17 @@
-"""The batch backend of a sweep: group points, record once, replay the grid.
+"""The batch backend of a sweep: group runs, record once, replay the grid.
 
 :func:`repro.exec.sweep.sweep` runs both backends through one lookup →
-dispatch → merge path.  Under ``backend="batch"`` it hands the cache
-misses to this module, which folds points that share a recording — a
-:class:`~repro.exec.tasks.GearSweepTask` (one recording covers its
-whole gear grid) or several :class:`~repro.exec.tasks.MeasurementTask`
-points differing only in gear — into one *batch group* and executes it
-through :mod:`repro.sim.batch`: one recording run plus a cheap replay
-per gear.
+dispatch → merge path over *runs* (:class:`~repro.exec.tasks.RunTask`).
+Under ``backend="batch"`` it hands the runs the cache missed to this
+module, which folds runs that share a recording into one *batch group*
+and executes it through :mod:`repro.sim.batch`: one recording run plus
+a cheap replay per gear.  A group is either
+
+- the pending runs of one composite point
+  (:class:`~repro.exec.tasks.GearSweepTask` or
+  :class:`~repro.exec.tasks.CalibrationTask`), or
+- standalone :class:`~repro.exec.tasks.MeasurementTask` points that
+  differ only in gear.
 
 What the batch backend adds to the sweep contract:
 
@@ -15,14 +19,14 @@ What the batch backend adds to the sweep contract:
   results scatter back to the original positions, so a batch sweep's
   output lines up 1:1 with an event sweep's.  A pooled sweep chunks
   over groups, so one recording is never split across workers.
-- **Distinct cache keys** — every batchable point is looked up/stored
+- **Distinct cache keys** — every measurement run is looked up/stored
   under :func:`batch_cache_key`, whose fingerprint carries a
   ``"backend": "batch"`` token, so batch results (1e-9-equivalent, not
   bitwise) never share cache entries with event results.  Partial hits
   shrink a group to its misses; the recording is still shared across
   them.
 - **Exact fallback** — any :class:`~repro.sim.batch.BatchUnsupported`
-  (uncertifiable structure, self-check miss) reruns the group's points
+  (uncertifiable structure, self-check miss) reruns the group's runs
   on the event engine, bitwise what a plain run produces, and logs the
   group in the :class:`BatchReport` so truncated batch coverage is
   never silent.
@@ -48,9 +52,10 @@ are handled as a stage of their own:
   record/replay/merge so the dominant stage is visible in the CLI
   summary and the bench harness.
 
-Tasks that cannot batch (calibration, policy runs — their structure is
-gear-dependent by design) pass through on the event engine with their
-normal cache keys, inside the same deterministic merge.
+Policy runs cannot batch — a gear policy changes the gear from inside
+the run, so their request stream is gear-dependent by design — and
+pass through on the event engine with their event cache keys, inside
+the same deterministic merge.
 """
 
 from __future__ import annotations
@@ -63,20 +68,21 @@ from typing import Any, Sequence
 
 from repro.exec.cache import TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
-from repro.exec.tasks import GearSweepTask, MeasurementTask, SimTask
+from repro.core.run import RunMeasurement
+from repro.exec.tasks import MeasurementTask, RunTask, SimTask
 
 #: Fingerprint token that keys batch-computed results apart from event
 #: results (they agree to ~1e-9, not bitwise — same precedent as the
 #: fast-forward config entering the fingerprint).
 BACKEND_TOKEN = "batch"
 
-#: Task kinds the batch backend records and replays; every other kind
+#: Run kinds the batch backend records and replays; every other kind
 #: passes through on the event engine under its event cache key.
-BATCHABLE = (GearSweepTask, MeasurementTask)
+BATCHABLE = (MeasurementTask,)
 
 
-def batch_cache_key(task: SimTask) -> str:
-    """Cache key of a point executed through the batch backend."""
+def batch_cache_key(task: RunTask) -> str:
+    """Cache key of a run executed through the batch backend."""
     return fingerprint(
         {
             "task": task.describe(),
@@ -86,36 +92,22 @@ def batch_cache_key(task: SimTask) -> str:
     )
 
 
-def _recording_gear(task: SimTask) -> int:
-    """The gear a group led by ``task`` records at.
-
-    Mirrors :func:`repro.sim.batch.batch_gear_grid`: the first gear of
-    the requested grid.  Deterministic per group, so the tape key is
-    stable across invocations.
-    """
-    if type(task) is GearSweepTask:
-        if task.gears is not None:
-            return task.gears[0]
-        return list(task.cluster.gears.indices)[0]
-    return task.gear  # type: ignore[attr-defined]
-
-
 def tape_key(task: SimTask, recording_gear: int) -> str:
-    """Persistent-cache key of the tape a group led by ``task`` shares.
+    """Persistent-cache key of the tape ``task``'s runs share.
 
-    The fingerprint covers the task description *minus the gear axis*
-    (``kind``/``gear``/``gears`` dropped — a recording is reusable by
-    any grid over the same configuration, and a
-    :class:`~repro.exec.tasks.GearSweepTask` can share a tape with a
-    :class:`~repro.exec.tasks.MeasurementTask` group), plus the
-    recording gear, the code-version token, and the tape format
-    version, so stale tapes are never hit and
+    The fingerprint covers the description of the task's first run
+    *minus the gear axis* (``kind`` and ``gear`` dropped — a recording
+    is reusable by any grid over the same configuration, so every run
+    of a :class:`~repro.exec.tasks.GearSweepTask` and every
+    :class:`~repro.exec.tasks.MeasurementTask` of its configuration map
+    to one tape), plus the recording gear, the code-version token, and
+    the tape format version, so stale tapes are never hit and
     :meth:`~repro.exec.cache.ResultCache.prune` invalidates them.
     """
     from repro.sim.batch import TAPE_FORMAT_VERSION
 
-    desc = dict(task.describe())
-    for axis in ("kind", "gear", "gears"):
+    desc = dict(task.runs()[0].describe())
+    for axis in ("kind", "gear"):
         desc.pop(axis, None)
     return fingerprint(
         {
@@ -131,9 +123,9 @@ def tape_key(task: SimTask, recording_gear: int) -> str:
 class BatchFallback:
     """One group that fell back to the exact event engine."""
 
-    #: ``str(key)`` of the group's first point.
+    #: ``str(key)`` of the group's first run.
     point: str
-    #: Points the group covered.
+    #: Runs the group covered.
     points: int
     #: The :class:`~repro.sim.batch.BatchUnsupported` message.
     reason: str
@@ -143,12 +135,17 @@ class BatchFallback:
 class BatchReport:
     """What the batch backend did across one or more sweeps.
 
+    Every count is of runs (:class:`~repro.exec.tasks.RunTask`), not of
+    the points a sweep was given.
+
     Attributes:
         groups: batch groups formed (after cache hits shrank them).
-        grouped_points: points covered by those groups.
-        passthrough_points: non-batchable points run on the event engine.
+        single_run_groups: groups of one run, whose recording serves
+            no other gear.
+        grouped_points: runs covered by those groups.
+        passthrough_points: non-batchable runs run on the event engine.
         fallbacks: groups whose recording could not be certified and were
-            re-run point-by-point on the event engine.
+            re-run run-by-run on the event engine.
         tape_cache_enabled: whether a persistent tape cache was in play.
         tape_hits: distinct tapes loaded from the persistent cache
             instead of re-recorded.
@@ -162,6 +159,7 @@ class BatchReport:
     """
 
     groups: int = 0
+    single_run_groups: int = 0
     grouped_points: int = 0
     passthrough_points: int = 0
     fallbacks: list[BatchFallback] = field(default_factory=list)
@@ -174,7 +172,7 @@ class BatchReport:
 
     @property
     def fallback_points(self) -> int:
-        """Points that ended up on the event engine via fallback."""
+        """Runs that ended up on the event engine via fallback."""
         return sum(f.points for f in self.fallbacks)
 
     def count_units(
@@ -189,6 +187,7 @@ class BatchReport:
         for unit in units:
             if unit.batch:
                 self.groups += 1
+                self.single_run_groups += len(unit.tasks) == 1
                 self.grouped_points += len(unit.tasks)
             else:
                 self.passthrough_points += len(unit.tasks)
@@ -216,13 +215,14 @@ class BatchReport:
     def summary(self) -> str:
         """One human-readable summary for CLI/bench reporting.
 
-        Always names the fallback count (zero included — silence is not
-        a signal), the tape-cache hit/miss counts when a persistent
-        cache was in play, and the record/replay/merge stage split.
+        Always names the fallback count and the groups of a single run
+        (zero included — silence is not a signal), the tape-cache
+        hit/miss counts when a persistent cache was in play, and the
+        record/replay/merge stage split.
         """
         line = (
-            f"batch backend: {self.grouped_points} point(s) in "
-            f"{self.groups} group(s)"
+            f"batch backend: {self.grouped_points} run(s) in "
+            f"{self.groups} group(s) ({self.single_run_groups} single-run)"
         )
         if self.passthrough_points:
             line += f", {self.passthrough_points} passthrough"
@@ -237,7 +237,7 @@ class BatchReport:
             f"replay {self.replay_s:.3f}s, merge {self.merge_s:.3f}s"
         )
         if self.fallbacks:
-            line += f", {self.fallback_points} point(s) fell back:"
+            line += f", {self.fallback_points} run(s) fell back:"
             for fb in self.fallbacks:
                 line += f"\n  {fb.point}: {fb.reason}"
         return line
@@ -247,13 +247,13 @@ class BatchReport:
 class _Unit:
     """One execution unit of a sweep, never split across workers.
 
-    Either a batch group, or one point that runs on the event engine
-    (every point under the event backend, a passthrough point under the
-    batch backend).
+    Either a batch group, or one run on the event engine (every run
+    under the event backend, a passthrough run under the batch
+    backend).
     """
 
-    tasks: list[SimTask]
-    #: Positions of each task in the sweep's pending list (for the merge).
+    tasks: list[RunTask]
+    #: Positions of each run in the sweep's pending list (for the merge).
     indices: list[int]
     batch: bool = False
     #: Persistent-cache key of the group's tape (batch units only).
@@ -269,53 +269,50 @@ class _Unit:
     warm_skipped: int = 0
 
 
-def _group_token(task: SimTask) -> tuple | None:
-    """Identity under which a task may share a recording, or None.
+def _group_token(task: MeasurementTask) -> str:
+    """Identity under which standalone measurements share a recording.
 
-    A :class:`MeasurementTask`'s token is the fingerprint of its
-    description *minus the gear*: two points group iff everything else
-    about them — cluster, workload state, node count, fast-forward
-    config — is identical, which is exactly the condition for a shared
-    gear-invariant tape.  :class:`GearSweepTask` returns None (it is a
-    whole grid already and always forms its own group), as does any
-    non-batchable kind.
+    The fingerprint of the run's description *minus the gear*: two
+    runs group iff everything else about them — cluster, workload
+    state, node count, fast-forward config — is identical, which is
+    exactly the condition for a shared gear-invariant tape.
     """
-    if type(task) is MeasurementTask:
-        desc = dict(task.describe())
-        desc.pop("gear")
-        return ("measurement", fingerprint(desc))
-    return None
+    desc = dict(task.describe())
+    desc.pop("gear")
+    return fingerprint(desc)
 
 
-def _form_units(pending: Sequence[tuple[SimTask, str | None]]) -> list[_Unit]:
-    """Partition pending points into execution units, in first-seen order.
+def _form_units(pending: Sequence[tuple[SimTask, RunTask]]) -> list[_Unit]:
+    """Partition pending runs into execution units, in first-seen order.
 
-    Every batch group gets the key of the tape it records or loads.
+    ``pending`` pairs each run with the point that asked for it.  The
+    pending runs of one composite form one batch group; standalone
+    :class:`MeasurementTask` points group by :func:`_group_token`; any
+    other run passes through on the event engine.  Every batch group
+    gets the key of the tape it records or loads, at its first run's
+    gear.
     """
     units: list[_Unit] = []
-    by_token: dict[tuple, _Unit] = {}
-    for index, (task, _) in enumerate(pending):
-        if type(task) is GearSweepTask:
-            units.append(_Unit([task], [index], batch=True))
+    groups: dict[Any, _Unit] = {}
+    for index, (point, run) in enumerate(pending):
+        if type(run) not in BATCHABLE:
+            units.append(_Unit([run], [index]))
             continue
-        token = _group_token(task)
-        if token is None:
-            units.append(_Unit([task], [index]))
-            continue
-        unit = by_token.get(token)
+        token = _group_token(run) if point is run else id(point)
+        unit = groups.get(token)
         if unit is None:
-            unit = _Unit([], [], batch=True)
-            by_token[token] = unit
+            unit = groups[token] = _Unit([], [], batch=True)
             units.append(unit)
-        unit.tasks.append(task)
+        unit.tasks.append(run)
         unit.indices.append(index)
     for unit in units:
         if unit.batch:
-            unit.tape_key = tape_key(unit.tasks[0], _recording_gear(unit.tasks[0]))
+            first = unit.tasks[0]
+            unit.tape_key = tape_key(first, first.gear)  # type: ignore[attr-defined]
     return units
 
 
-def _load_tape(task: SimTask, tapes: TapeCache, key: str) -> Any | None:
+def _load_tape(task: MeasurementTask, tapes: TapeCache, key: str) -> Any | None:
     """Deserialize the cached tape of ``task``'s group, or None on a miss.
 
     A payload that does not decode, fails
@@ -330,11 +327,10 @@ def _load_tape(task: SimTask, tapes: TapeCache, key: str) -> Any | None:
     """
     from repro.sim.batch import tape_from_payload
 
-    workload, nodes = task.workload, task.nodes  # type: ignore[attr-defined]
-    expected = (workload.name, nodes, _recording_gear(task))
+    expected = (task.workload.name, task.nodes, task.gear)
 
     def decode(payload: Any) -> Any:
-        tape = tape_from_payload(task.cluster, payload)  # type: ignore[attr-defined]
+        tape = tape_from_payload(task.cluster, payload)
         got = (tape.workload_name, tape.nodes, tape.recording_gear)
         if got != expected:
             raise ValueError(f"tape records {got}, the group needs {expected}")
@@ -343,10 +339,8 @@ def _load_tape(task: SimTask, tapes: TapeCache, key: str) -> Any | None:
     return tapes.load(key, decode)
 
 
-def _record_tape(
-    task: SimTask, rec_gear: int, tapes: TapeCache | None, key: str
-) -> Any:
-    """Record the tape of the group led by ``task`` at ``rec_gear`` and,
+def _record_tape(task: MeasurementTask, tapes: TapeCache | None, key: str) -> Any:
+    """Record the tape of the group led by ``task`` at its gear and,
     with a tape store, store it under ``key``.
 
     Raises:
@@ -355,11 +349,11 @@ def _record_tape(
     from repro.sim.batch import record_tape, tape_to_payload
 
     tape = record_tape(
-        task.cluster,  # type: ignore[attr-defined]
-        task.workload,  # type: ignore[attr-defined]
-        nodes=task.nodes,  # type: ignore[attr-defined]
-        gear=rec_gear,
-        fast_forward=getattr(task, "fast_forward", None),
+        task.cluster,
+        task.workload,
+        nodes=task.nodes,
+        gear=task.gear,
+        fast_forward=task.fast_forward,
     )
     if tapes is not None:
         tapes.store(key, tape_to_payload(tape))
@@ -367,7 +361,7 @@ def _record_tape(
 
 
 def _record_tape_job(
-    task: SimTask, rec_gear: int, tape_root: Path, key: str
+    task: MeasurementTask, tape_root: Path, key: str
 ) -> tuple[str | None, float, Any]:
     """Record one group's tape into the cache (parallel-recording phase).
 
@@ -383,7 +377,7 @@ def _record_tape_job(
     ledger = _ff_ledger(task)
     fail = None
     try:
-        _record_tape(task, rec_gear, TapeCache(tape_root), key)
+        _record_tape(task, TapeCache(tape_root), key)
     except BatchUnsupported as exc:
         fail = str(exc)
     return fail, time.perf_counter() - start, _ff_delta(task, ledger)
@@ -394,12 +388,12 @@ def _run_unit(
 ) -> tuple[list[Any], str | None, float, float, bool]:
     """Execute one batch group.
 
-    Returns (results in task order, fallback reason, recording seconds,
+    Returns (results in run order, fallback reason, recording seconds,
     replay seconds, whether the tape replayed was loaded from the
     store).  Any :class:`~repro.sim.batch.BatchUnsupported` — from
     certification, from the recording-gear self-check of a fresh
     recording, or carried in as ``prefail`` from the parallel-recording
-    phase — downgrades the whole unit to per-point event-engine runs,
+    phase — downgrades the whole unit to run-by-run event-engine runs,
     which are exact by definition.  With a tape store available the
     recording is loaded from it when present and stored into it when
     fresh.  A loaded tape that fails its replay is discarded, counted in
@@ -409,7 +403,7 @@ def _run_unit(
     """
     from repro.sim.batch import BatchUnsupported
 
-    tasks = unit.tasks
+    tasks: list[MeasurementTask] = unit.tasks  # type: ignore[assignment]
     if unit.prefail is not None:
         return [task.run() for task in tasks], unit.prefail, 0.0, 0.0, False
     first = tasks[0]
@@ -426,7 +420,7 @@ def _run_unit(
                 tapes.discard(key)  # type: ignore[union-attr]
                 replay_s = time.perf_counter() - start
         start = time.perf_counter()
-        tape = _record_tape(first, _recording_gear(first), tapes, key)
+        tape = _record_tape(first, tapes, key)
         record_s = time.perf_counter() - start
         start = time.perf_counter()
         results = _replay_unit(tasks, tape)
@@ -436,35 +430,22 @@ def _run_unit(
         return [task.run() for task in tasks], str(exc), record_s, replay_s, False
 
 
-def _replay_unit(tasks: list[SimTask], tape: Any) -> list[Any]:
-    """Revalue one batch group's grid from its tape (see :func:`_run_unit`).
+def _replay_unit(tasks: list[MeasurementTask], tape: Any) -> list[RunMeasurement]:
+    """Revalue one batch group's gears from its tape (see :func:`_run_unit`).
 
     Raises:
         BatchUnsupported: the replay failed, its self-check included.
     """
-    from repro.sim.batch import batch_gear_grid, batch_gear_sweep
+    from repro.sim.batch import batch_gear_grid
 
     first = tasks[0]
-    if type(first) is GearSweepTask:
-        return [
-            batch_gear_sweep(
-                first.cluster,
-                first.workload,
-                nodes=first.nodes,
-                gears=first.gears,
-                fast_forward=first.fast_forward,
-                tape=tape,
-            )
-        ]
-    return list(
-        batch_gear_grid(
-            first.cluster,  # type: ignore[attr-defined]
-            first.workload,  # type: ignore[attr-defined]
-            nodes=first.nodes,  # type: ignore[attr-defined]
-            gears=[t.gear for t in tasks],  # type: ignore[union-attr]
-            fast_forward=getattr(first, "fast_forward", None),
-            tape=tape,
-        )
+    return batch_gear_grid(
+        first.cluster,
+        first.workload,
+        nodes=first.nodes,
+        gears=[task.gear for task in tasks],
+        fast_forward=first.fast_forward,
+        tape=tape,
     )
 
 
@@ -509,7 +490,6 @@ def _warm_tapes(
         key: pool.submit(
             _record_tape_job,
             owners[0].tasks[0],
-            _recording_gear(owners[0].tasks[0]),
             tape_root,
             key,
         )

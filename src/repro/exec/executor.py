@@ -36,25 +36,25 @@ class Executor:
             (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
         observer: optional :class:`repro.obs.observer.RunObserver` that
             rides along every simulated run.  Observed sweeps execute
-            inline and uncached (a replayed point produces no events),
+            inline and uncached (a replayed run produces no events),
             but results are unchanged — simulation is deterministic.
-        profile: True to accumulate an :class:`ExecProfile` (per-task
+        profile: True to accumulate an :class:`ExecProfile` (per-run
             wall time, cache latencies, worker utilization) across every
             sweep this executor runs.
         chunk_size: units dispatched per worker call in parallel
-            sweeps — a unit is one point under the event backend, one
-            batch group or passthrough point under the batch backend.
+            sweeps — a unit is one run under the event backend, one
+            batch group or passthrough run under the batch backend.
             ``None`` (the default) auto-sizes to about four chunks per
             worker.  Chunking amortizes pickling/IPC and never changes
             results.
         fast_forward: optional
             :class:`repro.mpi.fastforward.FastForwardConfig` stamped
             onto every task this executor runs (tasks that already carry
-            their own config keep it).  Fast-forwarded points cache
+            their own config keep it).  Fast-forwarded runs cache
             under distinct keys, so the same cache can hold both exact
             and macro-stepped results.
-        backend: ``"event"`` (the default) simulates every point
-            independently; ``"batch"`` records gear-groupable points
+        backend: ``"event"`` (the default) simulates every run
+            independently; ``"batch"`` records gear-groupable runs
             once and replays their whole gear grid in one vectorized
             pass (see :mod:`repro.exec.batch_sweep`).  Batch results
             agree with event results to ~1e-9 and cache under distinct

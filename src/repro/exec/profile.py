@@ -1,8 +1,9 @@
 """Executor profiling: where a sweep's wall-clock time actually goes.
 
-An :class:`ExecProfile` attached to a sweep records, per simulation
-point, the wall time of the simulation itself and the latency of every
-cache interaction (lookup hit, lookup miss, store).  From those it
+An :class:`ExecProfile` attached to a sweep records, per simulated run
+(:class:`~repro.exec.tasks.RunTask`), the wall time of the simulation
+itself and the latency of every cache interaction (lookup hit, lookup
+miss, store).  From those it
 derives the numbers worth acting on:
 
 - total sweep wall time vs. summed task time (parallel speedup);
@@ -31,17 +32,17 @@ SOURCE_CACHE = "cache"
 
 @dataclass(frozen=True)
 class TaskTiming:
-    """Wall-clock accounting for one simulation point.
+    """Wall-clock accounting for one run.
 
     Attributes:
-        key: the task's sweep key, stringified.
+        key: the run's key, stringified.
         source: ``"run"`` (simulated) or ``"cache"`` (replayed from disk).
         seconds: simulation wall time (0.0 for cache hits).
         lookup_s: cache lookup latency (0.0 when uncached).
         store_s: cache store latency (0.0 for hits / uncached).
         ff_skipped: iterations the steady-state fast-forward layer
             macro-stepped instead of simulating while running this
-            point (0 for cache hits / fast-forward disabled).
+            run (0 for cache hits / fast-forward disabled).
     """
 
     key: str
@@ -62,7 +63,7 @@ class ExecProfile:
     """Accumulated sweep profiling, filled in by :func:`repro.exec.sweep.sweep`.
 
     Attributes:
-        timings: one entry per simulation point, in completion order.
+        timings: one entry per run a sweep looked up or simulated.
         wall_s: total wall time spent inside ``sweep`` calls.
         workers: the largest worker-pool size used (1 = inline).
     """

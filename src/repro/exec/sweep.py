@@ -1,33 +1,44 @@
 """Fan a set of simulation points out, merge results deterministically.
 
 :func:`sweep` is the one concurrency primitive of the package, and the
-only lookup → dispatch → merge path for both backends.  The contract
-that makes it safe to drop into the experiment harness:
+only lookup → dispatch → merge path for both backends.  It works on
+*runs*: every point lists its runs (:meth:`SimTask.runs`), and the run
+is the only unit the sweep looks up, simulates and stores.  A composite
+point (a gear sweep, a calibration) is assembled from its runs in the
+parent, after the merge.  The contract that makes it safe to drop into
+the experiment harness:
 
 - **Deterministic merge.**  Results come back in the order the tasks
   were given — never in completion order — so a parallel run is
   byte-identical to a serial one.
-- **Cache transparency.**  With a cache, each point is looked up by its
+- **Cache transparency.**  With a cache, each run is looked up by its
   content fingerprint first and only misses are executed (then stored).
-  A warm sweep does no simulation at all.
+  A warm sweep does no simulation at all, and a point whose runs another
+  point already computed is served from their entries.
 - **Failure naming.**  Any exception in a worker is re-raised in the
   caller as a :class:`~repro.util.errors.SimulationError` naming the
-  failing point's key, with the original exception chained as the cause.
+  failing run's key, with the original exception chained as the cause;
+  a failing assembly names its point.
 
-Dispatch: the cache misses are partitioned into *units*, the pieces of
-work that are never split.  Under ``backend="event"`` every point is
-its own unit; under ``backend="batch"``
-:func:`repro.exec.batch_sweep._form_units` folds points that share a
+Repeats inside one sweep are not merged: every run a point lists is
+looked up, and two points of one sweep that miss on the same run both
+simulate it.  Each repeat in the paper suite sits in a later experiment
+than the run it repeats, so the cache serves it.
+
+Dispatch: the missed runs are partitioned into *units*, the pieces of
+work that are never split.  Under ``backend="event"`` every run is its
+own unit; under ``backend="batch"``
+:func:`repro.exec.batch_sweep._form_units` folds runs that share a
 recording into one unit.  Units run inline (``jobs=1``) or in chunks of
 consecutive units on a process pool, through the same in-worker chunk
-function, and their results scatter back to task order.
+function, and their results scatter back to run order.
 
 Observability: an ``observer`` (see :mod:`repro.obs.observer`) rides
 along every simulation — which forces the sweep inline, uncached and
 onto the event engine, because a cached, replayed or out-of-process
-point produces no events to observe.  A ``profile``
+run produces no events to observe.  A ``profile``
 (:class:`~repro.exec.profile.ExecProfile`) records host wall time per
-point and per cache interaction in every mode.
+run and per cache interaction in every mode.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
+from repro.core.run import RunMeasurement
 from repro.exec.batch_sweep import (
     BATCHABLE,
     BatchFallback,
@@ -55,7 +67,7 @@ from repro.exec.batch_sweep import (
 from repro.exec.cache import ResultCache, TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
 from repro.exec.profile import SOURCE_CACHE, SOURCE_RUN, ExecProfile, TaskTiming
-from repro.exec.tasks import SimTask
+from repro.exec.tasks import RunTask, SimTask
 from repro.mpi.fastforward import FastForwardStats
 from repro.util.errors import ConfigurationError, SimulationError
 
@@ -75,8 +87,8 @@ def check_backend(backend: str) -> None:
         )
 
 
-def cache_key(task: SimTask) -> str:
-    """The content-addressed cache key of one simulation point."""
+def cache_key(task: RunTask) -> str:
+    """The content-addressed cache key of one run."""
     return fingerprint(
         {"task": task.describe(), "code_version": code_version_token()}
     )
@@ -116,6 +128,19 @@ def _merge_ff(task: SimTask, delta: FastForwardStats | None) -> None:
     pooled and inline sweeps report the same totals."""
     if delta is not None:
         task.fast_forward.aggregate.merge(delta)  # type: ignore[attr-defined]
+
+
+class _Pending(NamedTuple):
+    """One run to simulate: the cache missed it, or there is no cache."""
+
+    #: Position of the point that lists the run, in task order.
+    slot: int
+    #: Position of the run in that point's ``runs()``.
+    position: int
+    run: RunTask
+    #: Result-cache key, or None without a cache.
+    key: str | None
+    lookup_s: float
 
 
 class _Outcome(NamedTuple):
@@ -184,7 +209,7 @@ def _run_chunk(
         results, fallback, record_s, replay_s, loaded = done
         runs.append(
             _Outcome(
-                results,
+                [_headline(result) for result in results],
                 fallback,
                 record_s,
                 replay_s,
@@ -201,6 +226,15 @@ def _run_chunk(
     overhead = time.perf_counter() - chunk_start - sum(r.wall_s for r in runs)
     residual = overhead / len(runs)
     return [r._replace(wall_s=r.wall_s + residual) for r in runs]
+
+
+def _headline(result: Any) -> Any:
+    """A run's result as the executor returns it: without the event-level
+    :class:`~repro.mpi.world.WorldResult` (see :class:`RunMeasurement`),
+    so no run's meters and traces outlive its unit or cross a pipe."""
+    if isinstance(result, RunMeasurement) and result.result is not None:
+        return dataclasses.replace(result, result=None)
+    return result
 
 
 def _point_error(task: SimTask, exc: BaseException) -> SimulationError:
@@ -247,26 +281,26 @@ def sweep(
     Args:
         tasks: the points; keys must be unique.
         jobs: worker processes.  1 (the default) runs inline in this
-            process; N > 1 runs cache misses on a process pool of up to
-            N workers.
+            process; N > 1 runs the missed runs on a process pool of up
+            to N workers.
         cache: optional on-disk result cache consulted before running
             and filled after.
         observer: optional run observer.  Observed sweeps run inline,
             bypass the cache and use the event engine — a replayed or
-            out-of-process point has no gear events or trace records to
+            out-of-process run has no gear events or trace records to
             observe.  Observation never changes results (the simulator
             is deterministic).
-        profile: optional profile accumulating per-point wall time and
+        profile: optional profile accumulating per-run wall time and
             cache-latency accounting across this sweep.
         chunk_size: units dispatched per worker call when ``jobs > 1``
             (amortizes pickling/IPC).  ``None`` picks about four chunks
             per worker.  Chunks are consecutive units in first-seen
             order, so chunking never changes results or merge order.
-            Under the event backend a unit is one point; under the
-            batch backend it is one batch group or passthrough point,
+            Under the event backend a unit is one run; under the
+            batch backend it is one batch group or passthrough run,
             so one recording is never split across workers.
-        backend: ``"event"`` (the default) simulates every point
-            independently; ``"batch"`` records gear-groupable points
+        backend: ``"event"`` (the default) simulates every run
+            independently; ``"batch"`` records gear-groupable runs
             once and replays the grid (see
             :mod:`repro.exec.batch_sweep`; results equal to ~1e-9,
             cached under distinct keys).
@@ -287,8 +321,10 @@ def sweep(
     Raises:
         ConfigurationError: duplicate task keys, an unknown ``backend``,
             ``jobs < 1``, or ``chunk_size < 1``.
-        SimulationError: a point failed; the message names its key and
-            the original exception is chained as ``__cause__``.
+        SimulationError: a run failed, or a point could not be
+            assembled from its runs; the message names the run's or the
+            point's key and the original exception is chained as
+            ``__cause__``.
     """
     check_backend(backend)
     ordered: Sequence[SimTask] = list(tasks)
@@ -304,48 +340,47 @@ def sweep(
 
     sweep_start = time.perf_counter()
     if observer is not None:
-        # Cached or replayed points would produce no events to observe.
+        # Cached or replayed runs would produce no events to observe.
         cache = None
         backend = "event"
     batched = backend == "batch"
     report = batch_report if batched else None
 
-    results: dict[tuple, Any] = {}
-    pending: list[tuple[SimTask, str | None]] = []
-    lookups: list[float] = []
-    for task in ordered:
-        if cache is None:
-            pending.append((task, None))
-            lookups.append(0.0)
-            continue
-        lookup_start = time.perf_counter()
-        if batched and type(task) in BATCHABLE:
-            key = batch_cache_key(task)
-        else:
-            key = cache_key(task)
-        result = cache.load(key, task.decode)
-        lookup_s = time.perf_counter() - lookup_start
-        if result is None:
-            pending.append((task, key))
-            lookups.append(lookup_s)
-            continue
-        results[task.key] = result
-        if profile is not None:
-            profile.add(
-                TaskTiming(
-                    key=str(task.key),
-                    source=SOURCE_CACHE,
-                    seconds=0.0,
-                    lookup_s=lookup_s,
+    plans = [task.runs() for task in ordered]
+    measured: list[list[Any]] = [[None] * len(runs) for runs in plans]
+    pending: list[_Pending] = []
+    for slot, runs in enumerate(plans):
+        for position, run in enumerate(runs):
+            if cache is None:
+                pending.append(_Pending(slot, position, run, None, 0.0))
+                continue
+            lookup_start = time.perf_counter()
+            if batched and type(run) in BATCHABLE:
+                key = batch_cache_key(run)
+            else:
+                key = cache_key(run)
+            result = cache.load(key, run.decode)
+            lookup_s = time.perf_counter() - lookup_start
+            if result is None:
+                pending.append(_Pending(slot, position, run, key, lookup_s))
+                continue
+            measured[slot][position] = result
+            if profile is not None:
+                profile.add(
+                    TaskTiming(
+                        key=str(run.key),
+                        source=SOURCE_CACHE,
+                        seconds=0.0,
+                        lookup_s=lookup_s,
+                    )
                 )
-            )
 
     if batched:
-        units = _form_units(pending)
+        units = _form_units([(ordered[p.slot], p.run) for p in pending])
         if report is not None:
             report.count_units(units, tape_cache)
     else:
-        units = [_Unit([task], [index]) for index, (task, _) in enumerate(pending)]
+        units = [_Unit([p.run], [index]) for index, p in enumerate(pending)]
     tape_root = None
     if batched and tape_cache is not None:
         tape_root = Path(tape_cache.root)
@@ -363,9 +398,9 @@ def sweep(
     seconds = [0.0] * len(pending)
     skips = [0] * len(pending)
     for unit, outcome in zip(units, outcomes):
-        # A unit's points share its wall (plus any warm-phase recording)
+        # A unit's runs share its wall (plus any warm-phase recording)
         # evenly, so the rows still sum to the measured walls; the
-        # fast-forward delta goes to the first point, as the ledger saw
+        # fast-forward delta goes to the first run, as the ledger saw
         # one recording run.
         share = (outcome.wall_s + unit.warm_s) / len(unit.tasks)
         for index, result in zip(unit.indices, outcome.results):
@@ -386,24 +421,24 @@ def sweep(
                         reason=outcome.fallback,
                     )
                 )
-    for index, (task, key) in enumerate(pending):
-        result = results[task.key] = computed[index]
+    for index, (slot, position, run, key, lookup_s) in enumerate(pending):
+        result = measured[slot][position] = computed[index]
         store_s = 0.0
         if cache is not None and key is not None:
             store_start = time.perf_counter()
-            meta: dict[str, Any] = {"point": [str(part) for part in task.key]}
-            scenario = getattr(task, "scenario", None)
+            meta: dict[str, Any] = {"point": [str(part) for part in run.key]}
+            scenario = getattr(run, "scenario", None)
             if scenario:
                 meta["scenario"] = scenario
-            cache.store(key, task.encode(result), meta=meta)
+            cache.store(key, run.encode(result), meta=meta)
             store_s = time.perf_counter() - store_start
         if profile is not None:
             profile.add(
                 TaskTiming(
-                    key=str(task.key),
+                    key=str(run.key),
                     source=SOURCE_RUN,
                     seconds=seconds[index],
-                    lookup_s=lookups[index],
+                    lookup_s=lookup_s,
                     store_s=store_s,
                     ff_skipped=skips[index],
                 )
@@ -412,9 +447,15 @@ def sweep(
         if tape_cache is not None:
             report.count_tapes(units, [outcome.tape_loaded for outcome in outcomes])
         report.merge_s += time.perf_counter() - merge_start
+    results = []
+    for task, runs in zip(ordered, measured):
+        try:
+            results.append(task.assemble(runs))
+        except Exception as exc:
+            raise _point_error(task, exc) from exc
     if profile is not None:
         profile.wall_s += time.perf_counter() - sweep_start
-    return [results[task.key] for task in ordered]
+    return results
 
 
 def _run_pool(

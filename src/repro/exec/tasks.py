@@ -1,40 +1,56 @@
-"""Simulation points: the units of parallel execution and caching.
+"""Sweep points and the simulated runs they are assembled from.
 
-A :class:`SimTask` is one independent "plug in the multimeters and run
-it" experiment — small enough to fan out across processes, coarse enough
-that the result is worth caching.  Three concrete kinds cover every
-paper artifact:
+A *run* — one :func:`repro.core.run.run_workload` configuration, a
+"plug in the multimeters and run it" experiment — is the only unit the
+executor looks up, simulates and caches.  A :class:`RunTask` describes
+one.  Two kinds of run cover every paper artifact:
 
-- :class:`GearSweepTask` — one energy-time curve (one line in a figure);
-- :class:`MeasurementTask` — one fastest-gear trace run (model step 1,
-  Table 1's UPM column);
+- :class:`MeasurementTask` — one (workload, nodes, gear) run: a
+  fastest-gear trace (model step 1), Table 1's UPM column, or one point
+  of a curve;
 - :class:`PolicyMeasurementTask` — one run under a gear policy from the
-  zoo (the policy's knobs are part of the cache key);
-- :class:`CalibrationTask` — the single-node per-gear S_g/P_g/I_g table
-  (model step 4).
+  zoo (the policy's knobs are part of the cache key).
 
-Each task is a frozen, picklable dataclass that knows how to
+A sweep accepts any :class:`SimTask`: a point that lists its
+``runs()`` and ``assemble``-s its result from their measurements.  A run
+is its own one-run point.  Two composites assemble the rest:
+
+- :class:`GearSweepTask` — one energy-time curve (one line in a
+  figure), from one run per gear;
+- :class:`CalibrationTask` — the single-node per-gear S_g/P_g/I_g table
+  (model step 4), from one one-node run per gear.
+
+A composite has no cache entry of its own, so a Figure 5 or Table 1
+point that repeats a Figure 1–2 run is a cache hit on that run.  Its
+assembly is the same function its library twin
+(:func:`~repro.core.run.gear_sweep`,
+:func:`~repro.core.calibration.calibrate_gears`) uses.
+
+Each run is a frozen, picklable dataclass that knows how to
 
 - ``run()`` itself (in a worker process),
 - ``describe()`` itself as the canonical structure its cache key is
   fingerprinted from (full cluster + workload state — see
   :mod:`repro.exec.fingerprint`), and
-- ``encode``/``decode`` its result to/from the JSON payload the cache
-  stores.
+- ``encode``/``decode`` its measurement to/from the JSON payload the
+  cache stores.
+
+Every point can ``encode`` its result: the validation sweep and the
+scenario CLI compare and print those payloads.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.cluster.cluster import ClusterSpec
-from repro.core.calibration import GearCalibration, calibrate_gears
+from repro.core.calibration import GearCalibration, calibration_from_runs
 from repro.core.curves import EnergyTimeCurve
-from repro.core.run import RunMeasurement, gear_sweep, run_workload
+from repro.core.run import RunMeasurement, curve_from_runs, run_workload
 from repro.exec.fingerprint import jsonable
-from repro.reporting import curve_from_dict, curve_to_dict
+from repro.reporting import curve_to_dict
 from repro.util.units import is_amount
 from repro.workloads.base import Workload
 
@@ -88,12 +104,6 @@ def _amount(payload: Any, name: str) -> Any:
     return value
 
 
-def _mapping(payload: Any, what: str) -> dict:
-    if not isinstance(payload, dict):
-        raise ValueError(f"cached {what} is not a mapping")
-    return payload
-
-
 def _decode_measurement(
     payload: Any, task: "MeasurementTask | PolicyMeasurementTask", gear: int
 ) -> RunMeasurement:
@@ -109,7 +119,8 @@ def _decode_measurement(
         ValueError: the payload does not hold together; the cache
             treats it as a miss (:meth:`ResultCache.load`).
     """
-    payload = _mapping(payload, "measurement")
+    if not isinstance(payload, dict):
+        raise ValueError("cached measurement is not a mapping")
     upm = payload.get("upm")
     if type(upm) is not float or upm < 0.0:
         raise ValueError(f"cached upm is {upm!r}")
@@ -148,13 +159,14 @@ def _scenario_key(base: tuple, scenario: str | None) -> tuple:
 
 
 class SimTask(ABC):
-    """One independent simulation point.
+    """One point of a sweep: the runs it needs and how they combine.
 
     Concrete tasks may carry a ``scenario`` attribute — the name of the
     :class:`repro.scenarios.ScenarioSpec` that produced them.  It is
     pure provenance: excluded from equality, from ``describe()`` and
     hence from cache keys, but reported by sweep failures and stored in
-    cache-entry metadata so points stay attributable at scale.
+    cache-entry metadata so points stay attributable at scale.  A
+    composite hands it on to its runs.
     """
 
     #: Name of the scenario spec this point came from (provenance only).
@@ -166,6 +178,31 @@ class SimTask(ABC):
         """Orderable identity, unique within one sweep."""
 
     @abstractmethod
+    def runs(self) -> list["RunTask"]:
+        """The runs this point is assembled from, in a fixed order."""
+
+    @abstractmethod
+    def assemble(self, results: list[Any]) -> Any:
+        """This point's result from its runs' results, in ``runs()`` order."""
+
+    @abstractmethod
+    def encode(self, result: Any) -> Any:
+        """Flatten a result to plain JSON data (a run's is its cache payload)."""
+
+
+class RunTask(SimTask):
+    """One simulated run: what the executor looks up, runs and caches."""
+
+    def runs(self) -> list["RunTask"]:
+        """A run is its own only run."""
+        return [self]
+
+    def assemble(self, results: list[Any]) -> Any:
+        """A run's result is its measurement."""
+        (result,) = results
+        return result
+
+    @abstractmethod
     def describe(self) -> Any:
         """Canonical structure the cache key is fingerprinted from."""
 
@@ -175,14 +212,9 @@ class SimTask(ABC):
 
         Args:
             observer: optional :class:`repro.obs.observer.RunObserver`
-                that rides along every underlying simulated run (inline
-                sweeps only — observers do not cross process
-                boundaries).
+                that rides along the simulated run (inline sweeps only —
+                observers do not cross process boundaries).
         """
-
-    @abstractmethod
-    def encode(self, result: Any) -> Any:
-        """Flatten a result to the JSON payload the cache stores."""
 
     @abstractmethod
     def decode(self, payload: Any) -> Any:
@@ -221,50 +253,20 @@ class GearSweepTask(SimTask):
             self.scenario,
         )
 
-    def describe(self) -> Any:
-        return _with_ff(
-            {
-                "kind": "gear_sweep",
-                "cluster": _describe_cluster(self.cluster),
-                "workload": _describe_workload(self.workload),
-                "nodes": self.nodes,
-                "gears": self.gears,
-            },
-            self.fast_forward,
-        )
+    def runs(self) -> list["MeasurementTask"]:
+        """One run per gear of the grid, in grid order."""
+        gears = self.gears if self.gears is not None else self.cluster.gears.indices
+        return _measurements(self, self.nodes, gears)
 
-    def run(self, observer: "RunObserver | None" = None) -> EnergyTimeCurve:
-        """Simulate the sweep (optionally observed)."""
-        return gear_sweep(
-            self.cluster,
-            self.workload,
-            nodes=self.nodes,
-            gears=self.gears,
-            observer=observer,
-            fast_forward=self.fast_forward,
-        )
+    def assemble(self, results: list[RunMeasurement]) -> EnergyTimeCurve:
+        return curve_from_runs(self.workload.name, self.nodes, results)
 
     def encode(self, result: EnergyTimeCurve) -> Any:
         return curve_to_dict(result)
 
-    def decode(self, payload: Any) -> EnergyTimeCurve:
-        payload = _mapping(payload, "curve")
-        gears = self.gears if self.gears is not None else self.cluster.gears.indices
-        _expect(payload, "workload", self.workload.name)
-        _expect(payload, "nodes", self.nodes)
-        points = payload.get("points")
-        if type(points) is not list or len(points) != len(gears):
-            raise ValueError(f"cached curve has points {points!r}")
-        for point, gear in zip(points, gears):
-            point = _mapping(point, "curve point")
-            _expect(point, "gear", gear)
-            _amount(point, "time_s")
-            _amount(point, "energy_j")
-        return curve_from_dict(payload)
-
 
 @dataclass(frozen=True)
-class MeasurementTask(SimTask):
+class MeasurementTask(RunTask):
     """Run one (workload, nodes, gear) configuration and measure it."""
 
     cluster: ClusterSpec
@@ -331,7 +333,7 @@ class MeasurementTask(SimTask):
 
 
 @dataclass(frozen=True)
-class PolicyMeasurementTask(SimTask):
+class PolicyMeasurementTask(RunTask):
     """Run one (workload, nodes) configuration under a gear policy.
 
     The policy field holds the *template* — :meth:`run` attaches it via
@@ -432,27 +434,15 @@ class CalibrationTask(SimTask):
             self.scenario,
         )
 
-    def describe(self) -> Any:
-        return _with_ff(
-            {
-                "kind": "calibration",
-                "cluster": _describe_cluster(self.cluster),
-                "workload": _describe_workload(self.workload),
-            },
-            self.fast_forward,
-        )
+    def runs(self) -> list["MeasurementTask"]:
+        """One one-node run per cluster gear, fastest first."""
+        return _measurements(self, 1, self.cluster.gears.indices)
 
-    def run(self, observer: "RunObserver | None" = None) -> GearCalibration:
-        """Run the calibration sweeps (optionally observed)."""
-        return calibrate_gears(
-            self.cluster,
-            self.workload,
-            observer=observer,
-            fast_forward=self.fast_forward,
-        )
+    def assemble(self, results: list[RunMeasurement]) -> GearCalibration:
+        return calibration_from_runs(self.cluster, self.workload.name, results)
 
     def encode(self, result: GearCalibration) -> Any:
-        # JSON object keys are strings; gear indices are rebuilt in decode.
+        # JSON object keys are strings.
         return {
             "workload": result.workload,
             "slowdown": {str(g): v for g, v in result.slowdown.items()},
@@ -463,20 +453,19 @@ class CalibrationTask(SimTask):
             },
         }
 
-    def decode(self, payload: Any) -> GearCalibration:
-        payload = _mapping(payload, "calibration")
-        gears = [str(g) for g in self.cluster.gears.indices]
 
-        def by_gear(name: str) -> dict[int, float]:
-            mapping = _mapping(payload.get(name), name)
-            if sorted(mapping) != sorted(gears):
-                raise ValueError(f"cached {name} covers gears {list(mapping)}")
-            return {int(g): _amount(mapping, g) for g in mapping}
-
-        return GearCalibration(
-            workload=_expect(payload, "workload", self.workload.name),
-            slowdown=by_gear("slowdown"),
-            active_power=by_gear("active_power"),
-            idle_power=by_gear("idle_power"),
-            single_node_time=by_gear("single_node_time"),
+def _measurements(
+    point: "GearSweepTask | CalibrationTask", nodes: int, gears: Sequence[int]
+) -> list[MeasurementTask]:
+    """A composite's runs: its configuration on ``nodes`` at each gear."""
+    return [
+        MeasurementTask(
+            point.cluster,
+            point.workload,
+            nodes=nodes,
+            gear=gear,
+            fast_forward=point.fast_forward,
+            scenario=point.scenario,
         )
+        for gear in gears
+    ]

@@ -280,11 +280,13 @@ def run_validation(
     sample = list(range(0, len(tasks), recheck_stride))
     say(f"recheck: {len(sample)} of {len(tasks)} points, serial")
     serial = Executor(jobs=1, cache=cache)
-    hits_before = cache.stats.hits
     for index in sample:
         task = tasks[index]
+        misses = cache.stats.misses
         (result,) = serial.run([task])
         report.rechecked += 1
+        # A point is a hit when every run it lists came from the cache.
+        report.recheck_hits += cache.stats.misses == misses
         got = canonical_payload(task, result)
         if got != baseline[index]:
             report.mismatches.append(
@@ -299,7 +301,6 @@ def run_validation(
                     ),
                 )
             )
-    report.recheck_hits = cache.stats.hits - hits_before
     report.recheck_recomputed = report.rechecked - report.recheck_hits
 
     # ------------------------------------------------------------------

@@ -100,7 +100,6 @@ import numpy as np
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.counters import CounterBank
 from repro.cluster.disk import DiskModel
-from repro.core.curves import CurvePoint, EnergyTimeCurve
 from repro.core.run import RunMeasurement
 from repro.mpi.fastforward import FastForwardConfig
 from repro.mpi.requests import (
@@ -1588,34 +1587,3 @@ def batch_gear_grid(
             f"not {workload.name!r} on {nodes}"
         )
     return replay_grid(tape, gear_indices, stats=stats)
-
-
-def batch_gear_sweep(
-    cluster: ClusterSpec,
-    workload: Workload,
-    *,
-    nodes: int,
-    gears: Sequence[int] | None = None,
-    fast_forward: "FastForwardConfig | None" = None,
-    stats: ReplayStats | None = None,
-    tape: Tape | None = None,
-) -> EnergyTimeCurve:
-    """One energy-time curve from one recording (batch twin of
-    :func:`repro.core.run.gear_sweep`)."""
-    measurements = batch_gear_grid(
-        cluster,
-        workload,
-        nodes=nodes,
-        gears=gears,
-        fast_forward=fast_forward,
-        stats=stats,
-        tape=tape,
-    )
-    return EnergyTimeCurve(
-        workload=workload.name,
-        nodes=nodes,
-        points=tuple(
-            CurvePoint(gear=m.gear, time=m.time, energy=m.energy)
-            for m in measurements
-        ),
-    )

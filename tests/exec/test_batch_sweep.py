@@ -1,10 +1,10 @@
 """Batch-backend sweeps: grouping, merge determinism, cache keying.
 
-The load-bearing guarantees: points sharing a recording fold into one
+The load-bearing guarantees: runs sharing a recording fold into one
 group and scatter back byte-identically whether the sweep is serial or
 pooled (chunking counts *groups*, never splitting a recording across
 workers), batch results cache under keys the event engine never reads,
-and non-batchable points pass through unchanged.
+and non-batchable runs pass through unchanged.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.exec import (
 from repro.exec.batch_sweep import _form_units, batch_cache_key
 from repro.exec.profile import ExecProfile
 from repro.exec.sweep import _auto_chunk_size, cache_key, sweep
+from repro.experiments import table1
 from repro.obs import RunObserver
 from repro.policy.adaptive import IdleLowPolicy
 from repro.util.errors import ConfigurationError
@@ -48,7 +49,8 @@ def cluster():
 
 @pytest.fixture(scope="module")
 def tasks(cluster):
-    """A mixed bag: one gear-grid family, one sweep, one passthrough."""
+    """A mixed bag: one gear-grid family, one sweep, one calibration and
+    one passthrough — 15 runs in 3 groups and 1 passthrough run."""
     return (
         [
             MeasurementTask(cluster, EP(SCALE), nodes=2, gear=g)
@@ -56,7 +58,17 @@ def tasks(cluster):
         ]
         + [GearSweepTask(cluster, Jacobi(SCALE), nodes=2, gears=(1, 4))]
         + [CalibrationTask(cluster, EP(SCALE))]
+        + [PolicyMeasurementTask(cluster, EP(SCALE), nodes=2, policy=IdleLowPolicy())]
     )
+
+
+def _pending(tasks):
+    """Every run of ``tasks``, paired with its point, as a sweep forms units."""
+    return [(task, run) for task in tasks for run in task.runs()]
+
+
+def _runs(tasks):
+    return sum(len(task.runs()) for task in tasks)
 
 
 def _payloads(tasks, results):
@@ -68,12 +80,14 @@ def _payloads(tasks, results):
 
 class TestGrouping:
     def test_units_form_by_shared_recording(self, tasks):
-        units = _form_units([(task, None) for task in tasks])
-        # 6 measurements -> 1 group, the sweep -> its own group, the
-        # calibration -> passthrough.
+        units = _form_units(_pending(tasks))
+        # 6 measurements -> 1 group, the sweep's 2 runs -> their own
+        # group, the calibration's 6 one-node runs -> a third, the policy
+        # run -> passthrough.
         assert [(len(u.tasks), u.batch) for u in units] == [
             (6, True),
-            (1, True),
+            (2, True),
+            (6, True),
             (1, False),
         ]
 
@@ -83,7 +97,7 @@ class TestGrouping:
             MeasurementTask(cluster, EP(SCALE), nodes=4, gear=1),
             MeasurementTask(cluster, EP(SCALE), nodes=2, gear=5),
         ]
-        units = _form_units([(task, None) for task in mixed])
+        units = _form_units(_pending(mixed))
         assert [len(u.tasks) for u in units] == [2, 1]
         # First-seen order: the nodes=2 pair merged into the first unit.
         assert [t.gear for t in units[0].tasks] == [1, 5]
@@ -91,10 +105,12 @@ class TestGrouping:
     def test_report_accounts_groups_and_passthrough(self, tasks):
         report = BatchReport()
         sweep(tasks, backend="batch", batch_report=report)
-        assert report.groups == 2
-        assert report.grouped_points == 7
+        assert report.groups == 3
+        assert report.single_run_groups == 0
+        assert report.grouped_points == 14
         assert report.passthrough_points == 1
         assert report.fallbacks == []
+        assert "14 run(s) in 3 group(s) (0 single-run)" in report.summary()
 
 
 class TestMergeDeterminism:
@@ -121,16 +137,16 @@ class TestMergeDeterminism:
         assert chunked == serial
 
     def test_chunks_count_units_not_points(self, tasks):
-        # 8 batchable points but only 3 units: auto-sizing on points
-        # would give chunks of 2+ units and idle half a 4-worker pool;
-        # sizing on units keeps one unit per chunk.
-        units = _form_units([(task, None) for task in tasks])
+        # 15 runs but only 4 units: auto-sizing on runs would give
+        # chunks of 2+ units and idle half a 4-worker pool; sizing on
+        # units keeps one unit per chunk.
+        units = _form_units(_pending(tasks))
         assert _auto_chunk_size(len(units), jobs=4) == 1
 
     def test_more_workers_than_groups_still_groups_once(self, tasks):
         report = BatchReport()
         sweep(tasks, backend="batch", jobs=8, batch_report=report)
-        assert report.groups == 2  # recordings never split by the pool
+        assert report.groups == 3  # recordings never split by the pool
 
     def test_duplicate_point_keys_rejected(self, tasks):
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -139,8 +155,9 @@ class TestMergeDeterminism:
 
 class TestCacheKeying:
     def test_batch_keys_never_collide_with_event_keys(self, tasks):
-        for task in tasks[:7]:  # the batchable kinds
-            assert batch_cache_key(task) != cache_key(task)
+        for _, run in _pending(tasks):
+            if type(run) is MeasurementTask:  # the batchable kind
+                assert batch_cache_key(run) != cache_key(run)
 
     def test_warm_cache_replays_identically(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path / "batch-cache")
@@ -150,7 +167,7 @@ class TestCacheKeying:
             tasks, sweep(tasks, backend="batch", cache=cache, batch_report=report)
         )
         assert warm == cold
-        assert cache.stats.hits == len(tasks)
+        assert cache.stats.hits == _runs(tasks)
         assert report.groups == 0  # nothing left to record
 
     def test_event_executor_never_reads_batch_entries(self, tasks, tmp_path):
@@ -186,13 +203,53 @@ class TestCacheKeying:
 
         monkeypatch.setattr(cache, "store", recording_store)
         sweep(four_kinds, backend=backend, jobs=jobs, cache=cache)
-        batchable = (GearSweepTask, MeasurementTask)
+        # Only runs are stored, each under its backend's key; the
+        # composites (2 runs and 6 runs) have no entry of their own.
         assert stored == [
-            batch_cache_key(task)
-            if backend == "batch" and type(task) in batchable
-            else cache_key(task)
-            for task in four_kinds
+            batch_cache_key(run)
+            if backend == "batch" and type(run) is MeasurementTask
+            else cache_key(run)
+            for _, run in _pending(four_kinds)
         ]
+        assert len(stored) == 10
+
+
+class TestRunSharing:
+    def test_table1_alone_forms_twelve_groups_and_reloads_six_tapes(
+        self, tmp_path, monkeypatch
+    ):
+        # Per code, the gears 1-3 sweep's runs form one group and the
+        # gear-1 UPM run a single-run group of its own: repeats inside
+        # one sweep are not merged.  That group reloads the tape the
+        # sweep's group stored.  (The sweep's chunks keep their own
+        # TapeCache handles, so hits are counted at load.)
+        hits = []
+        load = TapeCache.load
+
+        def counting_load(tapes, key, decode=None):
+            before = tapes.stats.hits
+            payload = load(tapes, key, decode)
+            hits.append(tapes.stats.hits - before)
+            return payload
+
+        monkeypatch.setattr(TapeCache, "load", counting_load)
+        executor = Executor(backend="batch", cache=ResultCache(root=tmp_path))
+        table1(scale=SCALE, executor=executor)
+        report = executor.batch_report
+        assert (report.groups, report.single_run_groups) == (12, 6)
+        assert report.fallbacks == []
+        assert sum(hits) == 6
+        assert "(6 single-run)" in report.summary()
+
+    def test_calibration_runs_hit_an_earlier_sweep(self, cluster, tmp_path):
+        executor = Executor(backend="batch", cache=ResultCache(root=tmp_path))
+        executor.run([GearSweepTask(cluster, EP(SCALE), nodes=1)])
+        stores = executor.stats.stores
+        (calibration,) = executor.run([CalibrationTask(cluster, EP(SCALE))])
+        assert executor.stats.stores == stores == 6
+        assert executor.stats.hits == 6
+        assert executor.batch_report.groups == 1
+        assert calibration.gears == ALL_GEARS
 
 
 class TestProfileRows:
@@ -235,7 +292,7 @@ class TestBackendSelection:
         # replayed tape produces no events to observe.
         report = BatchReport()
         sweep(tasks, backend="batch", batch_report=report)
-        assert (report.groups, report.passthrough_points) == (2, 1)
+        assert (report.groups, report.passthrough_points) == (3, 1)
         observed_report = BatchReport()
         observed = sweep(
             tasks,
@@ -259,7 +316,7 @@ class TestBackendSelection:
         executor.run(tasks[:6])
         executor.run(tasks[6:])
         assert executor.batch_report is not None
-        assert executor.batch_report.groups == 2
+        assert executor.batch_report.groups == 3
         assert executor.batch_report.passthrough_points == 1
         assert "batch backend:" in executor.batch_report.summary()
 
@@ -283,7 +340,7 @@ class TestTapeCache:
             ),
         )
         assert cold_report.tape_cache_enabled
-        assert (cold_report.tape_hits, cold_report.tape_misses) == (0, 2)
+        assert (cold_report.tape_hits, cold_report.tape_misses) == (0, 3)
         warm_report = BatchReport()
         warm = _payloads(
             tasks,
@@ -295,7 +352,7 @@ class TestTapeCache:
             ),
         )
         assert warm == cold  # a loaded tape replays byte-identically
-        assert (warm_report.tape_hits, warm_report.tape_misses) == (2, 0)
+        assert (warm_report.tape_hits, warm_report.tape_misses) == (3, 0)
         assert warm_report.record_s == 0.0  # nothing re-recorded
 
     def test_pooled_sweep_shares_tapes_and_matches_serial(self, tasks, tmp_path):
@@ -313,21 +370,21 @@ class TestTapeCache:
     def test_prune_evicts_tapes(self, tasks, tmp_path, monkeypatch):
         tape_cache = TapeCache(tmp_path / "tapes")
         sweep(tasks, backend="batch", tape_cache=tape_cache)
-        assert len(tape_cache) == 2
+        assert len(tape_cache) == 3
         # Explicit size bound: evict (LRU) until the store fits.
-        assert tape_cache.prune(max_bytes=0) == 2
+        assert tape_cache.prune(max_bytes=0) == 3
         assert len(tape_cache) == 0
-        assert tape_cache.stats.evicted == 2
+        assert tape_cache.stats.evicted == 3
         # The environment knob drives the same bound when prune() gets
         # no explicit argument (the runner's post-run prune path).
         sweep(tasks, backend="batch", tape_cache=tape_cache)
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.000001")
-        assert tape_cache.prune() == 2
+        assert tape_cache.prune() == 3
         # Eviction is never silent corruption: the next sweep simply
         # re-records and produces the same numbers.
         report = BatchReport()
         sweep(tasks, backend="batch", batch_report=report, tape_cache=tape_cache)
-        assert (report.tape_hits, report.tape_misses) == (0, 2)
+        assert (report.tape_hits, report.tape_misses) == (0, 3)
 
     def test_tape_store_is_invisible_to_the_result_cache(self, tasks, tmp_path):
         # The tape cache nests under the result-cache root in the
@@ -336,8 +393,8 @@ class TestTapeCache:
         cache = ResultCache(root=tmp_path / "cache")
         tape_cache = TapeCache(tmp_path / "cache" / "tapes")
         sweep(tasks, backend="batch", cache=cache, tape_cache=tape_cache)
-        assert len(tape_cache) == 2
-        assert len(cache) == len(tasks)
+        assert len(tape_cache) == 3
+        assert len(cache) == _runs(tasks)
 
     def test_summary_names_fallbacks_stages_and_tape_counts(
         self, tasks, tmp_path
@@ -351,7 +408,7 @@ class TestTapeCache:
         )
         line = report.summary()
         assert ", 0 fallback(s)" in line
-        assert "tape cache: 0 hit(s), 2 miss(es)" in line
+        assert "tape cache: 0 hit(s), 3 miss(es)" in line
         assert "stages: record" in line
         assert "replay" in line and "merge" in line
         assert report.record_s > 0.0
@@ -420,7 +477,7 @@ class TestSweepForwarding:
         )
         uncached = _payloads(tasks, sweep(tasks, backend="batch"))
         assert via_sweep == uncached
-        assert len(tape_cache) == 2  # the cache saw the recordings
+        assert len(tape_cache) == 3  # the cache saw the recordings
 
 
 class TestExecutorTapeCache:
@@ -442,5 +499,5 @@ class TestExecutorTapeCache:
         cache.clear()  # point payloads gone; recordings survive
         executor.run(tasks)
         assert executor.batch_report is not None
-        assert executor.batch_report.tape_misses == 2
-        assert executor.batch_report.tape_hits == 2
+        assert executor.batch_report.tape_misses == 3
+        assert executor.batch_report.tape_hits == 3

@@ -12,7 +12,6 @@ from repro.exec import (
     CacheStats,
     ExecProfile,
     Executor,
-    GearSweepTask,
     MeasurementTask,
     ResultCache,
     sweep,
@@ -47,10 +46,10 @@ class TestCacheKeys:
         assert "fast_forward" not in task.describe()
 
     def test_different_knobs_get_different_keys(self, cluster):
-        a = GearSweepTask(
+        a = MeasurementTask(
             cluster, Jacobi(), nodes=2, fast_forward=FastForwardConfig(max_period=4)
         )
-        b = GearSweepTask(
+        b = MeasurementTask(
             cluster, Jacobi(), nodes=2, fast_forward=FastForwardConfig(max_period=8)
         )
         assert cache_key(a) != cache_key(b)

@@ -364,7 +364,7 @@ class TestReferenceEncoder:
 
     def test_pack_and_paper_keys_match_reference(self, monkeypatch):
         # Every key the validation sweep and the paper suite compute: the
-        # result-cache key of each task and the identity of each spec.
+        # result-cache key of each run and the identity of each spec.
         import repro.exec.tasks as tasks_module
         import repro.scenarios.spec as spec_module
 
@@ -378,8 +378,9 @@ class TestReferenceEncoder:
             for spec in specs:
                 out.append(spec_module.fingerprint(spec.identity()))
                 out.extend(
-                    spec_module.fingerprint({"task": t.describe(), "code_version": token})
+                    spec_module.fingerprint({"task": r.describe(), "code_version": token})
                     for t in spec.tasks()
+                    for r in t.runs()
                 )
             return out
 

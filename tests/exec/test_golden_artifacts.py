@@ -24,8 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import Executor
+from repro.exec import Executor, ResultCache
 from repro.mpi import FastForwardConfig
+from repro.mpi.world import World
 from repro.experiments import (
     figure1,
     figure2,
@@ -174,3 +175,30 @@ def test_regeneration_is_deterministic():
     if the simulator itself is nondeterministic.
     """
     assert render_artifact("table1") == render_artifact("table1")
+
+
+def test_cached_suite_simulates_each_run_once(tmp_path, monkeypatch):
+    """The seven experiments through one cached executor simulate 231 runs.
+
+    That is 192 fixed-gear runs plus the 39 policy runs: every Table 1
+    and Figure 5 run repeats a Figure 1 or Figure 2 run, and the result
+    cache serves it.  Caching whole points instead of runs simulated 307
+    (268 + 39).  A second pass over the same cache simulates and stores
+    nothing.  Both passes reproduce the goldens byte for byte.
+    """
+    simulated = []
+    world_run = World.run
+
+    def counting_run(world):
+        simulated.append(world.nodes)
+        return world_run(world)
+
+    monkeypatch.setattr(World, "run", counting_run)
+    executor = Executor(cache=ResultCache(root=tmp_path))
+    for _ in range(2):
+        for name in EXPERIMENTS:
+            golden = (GOLDEN_DIR / f"{name}.json").read_text()
+            assert render_artifact(name, executor=executor) == golden, name
+        assert len(simulated) == 231
+        assert executor.stats.stores == 231
+    assert executor.stats.misses == 231

@@ -16,13 +16,15 @@ from typing import Any
 import pytest
 
 from repro.cluster.machines import athlon_cluster
+from repro.core.calibration import calibrate_gears
+from repro.core.run import gear_sweep, run_workload
 from repro.exec import (
     CalibrationTask,
     Executor,
     GearSweepTask,
     MeasurementTask,
     ResultCache,
-    SimTask,
+    RunTask,
     code_version_token,
     sweep,
 )
@@ -34,6 +36,7 @@ from repro.exec.sweep import (
     _run_chunk,
     cache_key,
 )
+from repro.mpi.world import World
 from repro.util.errors import ConfigurationError, SimulationError
 from repro.workloads.jacobi import Jacobi
 from repro.workloads.nas import EP, MG
@@ -58,8 +61,13 @@ def tasks(cluster):
     ]
 
 
+def _runs(tasks) -> int:
+    """How many runs the points list (every one distinct here)."""
+    return sum(len(task.runs()) for task in tasks)
+
+
 @dataclass(frozen=True)
-class ExplodingTask(SimTask):
+class ExplodingTask(RunTask):
     """A point whose simulation always fails (picklable for the pool)."""
 
     label: str
@@ -128,46 +136,48 @@ class TestFailurePropagation:
 
 class TestCacheAccounting:
     def test_cold_then_warm(self, tasks, tmp_path):
+        # The cache counts runs: one entry per run, none per composite.
         cache = ResultCache(root=tmp_path)
         cold = sweep(tasks, cache=cache)
-        assert cache.stats.misses == len(tasks)
-        assert cache.stats.stores == len(tasks)
+        assert cache.stats.misses == _runs(tasks)
+        assert cache.stats.stores == _runs(tasks)
         warm = sweep(tasks, cache=cache)
         assert warm == cold
-        assert cache.stats.hits == len(tasks)
-        assert len(cache) == len(tasks)
+        assert cache.stats.hits == _runs(tasks)
+        assert len(cache) == _runs(tasks)
 
     def test_warm_parallel_sweep_does_not_spawn_work(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path)
         cold = sweep(tasks, cache=cache)
-        # All points cached: the pooled path has nothing to submit.
+        # All runs cached: the pooled path has nothing to submit.
         warm = sweep(tasks, jobs=4, cache=cache)
         assert warm == cold
-        assert cache.stats.stores == len(tasks)
+        assert cache.stats.stores == _runs(tasks)
 
     def test_distinct_configs_have_distinct_keys(self, cluster):
         keys = {
-            cache_key(GearSweepTask(cluster, EP(SCALE), nodes=n)) for n in (1, 2, 4)
+            cache_key(MeasurementTask(cluster, EP(SCALE), nodes=n)) for n in (1, 2, 4)
         }
         # EP(0.25) has a different iteration count, hence different work.
-        keys.add(cache_key(GearSweepTask(cluster, EP(0.25), nodes=1)))
-        keys.add(cache_key(MeasurementTask(cluster, EP(SCALE), nodes=1)))
+        keys.add(cache_key(MeasurementTask(cluster, EP(0.25), nodes=1)))
+        keys.add(cache_key(MeasurementTask(cluster, EP(SCALE), nodes=1, gear=2)))
         assert len(keys) == 5
 
     def test_corrupt_entry_is_invalidated_and_recomputed(self, cluster, tmp_path):
         cache = ResultCache(root=tmp_path)
-        tasks = [GearSweepTask(cluster, EP(SCALE), nodes=1)]
+        tasks = [GearSweepTask(cluster, EP(SCALE), nodes=1, gears=(1, 2))]
         (result,) = sweep(tasks, cache=cache)
         entry = next(iter(cache._entry_paths()))
         entry.write_text("{ not json")
         (again,) = sweep(tasks, cache=cache)
         assert again == result
         assert cache.stats.invalidated == 1
-        assert cache.stats.stores == 2
+        # Two runs stored cold, and the corrupt one again.
+        assert cache.stats.stores == 3
 
     def test_prune_removes_stale_versions(self, cluster, tmp_path):
         cache = ResultCache(root=tmp_path)
-        sweep([GearSweepTask(cluster, EP(SCALE), nodes=1)], cache=cache)
+        sweep([MeasurementTask(cluster, EP(SCALE), nodes=1)], cache=cache)
         assert cache.prune() == 0
         assert cache.prune(current_version="some-other-code") == 1
         assert len(cache) == 0
@@ -176,7 +186,7 @@ class TestCacheAccounting:
     def test_clear_empties_the_cache(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path)
         sweep(tasks, cache=cache)
-        assert cache.clear() == len(tasks)
+        assert cache.clear() == _runs(tasks)
         assert len(cache) == 0
 
     def test_cache_key_tracks_code_version(self, cluster, monkeypatch):
@@ -186,7 +196,7 @@ class TestCacheAccounting:
 
         sweep_module = importlib.import_module("repro.exec.sweep")
 
-        task = GearSweepTask(cluster, EP(SCALE), nodes=1)
+        task = MeasurementTask(cluster, EP(SCALE), nodes=1)
         before = cache_key(task)
         monkeypatch.setattr(sweep_module, "code_version_token", lambda: "other-code")
         assert cache_key(task) != before
@@ -209,7 +219,7 @@ class TestExecutor:
         first = ex.run(tasks)
         second = ex.run(tasks)
         assert first == second
-        assert ex.stats.hits == len(tasks)
+        assert ex.stats.hits == _runs(tasks)
 
     def test_code_version_token_is_stable(self):
         assert code_version_token() == code_version_token()
@@ -257,14 +267,14 @@ class TestChunkedDispatch:
         cold = sweep(tasks, cache=cache)
         warm = sweep(tasks, jobs=2, chunk_size=2, cache=cache)
         assert warm == cold
-        assert cache.stats.hits == len(tasks)
-        assert cache.stats.stores == len(tasks)
+        assert cache.stats.hits == _runs(tasks)
+        assert cache.stats.stores == _runs(tasks)
 
 
 class TestChunkedProfile:
     def test_per_point_seconds_sum_to_chunk_wall(self, cluster):
         chunk = [
-            _Unit([GearSweepTask(cluster, EP(SCALE), nodes=n)], [i])
+            _Unit([MeasurementTask(cluster, EP(SCALE), nodes=n)], [i])
             for i, n in enumerate((1, 2))
         ]
         start = time.perf_counter()
@@ -281,13 +291,77 @@ class TestChunkedProfile:
     def test_chunked_sweep_profile_accounting(self, tasks):
         profile = ExecProfile()
         sweep(tasks, jobs=2, chunk_size=2, profile=profile)
-        assert profile.task_count == len(tasks)
-        # One SOURCE_RUN entry per point, merged back in task order.
-        assert [t.key for t in profile.timings] == [str(t.key) for t in tasks]
+        assert profile.task_count == _runs(tasks)
+        # One SOURCE_RUN entry per run, merged back in task order.
+        assert [t.key for t in profile.timings] == [
+            str(run.key) for task in tasks for run in task.runs()
+        ]
         assert all(t.source == SOURCE_RUN for t in profile.timings)
         assert all(t.seconds > 0 for t in profile.timings)
-        # Four points in chunks of two -> two chunks, both workers used.
+        # Fifteen runs in chunks of two -> eight chunks, both workers used.
         assert profile.workers == 2
         # Per-point times are in-worker walls (startup and IPC excluded),
         # so busy time fits inside workers * host wall time.
         assert profile.busy_s <= profile.wall_s * profile.workers
+
+
+class TestRunsAreShared:
+    """Points are assembled from runs, and the cache serves every run once.
+
+    A one-node sweep, then its gear-1 measurement and the workload's
+    calibration, then a two-node sweep and its gear-1 measurement: the
+    later points repeat runs the earlier ones stored, so 12 distinct
+    runs are simulated where whole-point caching simulated 20.
+    """
+
+    @pytest.mark.parametrize(
+        "jobs,chunk_size",
+        [(1, None), (2, None), (2, 1)],
+        ids=["serial", "pooled", "chunked"],
+    )
+    def test_each_distinct_run_is_simulated_once(
+        self, cluster, tmp_path, monkeypatch, jobs, chunk_size
+    ):
+        workload = Jacobi(SCALE)
+        simulated = []
+        world_run = World.run
+
+        def counting_run(world):
+            simulated.append(world.nodes)
+            return world_run(world)
+
+        # Pool workers count in their own memory; the profile and the
+        # cache count for them.
+        if jobs == 1:
+            monkeypatch.setattr(World, "run", counting_run)
+        executor = Executor(
+            jobs=jobs,
+            chunk_size=chunk_size,
+            cache=ResultCache(root=tmp_path),
+            profile=True,
+        )
+        (one_node,) = executor.run([GearSweepTask(cluster, workload, nodes=1)])
+        measured, calibration = executor.run(
+            [
+                MeasurementTask(cluster, workload, nodes=1, gear=1),
+                CalibrationTask(cluster, workload),
+            ]
+        )
+        (two_node,) = executor.run([GearSweepTask(cluster, workload, nodes=2)])
+        (two_measured,) = executor.run(
+            [MeasurementTask(cluster, workload, nodes=2, gear=1)]
+        )
+        sources = [timing.source for timing in executor.profile.timings]
+        assert sources.count(SOURCE_RUN) == 12
+        assert executor.stats.stores == 12
+        assert (executor.stats.hits, executor.stats.misses) == (8, 12)
+        if jobs == 1:
+            assert sorted(simulated) == [1] * 6 + [2] * 6
+        monkeypatch.setattr(World, "run", world_run)
+        assert one_node == gear_sweep(cluster, workload, nodes=1)
+        assert measured == run_workload(cluster, workload, nodes=1, gear=1)
+        assert calibration == calibrate_gears(cluster, workload)
+        assert two_node == gear_sweep(cluster, workload, nodes=2)
+        assert two_measured == run_workload(cluster, workload, nodes=2, gear=1)
+        # Executor results never carry the event-level result.
+        assert measured.result is None and two_measured.result is None

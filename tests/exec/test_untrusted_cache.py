@@ -144,17 +144,21 @@ def result_entries():
         GearSweepTask(cluster, Jacobi(SCALE), nodes=2, gears=(1, 4)),
         CalibrationTask(cluster, EP(SCALE)),
     ]
+    # Only runs have entries: the sweep has 2, the calibration 6.
+    runs = [run for task in tasks for run in task.runs()]
+    assert [len(task.runs()) for task in tasks] == [1, 1, 2, 6]
     with tempfile.TemporaryDirectory() as root:
         cache = ResultCache(Path(root))
         clean = sweep(tasks, cache=cache)
-        payloads = [cache.load(cache_key(task)) for task in tasks]
-    return tasks, _encoded(tasks, clean), payloads
+        assert len(cache) == len(runs) == 10
+        payloads = [cache.load(cache_key(run)) for run in runs]
+    return tasks, runs, _encoded(tasks, clean), payloads
 
 
 @st.composite
 def _result_cases(draw, entries):
-    tasks, _, payloads = entries
-    index = draw(st.integers(min_value=0, max_value=len(tasks) - 1))
+    _, runs, _, payloads = entries
+    index = draw(st.integers(min_value=0, max_value=len(runs) - 1))
     # upm is legitimately inf or NaN, and the policy knobs are not
     # read back, so neither is a defect the decoder can see.
     doc = draw(_mutations(payloads[index], exempt=("policy", "upm")))
@@ -168,20 +172,23 @@ def _result_cases(draw, entries):
 )
 @given(data=st.data())
 def test_mutated_result_entry_is_a_counted_miss(result_entries, data):
-    tasks, clean, payloads = result_entries
+    # One mutated run entry, a composite's included, is one counted
+    # invalidation; the run is recomputed and every point, composites
+    # included, equals the clean result.
+    tasks, runs, clean, payloads = result_entries
     index, doc = data.draw(_result_cases(result_entries))
     if doc is None:
         return
     with tempfile.TemporaryDirectory() as root:
         cache = ResultCache(Path(root))
-        for task, payload in zip(tasks, payloads):
-            cache.store(cache_key(task), payload)
-        cache.store(cache_key(tasks[index]), doc)
+        for run, payload in zip(runs, payloads):
+            cache.store(cache_key(run), payload)
+        cache.store(cache_key(runs[index]), doc)
         again = sweep(tasks, cache=cache)
         assert _encoded(tasks, again) == clean
         assert cache.stats.invalidated == 1
-        assert (cache.stats.hits, cache.stats.misses) == (len(tasks) - 1, 1)
-        assert cache.load(cache_key(tasks[index])) == payloads[index]
+        assert (cache.stats.hits, cache.stats.misses) == (len(runs) - 1, 1)
+        assert cache.load(cache_key(runs[index])) == payloads[index]
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from typing import Any
 
 import pytest
 
-from repro.exec import SimTask, sweep
+from repro.exec import RunTask, sweep
 from repro.exec.sweep import _point_error
 from repro.scenarios.spec import (
     KIND_MEASUREMENT,
@@ -24,7 +24,7 @@ from repro.util.errors import SimulationError
 
 
 @dataclass(frozen=True)
-class ExplodingScenarioTask(SimTask):
+class ExplodingScenarioTask(RunTask):
     """A failing point carrying scenario provenance (picklable)."""
 
     label: str

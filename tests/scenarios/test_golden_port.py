@@ -52,8 +52,8 @@ def test_serialized_specs_expand_to_identical_cache_keys(name):
     """JSON round-tripped specs are execution-equivalent to the originals."""
     specs = REGISTRY.build(name, scale=GOLDEN_SCALE)
     rebuilt = [ScenarioSpec.from_json(s.to_json()) for s in specs]
-    original_keys = [cache_key(t) for t in expand(specs)]
-    rebuilt_keys = [cache_key(t) for t in expand(rebuilt)]
+    original_keys = [cache_key(r) for t in expand(specs) for r in t.runs()]
+    rebuilt_keys = [cache_key(r) for t in expand(rebuilt) for r in t.runs()]
     assert rebuilt_keys == original_keys
 
 

@@ -188,8 +188,8 @@ class TestIdentity:
     def test_equal_fingerprints_mean_equal_cache_keys(self):
         base, renamed = spec(), spec().renamed("other")
         assert base.fingerprint() == renamed.fingerprint()
-        assert [cache_key(t) for t in base.tasks()] == [
-            cache_key(t) for t in renamed.tasks()
+        assert [cache_key(r) for t in base.tasks() for r in t.runs()] == [
+            cache_key(r) for t in renamed.tasks() for r in t.runs()
         ]
 
     def test_batch_backend_moves_the_fingerprint(self):

@@ -7,11 +7,14 @@ Three load-bearing properties:
 2. **Fingerprint sensitivity** — perturbing *any* identity field moves
    the fingerprint; touching any metadata field never does.
 3. **Cache-key equivalence** — two specs share a fingerprint exactly
-   when their expanded tasks share executor cache keys (computed by
+   when their expanded points list the same kinds of point over runs
+   with the same executor cache keys (computed by
    :func:`repro.exec.sweep.cache_key`, i.e. the same
    :mod:`repro.exec.fingerprint` canonical encoding the result cache
    uses).  This is the contract that lets the registry deduplicate by
-   spec fingerprint without ever expanding a task.
+   spec fingerprint without ever expanding a task.  The point kind
+   counts because a gear sweep and a measurement spec over the same
+   grid list the very same runs, and so share their cache entries.
 """
 
 from __future__ import annotations
@@ -283,7 +286,11 @@ def test_no_metadata_field_moves_the_fingerprint(spec, name):
 
 
 def _keys(spec):
-    return [cache_key(task) for task in spec.tasks()]
+    """Each point's kind and the cache keys of the runs it lists."""
+    return [
+        (type(task).__name__, [cache_key(run) for run in task.runs()])
+        for task in spec.tasks()
+    ]
 
 
 @given(scenario_specs(), st.text(min_size=1, max_size=12))
@@ -293,6 +300,20 @@ def test_equal_fingerprints_give_equal_cache_keys(spec, name):
     twin = replace(spec, name=name, tags=("t",), description="d")
     assert twin.fingerprint() == spec.fingerprint()
     assert _keys(twin) == _keys(spec)
+
+
+@given(scenario_specs())
+@settings(max_examples=40, deadline=None)
+def test_sweep_and_measurement_specs_over_one_grid_share_runs(spec):
+    """Switching a gear sweep to a measurement over the same grid moves
+    the fingerprint but keeps every run key: the cache serves one
+    spec's runs to the other."""
+    sweep = replace(spec, kind=KIND_GEAR_SWEEP, nodes=spec.nodes or (1,))
+    measurement = replace(sweep, kind=KIND_MEASUREMENT, gears=sweep.gears or (1,))
+    sweep = replace(sweep, gears=measurement.gears)
+    assert sweep.fingerprint() != measurement.fingerprint()
+    runs = [key for _, keys in _keys(sweep) for key in keys]
+    assert runs == [key for _, keys in _keys(measurement) for key in keys]
 
 
 @given(scenario_specs(), st.sampled_from(IDENTITY_PERTURBATIONS))

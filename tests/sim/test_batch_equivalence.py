@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.cluster.disk import drpm_disk
 from repro.cluster.machines import athlon_cluster
 from repro.core.run import gear_sweep, run_workload
+from repro.exec import GearSweepTask, sweep
 from repro.mpi import FastForwardConfig
 from repro.mpi.comm import Comm
 from repro.mpi.requests import ANY_SOURCE
@@ -34,7 +35,6 @@ from repro.sim.batch import (
     _rollup_vector,
     _vector_walk,
     batch_gear_grid,
-    batch_gear_sweep,
     record_tape,
     replay_grid,
 )
@@ -160,7 +160,9 @@ class TestEquivalenceGrid:
     def test_sweep_curve_matches_event_sweep(self, cluster):
         workload = SyntheticMemoryPressure(0.4)
         event = gear_sweep(cluster, workload, nodes=4)
-        batch = batch_gear_sweep(cluster, workload, nodes=4)
+        (batch,) = sweep(
+            [GearSweepTask(cluster, workload, nodes=4)], backend="batch"
+        )
         assert batch.workload == event.workload
         assert batch.nodes == event.nodes
         assert [p.gear for p in batch] == [p.gear for p in event]
