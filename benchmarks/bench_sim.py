@@ -52,7 +52,6 @@ from pathlib import Path
 
 from repro.cluster.machines import athlon_cluster
 from repro.exec import Executor, MeasurementTask
-from repro.exec.profile import ExecProfile
 from repro.exec.sweep import sweep
 from repro.experiments import figure1, figure2, figure3, figure4, figure5, table1
 from repro.mpi.world import World
@@ -152,9 +151,8 @@ def bench_dispatch(scale: float, jobs: int = 2) -> dict[str, float | int]:
     ]
     results = {}
     for label, chunk_size in (("per_point_s", 1), ("chunked_s", None)):
-        profile = ExecProfile()
         start = time.perf_counter()
-        sweep(tasks, jobs=jobs, chunk_size=chunk_size, profile=profile)
+        sweep(tasks, jobs=jobs, chunk_size=chunk_size)
         results[label] = time.perf_counter() - start
     results["points"] = len(tasks)
     results["jobs"] = jobs
@@ -170,8 +168,8 @@ def bench_fast_forward(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
     makes the detector engage after a handful of iterations, so nearly
     the whole run is extrapolated analytically.
     """
-    from repro.core.run import gear_sweep
-    from repro.mpi.fastforward import FastForwardConfig
+    from repro.core.run import curve_from_runs, gear_sweep, run_workload
+    from repro.mpi.fastforward import FastForwardConfig, FastForwardStats
 
     cluster = athlon_cluster()
     workload = Jacobi(iterations_scale)
@@ -181,8 +179,15 @@ def bench_fast_forward(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
     full = gear_sweep(cluster, workload, nodes=nodes)
     full_s = time.perf_counter() - start
     start = time.perf_counter()
-    fast = gear_sweep(cluster, workload, nodes=nodes, fast_forward=config)
+    runs = [
+        run_workload(cluster, workload, nodes=nodes, gear=g, fast_forward=config)
+        for g in cluster.gears.indices
+    ]
     fast_s = time.perf_counter() - start
+    fast = curve_from_runs(workload.name, nodes, runs)
+    ledger = FastForwardStats()
+    for run in runs:
+        ledger.merge(run.result.fast_forward)
 
     gears = []
     for a, b in zip(full.points, fast.points):
@@ -200,8 +205,8 @@ def bench_fast_forward(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
         "full_s": full_s,
         "fast_s": fast_s,
         "speedup": full_s / fast_s,
-        "skipped_iterations": config.aggregate.skipped_iterations,
-        "jumps": config.aggregate.jumps,
+        "skipped_iterations": ledger.skipped_iterations,
+        "jumps": ledger.jumps,
         "max_rel_err": max(
             max(g["time_rel_err"], g["energy_rel_err"]) for g in gears
         ),
@@ -219,7 +224,7 @@ def bench_batch(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
     the strongest prior art in the tree — not just the event path.
     """
     from repro.core.run import gear_sweep
-    from repro.exec.batch_sweep import BatchReport
+    from repro.exec.record import RunRecord
     from repro.exec.tasks import GearSweepTask
     from repro.mpi.fastforward import FastForwardConfig
 
@@ -258,16 +263,17 @@ def bench_batch(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
     )
     sweep([task], backend="batch")  # warm-up: first call pays numpy dispatch setup
     batch_holder: list = []
-    reports: list[BatchReport] = []
+    records: list[RunRecord] = []
     walls: list[float] = []
     for _ in range(3):
-        fresh = BatchReport()
+        fresh = RunRecord()
         start = time.perf_counter()
-        batch_holder[:] = sweep([task], backend="batch", batch_report=fresh)
+        batch_holder[:] = sweep([task], backend="batch", record=fresh)
         walls.append(time.perf_counter() - start)
-        reports.append(fresh)
+        records.append(fresh)
     batch_s = min(walls)
-    accounting = reports[walls.index(batch_s)]
+    accounting = records[walls.index(batch_s)]
+    fallbacks = [g for g in accounting.groups if g.fallback is not None]
     (batch,) = batch_holder
 
     # Persistent tape cache: a cold sweep records and stores the tape,
@@ -305,17 +311,17 @@ def bench_batch(nodes: int = 4, iterations_scale: float = 10.0) -> dict:
         "speedup_vs_event": full_s / batch_s,
         "speedup_vs_fast_forward": fast_s / batch_s,
         "stages": {
-            "record_s": accounting.record_s,
-            "replay_s": accounting.replay_s,
+            "record_s": sum(g.record_s for g in accounting.groups),
+            "replay_s": sum(g.replay_s for g in accounting.groups),
             "merge_s": accounting.merge_s,
         },
         "tape_cache_cold_s": tape_cold_s,
         "tape_cache_warm_s": tape_warm_s,
-        "groups": accounting.groups,
+        "groups": len(accounting.groups),
         "fallback_points": accounting.fallback_points,
         "fallbacks": [
-            {"point": f.point, "points": f.points, "reason": f.reason}
-            for f in accounting.fallbacks
+            {"point": str(g.key), "points": g.runs, "reason": g.fallback}
+            for g in fallbacks
         ],
         "max_rel_err": max(
             max(g["time_rel_err"], g["energy_rel_err"]) for g in gears

@@ -15,7 +15,7 @@ read per run, and a point that repeats another's run reuses it.
 the experiment harness (``repro.experiments``) passes around.
 """
 
-from repro.exec.batch_sweep import BatchFallback, BatchReport, tape_key
+from repro.exec.batch_sweep import tape_key
 from repro.exec.cache import (
     CacheStats,
     ResultCache,
@@ -25,7 +25,7 @@ from repro.exec.cache import (
 )
 from repro.exec.executor import Executor
 from repro.exec.fingerprint import code_version_token, fingerprint, jsonable
-from repro.exec.profile import ExecProfile, TaskTiming
+from repro.exec.record import RunRecord
 from repro.exec.sweep import sweep
 from repro.exec.tasks import (
     CalibrationTask,
@@ -37,20 +37,17 @@ from repro.exec.tasks import (
 )
 
 __all__ = [
-    "BatchFallback",
-    "BatchReport",
     "CacheStats",
     "CalibrationTask",
-    "ExecProfile",
     "Executor",
     "GearSweepTask",
     "MeasurementTask",
     "PolicyMeasurementTask",
     "ResultCache",
+    "RunRecord",
     "RunTask",
     "SimTask",
     "TapeCache",
-    "TaskTiming",
     "code_version_token",
     "default_cache_dir",
     "default_tape_dir",

@@ -27,12 +27,12 @@ What the batch backend adds to the sweep contract:
   them.
 - **Exact fallback** — any :class:`~repro.sim.batch.BatchUnsupported`
   (uncertifiable structure, self-check miss) reruns the group's runs
-  on the event engine, bitwise what a plain run produces, and logs the
-  group in the :class:`BatchReport` so truncated batch coverage is
-  never silent.
+  on the event engine, bitwise what a plain run produces, and the
+  group's row in the :class:`~repro.exec.record.RunRecord` keeps the
+  reason, so truncated batch coverage is never silent.
 
-Recordings are the serial bottleneck once replay is vectorized, so they
-are handled as a stage of their own:
+Recordings are the serial bottleneck once replay is vectorized, so
+they are kept, and made in one place:
 
 - **Tape cache** — with a ``tape_cache``, every batch group's recording
   is serialized (:func:`repro.sim.batch.tape_to_payload`) into a
@@ -43,14 +43,10 @@ are handled as a stage of their own:
   not) deserialize instead of re-recording; the replay-time self-check
   still runs on every loaded tape, so a stale or corrupt entry rejects
   itself: it is discarded and the group records afresh.
-- **Parallel recording** — with ``jobs > 1`` the missing tapes are
-  recorded first, one pool task per distinct tape key, before any unit
-  chunk is dispatched (:func:`_warm_tapes`); units then load their tape
-  from the store.  A sweep of N groups thus records N-wide instead of
-  chunk-by-chunk.
-- **Stage timings** — :class:`BatchReport` splits the wall into
-  record/replay/merge so the dominant stage is visible in the CLI
-  summary and the bench harness.
+- **One recording path** — a unit loads or records its own tape,
+  inline or inside a pool worker alike, so a pooled sweep records and
+  accounts exactly as a serial one does.  Its group row splits the
+  wall into record and replay seconds.
 
 Policy runs cannot batch — a gear policy changes the gear from inside
 the run, so their request stream is gear-dependent by design — and
@@ -61,15 +57,15 @@ the same deterministic merge.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.core.run import RunMeasurement
 from repro.exec.cache import TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
-from repro.core.run import RunMeasurement
+from repro.exec.record import GroupRow
 from repro.exec.tasks import MeasurementTask, RunTask, SimTask
+from repro.mpi.fastforward import FastForwardStats
 
 #: Fingerprint token that keys batch-computed results apart from event
 #: results (they agree to ~1e-9, not bitwise — same precedent as the
@@ -120,130 +116,6 @@ def tape_key(task: SimTask, recording_gear: int) -> str:
 
 
 @dataclass
-class BatchFallback:
-    """One group that fell back to the exact event engine."""
-
-    #: ``str(key)`` of the group's first run.
-    point: str
-    #: Runs the group covered.
-    points: int
-    #: The :class:`~repro.sim.batch.BatchUnsupported` message.
-    reason: str
-
-
-@dataclass
-class BatchReport:
-    """What the batch backend did across one or more sweeps.
-
-    Every count is of runs (:class:`~repro.exec.tasks.RunTask`), not of
-    the points a sweep was given.
-
-    Attributes:
-        groups: batch groups formed (after cache hits shrank them).
-        single_run_groups: groups of one run, whose recording serves
-            no other gear.
-        grouped_points: runs covered by those groups.
-        passthrough_points: non-batchable runs run on the event engine.
-        fallbacks: groups whose recording could not be certified and were
-            re-run run-by-run on the event engine.
-        tape_cache_enabled: whether a persistent tape cache was in play.
-        tape_hits: distinct tapes loaded from the persistent cache
-            instead of re-recorded.
-        tape_misses: distinct tapes that had to be recorded (and were
-            stored for the next sweep).
-        record_s: seconds spent executing recording runs (in-worker
-            when pooled — IPC and pool startup excluded).
-        replay_s: seconds spent revaluing gear grids from tapes.
-        merge_s: parent-side seconds scattering unit results back to
-            sweep order and writing the result cache.
-    """
-
-    groups: int = 0
-    single_run_groups: int = 0
-    grouped_points: int = 0
-    passthrough_points: int = 0
-    fallbacks: list[BatchFallback] = field(default_factory=list)
-    tape_cache_enabled: bool = False
-    tape_hits: int = 0
-    tape_misses: int = 0
-    record_s: float = 0.0
-    replay_s: float = 0.0
-    merge_s: float = 0.0
-
-    @property
-    def fallback_points(self) -> int:
-        """Runs that ended up on the event engine via fallback."""
-        return sum(f.points for f in self.fallbacks)
-
-    def count_units(
-        self, units: Sequence[_Unit], tape_cache: TapeCache | None
-    ) -> None:
-        """Account one sweep's units before anything runs.
-
-        Tape hits and misses are counted once the units have run, per
-        distinct tape (cross-kind units can share one), by
-        :meth:`count_tapes`.
-        """
-        for unit in units:
-            if unit.batch:
-                self.groups += 1
-                self.single_run_groups += len(unit.tasks) == 1
-                self.grouped_points += len(unit.tasks)
-            else:
-                self.passthrough_points += len(unit.tasks)
-        if tape_cache is not None:
-            self.tape_cache_enabled = True
-
-    def count_tapes(self, units: Sequence[_Unit], loaded: Sequence[bool]) -> None:
-        """Count each distinct tape of ``units`` as a hit or a miss.
-
-        ``loaded[i]`` says whether unit ``i`` replayed a tape it loaded
-        from the store; the first unit of each tape, in sweep order,
-        decides.  A tape invalidated at load, or discarded after failing
-        its replay, was recorded afresh and is a miss.  Counted in the
-        parent — workers rebuild their own cache handles, so their
-        :class:`~repro.exec.cache.CacheStats` never travel back.
-        """
-        first: dict[str, bool] = {}
-        for unit, hit in zip(units, loaded):
-            if unit.batch:
-                first.setdefault(unit.tape_key, hit)  # type: ignore[arg-type]
-        hits = sum(first.values())
-        self.tape_hits += hits
-        self.tape_misses += len(first) - hits
-
-    def summary(self) -> str:
-        """One human-readable summary for CLI/bench reporting.
-
-        Always names the fallback count and the groups of a single run
-        (zero included — silence is not a signal), the tape-cache
-        hit/miss counts when a persistent cache was in play, and the
-        record/replay/merge stage split.
-        """
-        line = (
-            f"batch backend: {self.grouped_points} run(s) in "
-            f"{self.groups} group(s) ({self.single_run_groups} single-run)"
-        )
-        if self.passthrough_points:
-            line += f", {self.passthrough_points} passthrough"
-        line += f", {len(self.fallbacks)} fallback(s)"
-        if self.tape_cache_enabled:
-            line += (
-                f"; tape cache: {self.tape_hits} hit(s), "
-                f"{self.tape_misses} miss(es)"
-            )
-        line += (
-            f"; stages: record {self.record_s:.3f}s, "
-            f"replay {self.replay_s:.3f}s, merge {self.merge_s:.3f}s"
-        )
-        if self.fallbacks:
-            line += f", {self.fallback_points} run(s) fell back:"
-            for fb in self.fallbacks:
-                line += f"\n  {fb.point}: {fb.reason}"
-        return line
-
-
-@dataclass
 class _Unit:
     """One execution unit of a sweep, never split across workers.
 
@@ -256,17 +128,6 @@ class _Unit:
     #: Positions of each run in the sweep's pending list (for the merge).
     indices: list[int]
     batch: bool = False
-    #: Persistent-cache key of the group's tape (batch units only).
-    tape_key: str | None = None
-    #: Certification failure from the parallel-recording phase; set on
-    #: every unit sharing the failed tape so each falls back without
-    #: re-attempting the recording.
-    prefail: str | None = None
-    #: Warm-phase recording seconds attributed to this unit (first
-    #: owner of a freshly recorded tape) for profile-row accounting.
-    warm_s: float = 0.0
-    #: Warm-phase fast-forwarded iterations attributed likewise.
-    warm_skipped: int = 0
 
 
 def _group_token(task: MeasurementTask) -> str:
@@ -288,9 +149,7 @@ def _form_units(pending: Sequence[tuple[SimTask, RunTask]]) -> list[_Unit]:
     ``pending`` pairs each run with the point that asked for it.  The
     pending runs of one composite form one batch group; standalone
     :class:`MeasurementTask` points group by :func:`_group_token`; any
-    other run passes through on the event engine.  Every batch group
-    gets the key of the tape it records or loads, at its first run's
-    gear.
+    other run passes through on the event engine.
     """
     units: list[_Unit] = []
     groups: dict[Any, _Unit] = {}
@@ -305,10 +164,6 @@ def _form_units(pending: Sequence[tuple[SimTask, RunTask]]) -> list[_Unit]:
             units.append(unit)
         unit.tasks.append(run)
         unit.indices.append(index)
-    for unit in units:
-        if unit.batch:
-            first = unit.tasks[0]
-            unit.tape_key = tape_key(first, first.gear)  # type: ignore[attr-defined]
     return units
 
 
@@ -360,43 +215,21 @@ def _record_tape(task: MeasurementTask, tapes: TapeCache | None, key: str) -> An
     return tape
 
 
-def _record_tape_job(
-    task: MeasurementTask, tape_root: Path, key: str
-) -> tuple[str | None, float, Any]:
-    """Record one group's tape into the cache (parallel-recording phase).
-
-    Returns (certification-failure reason or None, in-worker recording
-    seconds, the fast-forward ledger delta or None) — plain values so
-    the tuple pickles back from a pool worker.
-    """
-    # sweep imports this module
-    from repro.exec.sweep import _ff_delta, _ff_ledger
-    from repro.sim.batch import BatchUnsupported
-
-    start = time.perf_counter()
-    ledger = _ff_ledger(task)
-    fail = None
-    try:
-        _record_tape(task, TapeCache(tape_root), key)
-    except BatchUnsupported as exc:
-        fail = str(exc)
-    return fail, time.perf_counter() - start, _ff_delta(task, ledger)
-
-
 def _run_unit(
     unit: _Unit, tapes: TapeCache | None
-) -> tuple[list[Any], str | None, float, float, bool]:
-    """Execute one batch group.
+) -> tuple[list[Any], GroupRow, FastForwardStats | None]:
+    """Execute one batch group, whose tape is keyed at its first run's
+    gear (:func:`tape_key`).
 
-    Returns (results in run order, fallback reason, recording seconds,
-    replay seconds, whether the tape replayed was loaded from the
-    store).  Any :class:`~repro.sim.batch.BatchUnsupported` — from
-    certification, from the recording-gear self-check of a fresh
-    recording, or carried in as ``prefail`` from the parallel-recording
-    phase — downgrades the whole unit to run-by-run event-engine runs,
-    which are exact by definition.  With a tape store available the
-    recording is loaded from it when present and stored into it when
-    fresh.  A loaded tape that fails its replay is discarded, counted in
+    Returns (results in run order, the group's row, the fast-forward
+    stats of the recording the results were replayed from — None for a
+    loaded tape or a fallback).  Any
+    :class:`~repro.sim.batch.BatchUnsupported` — from certification or
+    from the recording-gear self-check of a fresh recording — downgrades
+    the whole unit to run-by-run event-engine runs, which are exact by
+    definition.  With a tape store available the recording is loaded
+    from it when present and stored into it when fresh.  A loaded tape
+    that fails its replay is discarded, counted in
     ``tapes.stats.invalidated``, and recorded afresh once, so a stale
     entry costs one recording instead of a fallback on every sweep; the
     failed replay's seconds still count as replay.
@@ -404,18 +237,21 @@ def _run_unit(
     from repro.sim.batch import BatchUnsupported
 
     tasks: list[MeasurementTask] = unit.tasks  # type: ignore[assignment]
-    if unit.prefail is not None:
-        return [task.run() for task in tasks], unit.prefail, 0.0, 0.0, False
     first = tasks[0]
-    key: str = unit.tape_key  # type: ignore[assignment]
+    key = tape_key(first, first.gear)
     record_s = replay_s = 0.0
+
+    def row(loaded: bool, fallback: str | None = None) -> GroupRow:
+        return GroupRow(first.key, len(tasks), loaded, fallback, record_s, replay_s)
+
     try:
         tape = _load_tape(first, tapes, key) if tapes is not None else None
         if tape is not None:
             start = time.perf_counter()
             try:
                 results = _replay_unit(tasks, tape)
-                return results, None, 0.0, time.perf_counter() - start, True
+                replay_s = time.perf_counter() - start
+                return results, row(True), None
             except BatchUnsupported:
                 tapes.discard(key)  # type: ignore[union-attr]
                 replay_s = time.perf_counter() - start
@@ -425,9 +261,9 @@ def _run_unit(
         start = time.perf_counter()
         results = _replay_unit(tasks, tape)
         replay_s += time.perf_counter() - start
-        return results, None, record_s, replay_s, False
+        return results, row(False), tape.recording_stats
     except BatchUnsupported as exc:
-        return [task.run() for task in tasks], str(exc), record_s, replay_s, False
+        return [task.run() for task in tasks], row(False, str(exc)), None
 
 
 def _replay_unit(tasks: list[MeasurementTask], tape: Any) -> list[RunMeasurement]:
@@ -447,68 +283,3 @@ def _replay_unit(tasks: list[MeasurementTask], tape: Any) -> list[RunMeasurement
         fast_forward=first.fast_forward,
         tape=tape,
     )
-
-
-def _missing_tapes(
-    units: Sequence[_Unit], tape_root: Path
-) -> dict[str, list[_Unit]]:
-    """Batch units whose tape is absent from the store, keyed by tape.
-
-    Cross-kind units can share one tape key; the list preserves unit
-    order so warm-phase accounting lands on the first owner.
-    """
-    store = TapeCache(tape_root)
-    missing: dict[str, list[_Unit]] = {}
-    for unit in units:
-        if unit.batch and unit.tape_key is not None:
-            if not store.contains(unit.tape_key):
-                missing.setdefault(unit.tape_key, []).append(unit)
-    return missing
-
-
-def _warm_tapes(
-    missing: dict[str, list[_Unit]],
-    pool: ProcessPoolExecutor,
-    tape_root: Path,
-    report: BatchReport | None,
-) -> None:
-    """Record every missing tape in parallel, one pool task per tape.
-
-    Recording is the serial bottleneck once replay is vectorized, so it
-    fans out recording-per-worker *before* unit chunks are dispatched —
-    a sweep of N fresh groups records N-wide even when chunking would
-    have packed those groups onto fewer workers.  A certification
-    failure marks every owning unit ``prefail`` so each falls back to
-    the event engine without re-attempting the recording; the
-    fast-forward ledger delta folds into the parent ledger exactly like
-    the unit chunks' deltas do.
-    """
-    # sweep imports this module
-    from repro.exec.sweep import _merge_ff, _point_error
-
-    futures = {
-        key: pool.submit(
-            _record_tape_job,
-            owners[0].tasks[0],
-            tape_root,
-            key,
-        )
-        for key, owners in missing.items()
-    }
-    wait(futures.values(), return_when=FIRST_EXCEPTION)
-    for key, future in futures.items():
-        owners = missing[key]
-        try:
-            fail, record_s, ff = future.result()
-        except Exception as exc:
-            for other in futures.values():
-                other.cancel()
-            raise _point_error(owners[0].tasks[0], exc) from exc
-        if report is not None:
-            report.record_s += record_s
-        _merge_ff(owners[0].tasks[0], ff)
-        owners[0].warm_s += record_s
-        owners[0].warm_skipped += ff.skipped_iterations if ff else 0
-        if fail is not None:
-            for unit in owners:
-                unit.prefail = fail

@@ -126,16 +126,6 @@ class ResultCache:
     def _entry_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def contains(self, key: str) -> bool:
-        """Whether an entry file exists under ``key`` (no stats update).
-
-        A pure existence probe: it does not read, validate, or discard
-        the entry, so a later :meth:`load` still performs (and counts)
-        the real lookup.  Used by callers that want to attribute
-        hit/miss accounting before handing the key to a worker process.
-        """
-        return self._entry_path(key).is_file()
-
     def load(
         self, key: str, decode: Callable[[Any], Any] | None = None
     ) -> Any | None:

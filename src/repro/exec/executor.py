@@ -3,10 +3,11 @@
 An :class:`Executor` bundles a worker count, an optional result cache,
 and an optional observability policy into one object, so every
 experiment function takes a single ``executor=`` keyword instead of
-separate knobs.  The default executor (``Executor()``) is serial,
-uncached, and unobserved — exactly the behaviour of the pre-executor
-harness — so library callers opt in explicitly and test behaviour never
-changes behind anyone's back.
+separate knobs, and keeps one :class:`~repro.exec.record.RunRecord`
+across every sweep it runs.  The default executor (``Executor()``) is
+serial, uncached, and unobserved — exactly the behaviour of the
+pre-executor harness — so library callers opt in explicitly and test
+behaviour never changes behind anyone's back.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import dataclasses
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.exec.batch_sweep import BatchReport
 from repro.exec.cache import CacheStats, ResultCache, TapeCache
-from repro.exec.profile import ExecProfile
+from repro.exec.record import RunRecord
 from repro.exec.sweep import check_backend, sweep
 from repro.exec.tasks import SimTask
 
@@ -38,9 +38,6 @@ class Executor:
             rides along every simulated run.  Observed sweeps execute
             inline and uncached (a replayed run produces no events),
             but results are unchanged — simulation is deterministic.
-        profile: True to accumulate an :class:`ExecProfile` (per-run
-            wall time, cache latencies, worker utilization) across every
-            sweep this executor runs.
         chunk_size: units dispatched per worker call in parallel
             sweeps — a unit is one run under the event backend, one
             batch group or passthrough run under the batch backend.
@@ -58,12 +55,12 @@ class Executor:
             once and replays their whole gear grid in one vectorized
             pass (see :mod:`repro.exec.batch_sweep`).  Batch results
             agree with event results to ~1e-9 and cache under distinct
-            keys; the :attr:`batch_report` accumulates grouping,
-            event-engine fallback, tape-cache, and stage-timing
-            accounting across sweeps.  With a result cache, batch
-            recordings persist in a :class:`repro.exec.cache.TapeCache`
-            under the cache's root (``<cache root>/tapes``), so later
-            sweeps and invocations skip re-recording.
+            keys; the :attr:`record` keeps a row per batch group, with
+            its fallback reason, tape-cache hit and stage seconds.  With
+            a result cache, batch recordings persist in a
+            :class:`repro.exec.cache.TapeCache` under the cache's root
+            (``<cache root>/tapes``), so later sweeps and invocations
+            skip re-recording.
     """
 
     def __init__(
@@ -72,7 +69,6 @@ class Executor:
         jobs: int = 1,
         cache: ResultCache | bool | None = None,
         observer: "RunObserver | None" = None,
-        profile: bool = False,
         chunk_size: int | None = None,
         fast_forward: "FastForwardConfig | None" = None,
         backend: str = "event",
@@ -85,7 +81,6 @@ class Executor:
         self.jobs = jobs
         self.cache: ResultCache | None = cache
         self.observer = observer
-        self.profile: ExecProfile | None = ExecProfile() if profile else None
         self.chunk_size = chunk_size
         self.fast_forward = fast_forward
         self.backend = backend
@@ -94,8 +89,8 @@ class Executor:
         self.tape_cache: TapeCache | None = None
         if backend == "batch" and cache is not None:
             self.tape_cache = TapeCache(Path(cache.root) / "tapes")
-        #: Grouping/fallback/stage accounting; populated under "batch".
-        self.batch_report = BatchReport() if backend == "batch" else None
+        #: Every run and batch group this executor's sweeps returned.
+        self.record = RunRecord()
 
     def _with_fast_forward(self, task: SimTask) -> SimTask:
         """Stamp this executor's fast-forward config onto a task.
@@ -120,12 +115,20 @@ class Executor:
             jobs=self.jobs,
             cache=self.cache,
             observer=self.observer,
-            profile=self.profile,
             chunk_size=self.chunk_size,
             backend=self.backend,
-            batch_report=self.batch_report,
             tape_cache=self.tape_cache,
+            record=self.record,
         )
+
+    @property
+    def batch_report(self) -> RunRecord | None:
+        """The :attr:`record` under the batch backend, else None.
+
+        A read-only alias kept for perfbench's tracer, which reads
+        ``fallback_points`` through it.
+        """
+        return self.record if self.backend == "batch" else None
 
     @property
     def stats(self) -> CacheStats:
@@ -139,6 +142,4 @@ class Executor:
         extras = ""
         if self.observer is not None:
             extras += " observed"
-        if self.profile is not None:
-            extras += " profiled"
         return f"<Executor jobs={self.jobs} cache={where}{extras}>"

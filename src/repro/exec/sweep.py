@@ -33,40 +33,47 @@ recording into one unit.  Units run inline (``jobs=1``) or in chunks of
 consecutive units on a process pool, through the same in-worker chunk
 function, and their results scatter back to run order.
 
+Accounting: every run the sweep returns leaves one row in a
+:class:`~repro.exec.record.RunRecord` — its tier, host seconds, cache
+latencies and the fast-forward stats of the World that produced it —
+and every batch group one group row.  Each unit's outcome brings its
+rows back from wherever it ran, so inline and pooled sweeps account
+alike, and the merge adds them in one place.
+
 Observability: an ``observer`` (see :mod:`repro.obs.observer`) rides
 along every simulation — which forces the sweep inline, uncached and
 onto the event engine, because a cached, replayed or out-of-process
-run produces no events to observe.  A ``profile``
-(:class:`~repro.exec.profile.ExecProfile`) records host wall time per
-run and per cache interaction in every mode.
+run produces no events to observe.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import tempfile
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from contextlib import ExitStack
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
 from repro.core.run import RunMeasurement
 from repro.exec.batch_sweep import (
     BATCHABLE,
-    BatchFallback,
-    BatchReport,
     _form_units,
-    _missing_tapes,
     _run_unit,
     _Unit,
-    _warm_tapes,
     batch_cache_key,
 )
 from repro.exec.cache import ResultCache, TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
-from repro.exec.profile import SOURCE_CACHE, SOURCE_RUN, ExecProfile, TaskTiming
+from repro.exec.record import (
+    CACHE,
+    EVENT,
+    FALLBACK,
+    REPLAY,
+    GroupRow,
+    RunRecord,
+    RunRow,
+)
 from repro.exec.tasks import RunTask, SimTask
 from repro.mpi.fastforward import FastForwardStats
 from repro.util.errors import ConfigurationError, SimulationError
@@ -94,42 +101,6 @@ def cache_key(task: RunTask) -> str:
     )
 
 
-def _ff_ledger(task: SimTask) -> FastForwardStats | None:
-    """A copy of the fast-forward ledger of this task's config, or None.
-
-    The config's cross-run ``aggregate`` ledger; sampling it before and
-    after a unit runs attributes the difference (:func:`_ff_delta`) to
-    that unit.  Works identically inline and inside a pool worker: the
-    worker mutates its own pickled copy of the config, and the delta
-    travels back with the unit's outcome to be merged into the
-    parent's ledger (:func:`_merge_ff`).
-    """
-    config = getattr(task, "fast_forward", None)
-    return None if config is None else dataclasses.replace(config.aggregate)
-
-
-def _ff_delta(
-    task: SimTask, before: FastForwardStats | None
-) -> FastForwardStats | None:
-    """What fast-forward did under the task's config since ``before``."""
-    if before is None:
-        return None
-    after = task.fast_forward.aggregate  # type: ignore[attr-defined]
-    return FastForwardStats(
-        **{
-            f.name: getattr(after, f.name) - getattr(before, f.name)
-            for f in dataclasses.fields(FastForwardStats)
-        }
-    )
-
-
-def _merge_ff(task: SimTask, delta: FastForwardStats | None) -> None:
-    """Fold a pool worker's ledger delta into the parent's config, so
-    pooled and inline sweeps report the same totals."""
-    if delta is not None:
-        task.fast_forward.aggregate.merge(delta)  # type: ignore[attr-defined]
-
-
 class _Pending(NamedTuple):
     """One run to simulate: the cache missed it, or there is no cache."""
 
@@ -148,19 +119,13 @@ class _Outcome(NamedTuple):
 
     #: Results in unit order.
     results: list[Any]
-    #: Batch fallback reason, or None.
-    fallback: str | None
-    record_s: float
-    replay_s: float
-    #: The unit's wall seconds (chunk overhead spread evenly).
-    wall_s: float
-    #: Fast-forward ledger delta of the unit's config (None without one).
-    ff: FastForwardStats | None
+    #: One row per result; the merge adds the cache latencies.
+    rows: list[RunRow]
+    #: The batch group's row, or None for a run on the event engine.
+    group: GroupRow | None
     #: Tape-cache entries discarded (failed to load or to replay) and
     #: re-recorded.
     tapes_invalidated: int
-    #: Whether the unit replayed a tape loaded from the store.
-    tape_loaded: bool
 
 
 class _ChunkPointError(Exception):
@@ -184,48 +149,52 @@ def _run_chunk(
 ) -> list[_Outcome]:
     """Run consecutive units in this process: inline, or one worker call.
 
-    The chunk's own loop overhead is spread evenly over the units, so
-    their wall seconds sum to the chunk's wall measured here; worker
+    A unit's runs share its in-worker wall seconds evenly; worker
     startup and IPC stay excluded.
     """
-    chunk_start = time.perf_counter()
     tapes = TapeCache(tape_root) if tape_root is not None else None
-    runs = []
+    outcomes = []
     for index, unit in enumerate(units):
         start = time.perf_counter()
-        ledger = _ff_ledger(unit.tasks[0])
         invalidated = tapes.stats.invalidated if tapes is not None else 0
         try:
             if unit.batch:
-                done = _run_unit(unit, tapes)
-            elif observer is not None:
+                results, group, recording_ff = _run_unit(unit, tapes)
+            else:
                 # Only pass the observer when one is attached: tasks that
                 # predate observability keep their plain run() signature.
-                done = [unit.tasks[0].run(observer=observer)], None, 0.0, 0.0, False
-            else:
-                done = [unit.tasks[0].run()], None, 0.0, 0.0, False
+                extra = {"observer": observer} if observer is not None else {}
+                results = [unit.tasks[0].run(**extra)]
+                group = recording_ff = None
         except Exception as exc:
             raise _ChunkPointError(index, exc) from exc
-        results, fallback, record_s, replay_s, loaded = done
-        runs.append(
+        if group is not None and group.fallback is None:
+            # A replay: the recording's stats go to the first run it served.
+            tier = REPLAY
+            stats = [recording_ff] + [None] * (len(results) - 1)
+        else:
+            tier = EVENT if group is None else FALLBACK
+            stats = [_stats(result) for result in results]
+        share = (time.perf_counter() - start) / len(results)
+        outcomes.append(
             _Outcome(
                 [_headline(result) for result in results],
-                fallback,
-                record_s,
-                replay_s,
-                wall_s=time.perf_counter() - start,
-                ff=_ff_delta(unit.tasks[0], ledger),
-                tapes_invalidated=(
-                    tapes.stats.invalidated - invalidated if tapes else 0
-                ),
-                tape_loaded=loaded,
+                [
+                    RunRow(task.key, tier, share, ff=ff)
+                    for task, ff in zip(unit.tasks, stats)
+                ],
+                group,
+                tapes.stats.invalidated - invalidated if tapes else 0,
             )
         )
-    if not runs:
-        return []
-    overhead = time.perf_counter() - chunk_start - sum(r.wall_s for r in runs)
-    residual = overhead / len(runs)
-    return [r._replace(wall_s=r.wall_s + residual) for r in runs]
+    return outcomes
+
+
+def _stats(result: Any) -> FastForwardStats | None:
+    """Fast-forward stats of the World behind an event-engine result."""
+    if isinstance(result, RunMeasurement) and result.result is not None:
+        return result.result.fast_forward
+    return None
 
 
 def _headline(result: Any) -> Any:
@@ -270,11 +239,10 @@ def sweep(
     jobs: int = 1,
     cache: ResultCache | None = None,
     observer: "RunObserver | None" = None,
-    profile: ExecProfile | None = None,
     chunk_size: int | None = None,
     backend: str = "event",
-    batch_report: BatchReport | None = None,
     tape_cache: TapeCache | None = None,
+    record: RunRecord | None = None,
 ) -> list[Any]:
     """Execute simulation points, possibly in parallel, possibly cached.
 
@@ -290,8 +258,6 @@ def sweep(
             out-of-process run has no gear events or trace records to
             observe.  Observation never changes results (the simulator
             is deterministic).
-        profile: optional profile accumulating per-run wall time and
-            cache-latency accounting across this sweep.
         chunk_size: units dispatched per worker call when ``jobs > 1``
             (amortizes pickling/IPC).  ``None`` picks about four chunks
             per worker.  Chunks are consecutive units in first-seen
@@ -304,15 +270,12 @@ def sweep(
             once and replays the grid (see
             :mod:`repro.exec.batch_sweep`; results equal to ~1e-9,
             cached under distinct keys).
-        batch_report: optional
-            :class:`repro.exec.batch_sweep.BatchReport` accumulating
-            grouping/fallback/tape-cache/stage-timing accounting (batch
-            backend only).
         tape_cache: optional :class:`repro.exec.cache.TapeCache`
             persisting batch recordings across sweeps and processes
-            (batch backend only).  ``None`` keeps recordings
-            sweep-local; a pooled batch sweep still shares them between
-            its workers through a temporary store.
+            (batch backend only).  ``None`` keeps every recording
+            inside the unit that made it.
+        record: optional :class:`~repro.exec.record.RunRecord` that
+            receives this sweep's run and group rows.
 
     Returns:
         One result per task, in task order regardless of completion
@@ -339,15 +302,17 @@ def sweep(
         seen.add(task.key)
 
     sweep_start = time.perf_counter()
+    if record is None:
+        record = RunRecord()
     if observer is not None:
         # Cached or replayed runs would produce no events to observe.
         cache = None
         backend = "event"
     batched = backend == "batch"
-    report = batch_report if batched else None
 
     plans = [task.runs() for task in ordered]
     measured: list[list[Any]] = [[None] * len(runs) for runs in plans]
+    rows: list[list[Any]] = [[None] * len(runs) for runs in plans]
     pending: list[_Pending] = []
     for slot, runs in enumerate(plans):
         for position, run in enumerate(runs):
@@ -365,28 +330,19 @@ def sweep(
                 pending.append(_Pending(slot, position, run, key, lookup_s))
                 continue
             measured[slot][position] = result
-            if profile is not None:
-                profile.add(
-                    TaskTiming(
-                        key=str(run.key),
-                        source=SOURCE_CACHE,
-                        seconds=0.0,
-                        lookup_s=lookup_s,
-                    )
-                )
+            rows[slot][position] = RunRow(run.key, CACHE, lookup_s=lookup_s)
 
     if batched:
         units = _form_units([(ordered[p.slot], p.run) for p in pending])
-        if report is not None:
-            report.count_units(units, tape_cache)
     else:
         units = [_Unit([p.run], [index]) for index, p in enumerate(pending)]
     tape_root = None
     if batched and tape_cache is not None:
         tape_root = Path(tape_cache.root)
+        record.tape_cache = True
     if jobs > 1 and len(units) > 1 and observer is None:
         size = chunk_size or _auto_chunk_size(len(units), jobs)
-        outcomes = _run_pool(units, jobs, size, tape_root, profile, report)
+        outcomes = _run_pool(units, jobs, size, tape_root, record)
     else:
         try:
             outcomes = _run_chunk(units, tape_root, observer)
@@ -394,35 +350,16 @@ def sweep(
             raise _point_error(units[exc.index].tasks[0], exc.cause) from exc.cause
 
     merge_start = time.perf_counter()
-    computed: list[Any] = [None] * len(pending)
-    seconds = [0.0] * len(pending)
-    skips = [0] * len(pending)
     for unit, outcome in zip(units, outcomes):
-        # A unit's runs share its wall (plus any warm-phase recording)
-        # evenly, so the rows still sum to the measured walls; the
-        # fast-forward delta goes to the first run, as the ledger saw
-        # one recording run.
-        share = (outcome.wall_s + unit.warm_s) / len(unit.tasks)
-        for index, result in zip(unit.indices, outcome.results):
-            computed[index] = result
-            seconds[index] = share
-        skipped = outcome.ff.skipped_iterations if outcome.ff else 0
-        skips[unit.indices[0]] = skipped + unit.warm_skipped
+        for index, result, row in zip(unit.indices, outcome.results, outcome.rows):
+            slot, position = pending[index][:2]
+            measured[slot][position] = result
+            rows[slot][position] = row
+        if outcome.group is not None:
+            record.groups.append(outcome.group)
         if tape_cache is not None:
             tape_cache.stats.invalidated += outcome.tapes_invalidated
-        if report is not None:
-            report.record_s += outcome.record_s
-            report.replay_s += outcome.replay_s
-            if outcome.fallback is not None:
-                report.fallbacks.append(
-                    BatchFallback(
-                        point=str(unit.tasks[0].key),
-                        points=len(unit.tasks),
-                        reason=outcome.fallback,
-                    )
-                )
-    for index, (slot, position, run, key, lookup_s) in enumerate(pending):
-        result = measured[slot][position] = computed[index]
+    for slot, position, run, key, lookup_s in pending:
         store_s = 0.0
         if cache is not None and key is not None:
             store_start = time.perf_counter()
@@ -430,31 +367,21 @@ def sweep(
             scenario = getattr(run, "scenario", None)
             if scenario:
                 meta["scenario"] = scenario
-            cache.store(key, run.encode(result), meta=meta)
+            cache.store(key, run.encode(measured[slot][position]), meta=meta)
             store_s = time.perf_counter() - store_start
-        if profile is not None:
-            profile.add(
-                TaskTiming(
-                    key=str(run.key),
-                    source=SOURCE_RUN,
-                    seconds=seconds[index],
-                    lookup_s=lookup_s,
-                    store_s=store_s,
-                    ff_skipped=skips[index],
-                )
-            )
-    if report is not None:
-        if tape_cache is not None:
-            report.count_tapes(units, [outcome.tape_loaded for outcome in outcomes])
-        report.merge_s += time.perf_counter() - merge_start
+        rows[slot][position] = rows[slot][position]._replace(
+            lookup_s=lookup_s, store_s=store_s
+        )
+    record.merge_s += time.perf_counter() - merge_start
+    for point_rows in rows:
+        record.runs.extend(point_rows)
     results = []
     for task, runs in zip(ordered, measured):
         try:
             results.append(task.assemble(runs))
         except Exception as exc:
             raise _point_error(task, exc) from exc
-    if profile is not None:
-        profile.wall_s += time.perf_counter() - sweep_start
+    record.wall_s += time.perf_counter() - sweep_start
     return results
 
 
@@ -463,35 +390,23 @@ def _run_pool(
     jobs: int,
     chunk_size: int,
     tape_root: Path | None,
-    profile: ExecProfile | None,
-    report: BatchReport | None,
+    record: RunRecord,
 ) -> list[_Outcome]:
     """Run unit chunks on a process pool; outcomes come back in unit order.
 
-    Batch units first get their missing tapes recorded on the same pool,
-    one task per tape (:func:`repro.exec.batch_sweep._warm_tapes`), so
-    the chunks that follow replay from the tape store.
+    Each chunk records its batch groups' tapes itself, exactly as the
+    inline path does.
     """
     chunks = [units[i : i + chunk_size] for i in range(0, len(units), chunk_size)]
-    with ExitStack() as stack:
-        if tape_root is None and any(unit.batch for unit in units):
-            # No persistent cache: an ephemeral sweep-local store still
-            # lets the warm phase hand tapes to the unit workers.
-            tape_dir = tempfile.TemporaryDirectory(prefix="repro-tapes-")
-            tape_root = Path(stack.enter_context(tape_dir))
-        missing = _missing_tapes(units, tape_root) if tape_root is not None else {}
-        workers = min(jobs, max(len(chunks), len(missing)))
-        if profile is not None:
-            profile.workers = max(profile.workers, workers)
-        pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-        if missing:
-            _warm_tapes(missing, pool, tape_root, report)  # type: ignore[arg-type]
+    workers = min(jobs, len(chunks))
+    record.workers = max(record.workers, workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_chunk, chunk, tape_root) for chunk in chunks]
         wait(futures, return_when=FIRST_EXCEPTION)
         outcomes = []
         for chunk, future in zip(chunks, futures):
             try:
-                chunk_outcomes = future.result()
+                outcomes.extend(future.result())
             except _ChunkPointError as exc:
                 for other in futures:
                     other.cancel()
@@ -503,10 +418,4 @@ def _run_pool(
                 for other in futures:
                     other.cancel()
                 raise _point_error(chunk[0].tasks[0], exc) from exc
-            for unit, outcome in zip(chunk, chunk_outcomes):
-                _merge_ff(unit.tasks[0], outcome.ff)
-                if unit.tape_key in missing:
-                    # The warm phase recorded the tape this unit loaded.
-                    outcome = outcome._replace(tape_loaded=False)
-                outcomes.append(outcome)
     return outcomes

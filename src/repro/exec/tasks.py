@@ -80,8 +80,7 @@ def _with_ff(describe: dict, config: "FastForwardConfig | None") -> dict:
     fingerprint: runs with different fast-forward settings never share
     cache entries.  When no config is set the key is omitted entirely,
     keeping fingerprints (and hence cached results) of plain tasks
-    identical to earlier releases.  The mutable ``aggregate`` ledger is
-    excluded either way.
+    identical to earlier releases.
     """
     if config is not None:
         describe["fast_forward"] = config.describe()

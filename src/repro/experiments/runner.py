@@ -29,9 +29,10 @@ the merged artifacts are byte-identical to a serial run.
 Observability (see ``docs/OBSERVABILITY.md``): ``--emit-trace DIR``
 writes one Chrome trace-event JSON per simulated run into DIR (open in
 ``chrome://tracing`` or Perfetto); ``--metrics FILE`` dumps run metrics
-as JSON lines; ``--profile`` prints executor profiling (per-task wall
-time, cache latencies, worker utilization).  Tracing and metrics force
-inline, uncached simulation — a replayed point produces no events.
+as JSON lines; ``--profile`` prints the executor's run record as
+profile tables (per-run wall time, cache latencies, worker
+utilization).  Tracing and metrics force inline, uncached simulation —
+a replayed point produces no events.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print executor profiling: per-task wall time, cache "
-        "latencies, worker utilization",
+        help="print the executor's run record as profile tables: per-run "
+        "wall time, cache latencies, worker utilization",
     )
     parser.add_argument(
         "--plots",
@@ -220,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs=args.jobs,
         cache=None if args.no_cache else ResultCache(),
         observer=observer,
-        profile=args.profile,
         chunk_size=args.chunk_size,
         fast_forward=fast_forward,
         backend=args.backend,
@@ -278,16 +278,16 @@ def main(argv: list[str] | None = None) -> int:
                 destination = write_metrics(args.metrics, collector.registry)
                 print(f"[metrics written to {destination}]")
     if fast_forward is not None:
-        ledger = fast_forward.aggregate
+        ledger = executor.record.fast_forward()
         print(
             f"[fast-forward: {ledger.skipped_iterations} iterations "
             f"macro-stepped across {ledger.jumps} jumps, "
             f"{ledger.deviations} deviations]"
         )
-    if executor.batch_report is not None:
-        print(f"[{executor.batch_report.summary()}]")
-    if args.profile and executor.profile is not None:
-        emit_profile(executor.profile)
+    if args.backend == "batch":
+        print(f"[{executor.record.batch_summary()}]")
+    if args.profile:
+        emit_profile(executor.record)
     if executor.cache is not None and env_max_bytes() is not None:
         # $REPRO_CACHE_MAX_MB bounds the cache: evict oldest entries
         # (and stale code versions) after the run, so the cache never

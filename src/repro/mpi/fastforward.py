@@ -97,7 +97,7 @@ full event-driven simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING, Any
 
@@ -147,13 +147,6 @@ class FastForwardConfig:
     min_jump: int = 2
     delta_rtol: float = 1e-9
     max_period: int = 16
-    #: Cross-run accumulator: every :class:`~repro.mpi.world.World` run
-    #: folds its per-run stats in here, so one config threaded through a
-    #: sweep doubles as the sweep's fast-forward ledger.  Mutable state,
-    #: excluded from equality/hashing/``describe()``.
-    aggregate: "FastForwardStats" = field(
-        default_factory=lambda: FastForwardStats(), compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.k < 1:

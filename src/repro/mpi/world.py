@@ -330,8 +330,6 @@ class World:
                     final_gear=rt.node.gear.index,
                 )
             )
-        if self._ff is not None:
-            self._ff.config.aggregate.merge(self._ff.stats)
         return WorldResult(
             cluster=self.cluster,
             nodes=self.nodes,

@@ -22,7 +22,7 @@ from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.exec.cache import CacheStats
-    from repro.exec.profile import ExecProfile
+    from repro.exec.record import RunRecord
 
 
 def curve_to_dict(curve: EnergyTimeCurve) -> dict[str, Any]:
@@ -153,17 +153,6 @@ def result_to_dict(result: Any) -> dict[str, Any]:
     return out
 
 
-def cache_stats_to_dict(stats: "CacheStats") -> dict[str, Any]:
-    """One cache's counters as plain data (for dashboards/CI artifacts)."""
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "stores": stats.stores,
-        "invalidated": stats.invalidated,
-        "hit_rate": stats.hit_rate,
-    }
-
-
 def render_cache_stats(stats: "CacheStats") -> str:
     """Cache counters as the runner's bracketed status line."""
     return f"[{stats.render()}]"
@@ -179,9 +168,9 @@ def emit_cache_stats(stats: "CacheStats", *, stream: IO[str] | None = None) -> N
     print(render_cache_stats(stats), file=stream or sys.stdout)
 
 
-def emit_profile(profile: "ExecProfile", *, stream: IO[str] | None = None) -> None:
-    """Print an executor profile report (the ``--profile`` output)."""
-    print(profile.render(), file=stream or sys.stdout)
+def emit_profile(record: "RunRecord", *, stream: IO[str] | None = None) -> None:
+    """Print a run record's profile tables (the ``--profile`` output)."""
+    print(record.render(), file=stream or sys.stdout)
 
 
 def write_result(result: Any, path: str | Path) -> Path:

@@ -94,7 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"[{total} point(s) across {len(specs)} scenario(s)]")
     batch = executors.get("batch")
     if batch is not None:
-        print(f"[{batch.batch_report.summary()}]")
+        print(f"[{batch.record.batch_summary()}]")
     if args.cache_stats:
         for executor in executors.values():
             emit_cache_stats(executor.stats)

@@ -315,15 +315,15 @@ def run_validation(
         if spec.name in eligible or spec.name in batch_eligible:
             exact_tasks_by_name[spec.name] = tasks[offset : offset + count]
         offset += count
+    # The twins get an executor of their own, so its record's ledger
+    # counts only the twin sweeps' runs.
+    ff_executor = Executor(jobs=jobs, cache=cache, chunk_size=chunk_size)
     for spec in (s for s in specs if s.name in eligible):
         twin = _ff_twin(spec, ff_knobs)
         twin_tasks = twin.tasks()
         report.ff_twins += 1
         report.ff_points += len(twin_tasks)
-        twin_results = executor.run(twin_tasks)
-        config = getattr(twin_tasks[0], "fast_forward", None)
-        if config is not None:
-            report.ff_skipped_iterations += config.aggregate.skipped_iterations
+        twin_results = ff_executor.run(twin_tasks)
         exact_tasks = exact_tasks_by_name[spec.name]
         for exact_task, twin_task, twin_result in zip(
             exact_tasks, twin_tasks, twin_results
@@ -360,6 +360,9 @@ def run_validation(
                             ),
                         )
                     )
+    report.ff_skipped_iterations = (
+        ff_executor.record.fast_forward().skipped_iterations
+    )
 
     # ------------------------------------------------------------------
     # Phase D: batch-backend twins of the eligible specs.  The twin spec
@@ -403,12 +406,12 @@ def run_validation(
                                 ),
                             )
                         )
-        accounting = batch_executor.batch_report
-        report.batch_groups = accounting.groups
-        report.batch_grouped_points = accounting.grouped_points
-        report.batch_fallback_points = accounting.fallback_points
-        report.batch_tape_hits = accounting.tape_hits
-        report.batch_tape_misses = accounting.tape_misses
+        record = batch_executor.record
+        report.batch_groups = len(record.groups)
+        report.batch_grouped_points = sum(g.runs for g in record.groups)
+        report.batch_fallback_points = record.fallback_points
+        report.batch_tape_hits = record.tape_hits
+        report.batch_tape_misses = len(record.groups) - record.tape_hits
 
     report.cache_hits = cache.stats.hits
     report.cache_misses = cache.stats.misses

@@ -101,7 +101,7 @@ from repro.cluster.cluster import ClusterSpec
 from repro.cluster.counters import CounterBank
 from repro.cluster.disk import DiskModel
 from repro.core.run import RunMeasurement
-from repro.mpi.fastforward import FastForwardConfig
+from repro.mpi.fastforward import FastForwardConfig, FastForwardStats
 from repro.mpi.requests import (
     ANY_SOURCE,
     ANY_TAG,
@@ -220,6 +220,11 @@ class Tape:
     recording_gear: int
     #: Wire transfers that queued on the backplane during the recording.
     recording_queued: int
+    #: Fast-forward stats of the recording run: None without a config,
+    #: and on a tape rebuilt from its payload.
+    recording_stats: "FastForwardStats | None" = field(
+        default=None, repr=False, compare=False
+    )
     #: Derived state, built lazily and cached: the send↔receive pairing
     #: (:func:`_pairing_of`) and the walk plans (:func:`_plans_of`).
     #: Not part of the tape's identity or its payload.
@@ -290,7 +295,7 @@ def record_tape(
                 "recording: the event structure is not iteration-stable"
             )
         jumps = {(r, idx): (jump, period) for r, idx, jump, period in ff.jump_log}
-    return _build_tape(
+    tape = _build_tape(
         cluster,
         workload,
         nodes,
@@ -300,6 +305,8 @@ def record_tape(
         recording,
         world.network.queued,
     )
+    tape.recording_stats = recording.fast_forward
+    return tape
 
 
 def _build_tape(

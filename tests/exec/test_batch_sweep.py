@@ -16,18 +16,18 @@ import pytest
 
 from repro.cluster.machines import athlon_cluster
 from repro.exec import (
-    BatchReport,
     CalibrationTask,
     Executor,
     GearSweepTask,
     MeasurementTask,
     PolicyMeasurementTask,
     ResultCache,
+    RunRecord,
     TapeCache,
     tape_key,
 )
 from repro.exec.batch_sweep import _form_units, batch_cache_key
-from repro.exec.profile import ExecProfile
+from repro.exec.record import EVENT
 from repro.exec.sweep import _auto_chunk_size, cache_key, sweep
 from repro.experiments import table1
 from repro.obs import RunObserver
@@ -71,6 +71,16 @@ def _runs(tasks):
     return sum(len(task.runs()) for task in tasks)
 
 
+def _tapes(record):
+    """(tape hits, tape misses) of a record: one per batch group."""
+    return record.tape_hits, len(record.groups) - record.tape_hits
+
+
+def _stage(record, name):
+    """Summed record or replay seconds of a record's groups."""
+    return sum(getattr(group, name) for group in record.groups)
+
+
 def _payloads(tasks, results):
     return [
         json.dumps(task.encode(result), sort_keys=True)
@@ -103,14 +113,13 @@ class TestGrouping:
         assert [t.gear for t in units[0].tasks] == [1, 5]
 
     def test_report_accounts_groups_and_passthrough(self, tasks):
-        report = BatchReport()
-        sweep(tasks, backend="batch", batch_report=report)
-        assert report.groups == 3
-        assert report.single_run_groups == 0
-        assert report.grouped_points == 14
-        assert report.passthrough_points == 1
-        assert report.fallbacks == []
-        assert "14 run(s) in 3 group(s) (0 single-run)" in report.summary()
+        record = RunRecord()
+        sweep(tasks, backend="batch", record=record)
+        assert [group.runs for group in record.groups] == [6, 2, 6]
+        assert len(record.tier(EVENT)) == 1  # the passthrough policy run
+        assert record.fallback_points == 0
+        line = record.batch_summary()
+        assert "14 run(s) in 3 group(s) (0 single-run), 1 passthrough" in line
 
 
 class TestMergeDeterminism:
@@ -144,9 +153,9 @@ class TestMergeDeterminism:
         assert _auto_chunk_size(len(units), jobs=4) == 1
 
     def test_more_workers_than_groups_still_groups_once(self, tasks):
-        report = BatchReport()
-        sweep(tasks, backend="batch", jobs=8, batch_report=report)
-        assert report.groups == 3  # recordings never split by the pool
+        record = RunRecord()
+        sweep(tasks, backend="batch", jobs=8, record=record)
+        assert len(record.groups) == 3  # recordings never split by the pool
 
     def test_duplicate_point_keys_rejected(self, tasks):
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -162,13 +171,13 @@ class TestCacheKeying:
     def test_warm_cache_replays_identically(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path / "batch-cache")
         cold = _payloads(tasks, sweep(tasks, backend="batch", cache=cache))
-        report = BatchReport()
+        record = RunRecord()
         warm = _payloads(
-            tasks, sweep(tasks, backend="batch", cache=cache, batch_report=report)
+            tasks, sweep(tasks, backend="batch", cache=cache, record=record)
         )
         assert warm == cold
         assert cache.stats.hits == _runs(tasks)
-        assert report.groups == 0  # nothing left to record
+        assert record.groups == []  # nothing left to record
 
     def test_event_executor_never_reads_batch_entries(self, tasks, tmp_path):
         cache = ResultCache(root=tmp_path / "shared-cache")
@@ -221,8 +230,9 @@ class TestRunSharing:
         # Per code, the gears 1-3 sweep's runs form one group and the
         # gear-1 UPM run a single-run group of its own: repeats inside
         # one sweep are not merged.  That group reloads the tape the
-        # sweep's group stored.  (The sweep's chunks keep their own
-        # TapeCache handles, so hits are counted at load.)
+        # sweep's group stored, and the record counts it as a hit.
+        # (The sweep's chunks keep their own TapeCache handles, so
+        # store hits are counted at load.)
         hits = []
         load = TapeCache.load
 
@@ -235,11 +245,14 @@ class TestRunSharing:
         monkeypatch.setattr(TapeCache, "load", counting_load)
         executor = Executor(backend="batch", cache=ResultCache(root=tmp_path))
         table1(scale=SCALE, executor=executor)
-        report = executor.batch_report
-        assert (report.groups, report.single_run_groups) == (12, 6)
-        assert report.fallbacks == []
-        assert sum(hits) == 6
-        assert "(6 single-run)" in report.summary()
+        record = executor.record
+        assert len(record.groups) == 12
+        assert [group.runs for group in record.groups].count(1) == 6
+        assert record.fallback_points == 0
+        assert _tapes(record) == (sum(hits), 6) == (6, 6)
+        line = record.batch_summary()
+        assert "(6 single-run)" in line
+        assert "tape cache: 6 hit(s), 6 miss(es)" in line
 
     def test_calibration_runs_hit_an_earlier_sweep(self, cluster, tmp_path):
         executor = Executor(backend="batch", cache=ResultCache(root=tmp_path))
@@ -248,7 +261,7 @@ class TestRunSharing:
         (calibration,) = executor.run([CalibrationTask(cluster, EP(SCALE))])
         assert executor.stats.stores == stores == 6
         assert executor.stats.hits == 6
-        assert executor.batch_report.groups == 1
+        assert len(executor.record.groups) == 1
         assert calibration.gears == ALL_GEARS
 
 
@@ -274,15 +287,15 @@ class TestProfileRows:
             return store(key, payload, meta=meta)
 
         monkeypatch.setattr(cache, "store", slow_for_jacobi)
-        profile = ExecProfile()
-        sweep(pending, backend="batch", cache=cache, profile=profile)
-        rows = {row.key: row for row in profile.timings}
-        assert rows[str(pending[1].key)].store_s >= delay
-        assert rows[str(pending[0].key)].store_s < delay
-        assert rows[str(pending[2].key)].store_s < delay
-        assert all(row.lookup_s > 0 for row in profile.timings)
+        record = RunRecord()
+        sweep(pending, backend="batch", cache=cache, record=record)
+        rows = {row.key: row for row in record.runs}
+        assert rows[pending[1].key].store_s >= delay
+        assert rows[pending[0].key].store_s < delay
+        assert rows[pending[2].key].store_s < delay
+        assert all(row.lookup_s > 0 for row in record.runs)
         # Rows come back in task order, whatever order the units ran in.
-        assert list(rows) == [str(task.key) for task in pending]
+        assert list(rows) == [task.key for task in pending]
 
 
 class TestBackendSelection:
@@ -290,18 +303,19 @@ class TestBackendSelection:
         # Unobserved, the batch backend groups the batchable points; an
         # observer routes the sweep to the event engine, because a
         # replayed tape produces no events to observe.
-        report = BatchReport()
-        sweep(tasks, backend="batch", batch_report=report)
-        assert (report.groups, report.passthrough_points) == (3, 1)
-        observed_report = BatchReport()
+        record = RunRecord()
+        sweep(tasks, backend="batch", record=record)
+        assert (len(record.groups), len(record.tier(EVENT))) == (3, 1)
+        observed_record = RunRecord()
         observed = sweep(
             tasks,
             backend="batch",
             observer=RunObserver(),
-            batch_report=observed_report,
+            record=observed_record,
         )
         assert _payloads(tasks, observed) == _payloads(tasks, sweep(tasks))
-        assert observed_report == BatchReport()
+        assert observed_record.groups == []
+        assert {row.tier for row in observed_record.runs} == {EVENT}
 
     @pytest.mark.parametrize("make", [
         lambda: Executor(backend="turbo"),
@@ -315,10 +329,10 @@ class TestBackendSelection:
         executor = Executor(backend="batch")
         executor.run(tasks[:6])
         executor.run(tasks[6:])
-        assert executor.batch_report is not None
-        assert executor.batch_report.groups == 3
-        assert executor.batch_report.passthrough_points == 1
-        assert "batch backend:" in executor.batch_report.summary()
+        assert executor.batch_report is executor.record
+        assert len(executor.record.groups) == 3
+        assert len(executor.record.tier(EVENT)) == 1
+        assert "batch backend:" in executor.record.batch_summary()
 
     def test_event_executor_has_no_batch_report(self):
         assert Executor().batch_report is None
@@ -329,31 +343,31 @@ class TestTapeCache:
 
     def test_miss_then_hit_with_identical_results(self, tasks, tmp_path):
         tape_cache = TapeCache(tmp_path / "tapes")
-        cold_report = BatchReport()
+        cold_record = RunRecord()
         cold = _payloads(
             tasks,
             sweep(
                 tasks,
                 backend="batch",
-                batch_report=cold_report,
+                record=cold_record,
                 tape_cache=tape_cache,
             ),
         )
-        assert cold_report.tape_cache_enabled
-        assert (cold_report.tape_hits, cold_report.tape_misses) == (0, 3)
-        warm_report = BatchReport()
+        assert cold_record.tape_cache
+        assert _tapes(cold_record) == (0, 3)
+        warm_record = RunRecord()
         warm = _payloads(
             tasks,
             sweep(
                 tasks,
                 backend="batch",
-                batch_report=warm_report,
+                record=warm_record,
                 tape_cache=tape_cache,
             ),
         )
         assert warm == cold  # a loaded tape replays byte-identically
-        assert (warm_report.tape_hits, warm_report.tape_misses) == (3, 0)
-        assert warm_report.record_s == 0.0  # nothing re-recorded
+        assert _tapes(warm_record) == (3, 0)
+        assert _stage(warm_record, "record_s") == 0.0  # nothing re-recorded
 
     def test_pooled_sweep_shares_tapes_and_matches_serial(self, tasks, tmp_path):
         serial = _payloads(tasks, sweep(tasks, backend="batch"))
@@ -382,9 +396,9 @@ class TestTapeCache:
         assert tape_cache.prune() == 3
         # Eviction is never silent corruption: the next sweep simply
         # re-records and produces the same numbers.
-        report = BatchReport()
-        sweep(tasks, backend="batch", batch_report=report, tape_cache=tape_cache)
-        assert (report.tape_hits, report.tape_misses) == (0, 3)
+        record = RunRecord()
+        sweep(tasks, backend="batch", record=record, tape_cache=tape_cache)
+        assert _tapes(record) == (0, 3)
 
     def test_tape_store_is_invisible_to_the_result_cache(self, tasks, tmp_path):
         # The tape cache nests under the result-cache root in the
@@ -399,26 +413,26 @@ class TestTapeCache:
     def test_summary_names_fallbacks_stages_and_tape_counts(
         self, tasks, tmp_path
     ):
-        report = BatchReport()
+        record = RunRecord()
         sweep(
             tasks,
             backend="batch",
-            batch_report=report,
+            record=record,
             tape_cache=TapeCache(tmp_path / "tapes"),
         )
-        line = report.summary()
+        line = record.batch_summary()
         assert ", 0 fallback(s)" in line
         assert "tape cache: 0 hit(s), 3 miss(es)" in line
         assert "stages: record" in line
         assert "replay" in line and "merge" in line
-        assert report.record_s > 0.0
-        assert report.replay_s > 0.0
+        assert _stage(record, "record_s") > 0.0
+        assert _stage(record, "replay_s") > 0.0
 
     def test_no_cache_summary_omits_tape_counts(self, tasks):
-        report = BatchReport()
-        sweep(tasks, backend="batch", batch_report=report)
-        assert not report.tape_cache_enabled
-        assert "tape cache" not in report.summary()
+        record = RunRecord()
+        sweep(tasks, backend="batch", record=record)
+        assert not record.tape_cache
+        assert "tape cache" not in record.batch_summary()
 
     @pytest.mark.parametrize("corruption", ["swapped_segments", "wait_slot"])
     def test_corrupted_tape_is_rerecorded(self, cluster, tmp_path, corruption):
@@ -439,13 +453,11 @@ class TestTapeCache:
             wait = next(op for op in ops if op[0] == 3)
             wait[1] = payload["recv_slots"][0]
         tape_cache.store(key, payload)
-        report = BatchReport()
-        again = sweep(
-            [task], backend="batch", batch_report=report, tape_cache=tape_cache
-        )
+        record = RunRecord()
+        again = sweep([task], backend="batch", record=record, tape_cache=tape_cache)
         assert _payloads([task], again) == clean
-        assert report.fallbacks == []
-        assert report.record_s > 0.0  # the entry was re-recorded
+        assert record.fallback_points == 0
+        assert _stage(record, "record_s") > 0.0  # the entry was re-recorded
 
 
 class TestTapeKey:
@@ -498,6 +510,4 @@ class TestExecutorTapeCache:
         executor.run(tasks)
         cache.clear()  # point payloads gone; recordings survive
         executor.run(tasks)
-        assert executor.batch_report is not None
-        assert executor.batch_report.tape_misses == 3
-        assert executor.batch_report.tape_hits == 3
+        assert _tapes(executor.record) == (3, 3)

@@ -10,10 +10,11 @@ import pytest
 from repro.cluster.machines import athlon_cluster
 from repro.exec import (
     CacheStats,
-    ExecProfile,
     Executor,
+    GearSweepTask,
     MeasurementTask,
     ResultCache,
+    RunRecord,
     sweep,
 )
 from repro.exec.cache import CACHE_MAX_MB_ENV, env_max_bytes
@@ -59,7 +60,7 @@ class TestExecutorStamping:
     def test_executor_stamps_config_onto_tasks(self, cluster):
         executor = Executor(fast_forward=FF)
         executor.run([MeasurementTask(cluster, Jacobi(), nodes=2)])
-        assert FF.aggregate.skipped_iterations > 0
+        assert executor.record.fast_forward().skipped_iterations > 0
 
     def test_task_keeps_its_own_config(self, cluster):
         own = FastForwardConfig(max_period=4)
@@ -81,11 +82,10 @@ class TestLedger:
         # jumps, and the batch smoke compares outputs at 1e-9, which a
         # run that jumps less also meets.  So the full-scale ledger is
         # pinned here, field by field: a lost jump fails this test.
-        config = FastForwardConfig()
-        executor = Executor(fast_forward=config)
+        executor = Executor(fast_forward=FastForwardConfig())
         figure3(scale=1.0, executor=executor)
         table1(scale=1.0, executor=executor)
-        assert config.aggregate == FastForwardStats(
+        assert executor.record.fast_forward() == FastForwardStats(
             marks=7302,
             jumps=198,
             skipped_iterations=12388,
@@ -97,14 +97,15 @@ class TestLedger:
 
 class TestProfileAccounting:
     def test_inline_profile_records_ff_skipped(self, cluster):
-        profile = ExecProfile()
+        record = RunRecord()
         task = MeasurementTask(
             cluster, Jacobi(), nodes=2, fast_forward=FastForwardConfig(max_period=8)
         )
-        sweep([task], profile=profile)
-        assert profile.timings[0].ff_skipped > 0
-        assert profile.ff_skipped_total == profile.timings[0].ff_skipped
-        assert "fast-forwarded iterations" in profile.render()
+        sweep([task], record=record)
+        (row,) = record.runs
+        assert row.ff.skipped_iterations > 0
+        assert record.fast_forward() == row.ff
+        assert "fast-forwarded iterations" in record.render()
 
     def test_chunked_profile_matches_inline_skips(self, cluster):
         config = FastForwardConfig(max_period=8)
@@ -112,27 +113,27 @@ class TestProfileAccounting:
             MeasurementTask(cluster, Jacobi(), nodes=n, fast_forward=config)
             for n in (1, 2, 4)
         ]
-        inline = ExecProfile()
-        sweep(tasks, profile=inline)
-        pooled = ExecProfile()
-        sweep(tasks, jobs=2, chunk_size=2, profile=pooled)
-        by_key_inline = {t.key: t.ff_skipped for t in inline.timings}
-        by_key_pooled = {t.key: t.ff_skipped for t in pooled.timings}
-        assert by_key_inline == by_key_pooled
-        assert pooled.ff_skipped_total > 0
+        inline = RunRecord()
+        sweep(tasks, record=inline)
+        pooled = RunRecord()
+        sweep(tasks, jobs=2, chunk_size=2, record=pooled)
+        assert [(r.key, r.ff) for r in inline.runs] == [
+            (r.key, r.ff) for r in pooled.runs
+        ]
+        assert pooled.fast_forward().skipped_iterations > 0
 
     def test_pooled_sweep_folds_skips_into_parent_ledger(self, cluster):
-        # Workers mutate their own copy of the config; every field of
-        # the ledger must come back, under both backends (the batch
-        # one records in the pool's warm phase).
+        # Every field of every run's stats must come back from the
+        # workers, under both backends.
         def ledger(backend, jobs):
             config = FastForwardConfig(max_period=8)
             tasks = [
                 MeasurementTask(cluster, Jacobi(), nodes=n, fast_forward=config)
                 for n in (1, 2)
             ]
-            sweep(tasks, jobs=jobs, chunk_size=1, backend=backend)
-            return config.aggregate
+            record = RunRecord()
+            sweep(tasks, jobs=jobs, chunk_size=1, backend=backend, record=record)
+            return record.fast_forward()
 
         for backend in ("event", "batch"):
             serial = ledger(backend, 1)
@@ -141,21 +142,65 @@ class TestProfileAccounting:
             assert ledger(backend, 2) == serial
 
     def test_unconfigured_tasks_report_zero_skips(self, cluster):
-        profile = ExecProfile()
-        sweep([MeasurementTask(cluster, EP(), nodes=2)], profile=profile)
-        assert profile.ff_skipped_total == 0
-        assert "fast-forwarded iterations" not in profile.render()
+        record = RunRecord()
+        sweep([MeasurementTask(cluster, EP(), nodes=2)], record=record)
+        assert record.fast_forward() == FastForwardStats()
+        assert "fast-forwarded iterations" not in record.render()
 
     def test_cache_traffic_rewrite_preserves_ff_skipped(self, cluster, tmp_path):
-        profile = ExecProfile()
+        record = RunRecord()
         task = MeasurementTask(
             cluster, Jacobi(), nodes=2, fast_forward=FastForwardConfig(max_period=8)
         )
-        sweep([task], cache=ResultCache(root=tmp_path), profile=profile)
-        # The store-latency rewrite rebuilds the timing; the skip count
-        # must survive it.
-        assert profile.timings[0].store_s > 0
-        assert profile.timings[0].ff_skipped > 0
+        sweep([task], cache=ResultCache(root=tmp_path), record=record)
+        # The merge adds the store latency to the run's row; its stats
+        # must survive that.
+        assert record.runs[0].store_s > 0
+        assert record.runs[0].ff.skipped_iterations > 0
+        # A cache hit serves the measurement, and no World ran for it.
+        sweep([task], cache=ResultCache(root=tmp_path), record=record)
+        assert record.runs[1].ff is None
+        assert record.fast_forward() == record.runs[0].ff
+
+
+class TestPooledBatchAccounting:
+    """Pooled and serial batch sweeps record and account alike.
+
+    A fast-forwarded Jacobi sweep and its standalone gear-1 measurement
+    form two groups that share one tape key.  Without a tape cache each
+    group records its own tape, pooled or not; a pooled sweep used to
+    record the shared tape once, in a warm-up the serial path does not
+    have, and so reported fewer fast-forwarded iterations.
+    """
+
+    def test_shared_tape_key_is_recorded_by_each_group(self, cluster):
+        config = FastForwardConfig(max_period=8)
+        tasks = [
+            GearSweepTask(cluster, Jacobi(), nodes=2, fast_forward=config),
+            MeasurementTask(cluster, Jacobi(), nodes=2, gear=1, fast_forward=config),
+        ]
+
+        def run(jobs, chunk_size):
+            record = RunRecord()
+            results = sweep(
+                tasks, backend="batch", jobs=jobs, chunk_size=chunk_size,
+                record=record,
+            )
+            groups = [(g.key, g.runs, g.loaded, g.fallback) for g in record.groups]
+            recordings = [row.ff for row in record.runs if row.ff is not None]
+            return results, record.fast_forward(), groups, recordings
+
+        serial = run(1, None)
+        assert run(2, 1) == serial
+        _, ledger, groups, recordings = serial
+        # Each group recorded the shared tape itself, and each recording
+        # counts once, on the first run it served.
+        assert len(recordings) == 2 and recordings[0] == recordings[1]
+        assert ledger.skipped_iterations == 2 * recordings[0].skipped_iterations > 0
+        assert [group[1:] for group in groups] == [
+            (6, False, None),
+            (1, False, None),
+        ]
 
 
 def _fill(cache: ResultCache, n: int) -> list[str]:

@@ -109,18 +109,31 @@ def test_chunked_parallel_artifact_matches_golden(name):
     )
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_chunked_parallel_batch_artifact_matches_serial_batch(name):
+@pytest.mark.parametrize(
+    "name,fast_forward",
+    [
+        pytest.param(name, fast_forward, id=name + suffix)
+        for name in sorted(EXPERIMENTS)
+        for fast_forward, suffix in ((None, ""), (FastForwardConfig(), "-ff"))
+    ],
+)
+def test_chunked_parallel_batch_artifact_matches_serial_batch(name, fast_forward):
     """The batch backend's pooled dispatch merges like its serial one.
 
     Chunks count batch groups, so ``--jobs 4 --chunk-size 8`` under
     ``--backend batch`` must reproduce the serial batch artifact byte
-    for byte (batch artifacts agree with the event goldens only to
-    ~1e-9, so they are compared with each other, not with the goldens).
+    for byte, plain and with fast-forwarded recordings (batch artifacts
+    agree with the event goldens only to ~1e-9, so they are compared
+    with each other, not with the goldens).
     """
-    serial = render_artifact(name, executor=Executor(backend="batch"))
+    serial = render_artifact(
+        name, executor=Executor(backend="batch", fast_forward=fast_forward)
+    )
     pooled = render_artifact(
-        name, executor=Executor(backend="batch", jobs=4, chunk_size=8)
+        name,
+        executor=Executor(
+            backend="batch", jobs=4, chunk_size=8, fast_forward=fast_forward
+        ),
     )
     assert pooled == serial, (
         f"{name}: chunked parallel batch artifact differs from serial batch"

@@ -1,12 +1,12 @@
-"""Executor profiling: timing accounting and the sweep that fills it."""
+"""The run record's profile view, and the sweep that fills the record."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster.machines import athlon_cluster
-from repro.exec import ExecProfile, ResultCache, TaskTiming, sweep
-from repro.exec.profile import SOURCE_CACHE, SOURCE_RUN
+from repro.exec import ResultCache, RunRecord, sweep
+from repro.exec.record import CACHE, EVENT, RunRow
 from repro.exec.tasks import MeasurementTask
 from repro.workloads.jacobi import Jacobi
 
@@ -25,42 +25,37 @@ def jacobi_tasks(gears=(1, 2)):
 
 
 class TestDerivedNumbers:
-    def filled(self) -> ExecProfile:
-        profile = ExecProfile(workers=2)
-        profile.add(TaskTiming(key="a", source=SOURCE_RUN, seconds=2.0))
-        profile.add(
-            TaskTiming(
-                key="b",
-                source=SOURCE_RUN,
-                seconds=1.0,
-                lookup_s=0.25,
-                store_s=0.25,
-            )
+    def filled(self) -> RunRecord:
+        record = RunRecord(workers=2, wall_s=2.0)
+        record.runs.append(RunRow(("a",), EVENT, seconds=2.0))
+        record.runs.append(
+            RunRow(("b",), EVENT, seconds=1.0, lookup_s=0.25, store_s=0.25)
         )
-        profile.add(
-            TaskTiming(key="c", source=SOURCE_CACHE, seconds=0.0, lookup_s=0.5)
-        )
-        profile.wall_s = 2.0
-        return profile
+        record.runs.append(RunRow(("c",), CACHE, lookup_s=0.5))
+        return record
 
     def test_totals(self):
-        profile = self.filled()
-        assert profile.task_count == 3
-        assert profile.busy_s == pytest.approx(4.0)
-        assert profile.utilization == pytest.approx(1.0)  # 4.0 / (2.0 * 2)
+        record = self.filled()
+        assert len(record.runs) == 3
+        assert record.busy_s == pytest.approx(4.0)
+        assert record.utilization == pytest.approx(1.0)  # 4.0 / (2.0 * 2)
 
     def test_cache_accounting(self):
-        profile = self.filled()
-        assert profile.cache_hits == 1
-        assert profile.cache_misses == 1  # only "b" had a failed lookup
-        assert profile.mean_latency(SOURCE_CACHE) == pytest.approx(0.5)
-        assert profile.mean_latency(SOURCE_RUN) == pytest.approx(1.75)
+        record = self.filled()
+        assert [row.key for row in record.tier(CACHE)] == [("c",)]
+        assert [row.key for row in record.tier(EVENT)] == [("a",), ("b",)]
+        report = record.render()
+        assert "1 (avg 500.00 ms)" in report
+        assert "2 (avg 1.750 s)" in report
 
     def test_slowest_sorts_by_total_time_then_key(self):
-        assert [t.key for t in self.filled().slowest(2)] == ["a", "b"]
+        report = self.filled().render()
+        slowest = report.split("Slowest points")[1]
+        assert slowest.index("('a',)") < slowest.index("('b',)")
+        assert slowest.index("('b',)") < slowest.index("('c',)")
 
     def test_empty_profile_renders_without_errors(self):
-        report = ExecProfile().render()
+        report = RunRecord().render()
         assert "Executor profile" in report
         assert "utilization" in report
 
@@ -70,39 +65,39 @@ class TestDerivedNumbers:
         assert "cache" in report
 
     def test_utilization_is_zero_without_wall_time(self):
-        assert ExecProfile().utilization == 0.0
+        assert RunRecord().utilization == 0.0
 
 
 class TestSweepFillsProfile:
     def test_uncached_inline_sweep_times_every_point(self):
-        profile = ExecProfile()
-        sweep(jacobi_tasks(), profile=profile)
-        assert profile.task_count == 2
-        assert all(t.source == SOURCE_RUN for t in profile.timings)
-        assert all(t.seconds > 0 for t in profile.timings)
-        assert all(t.lookup_s == 0.0 for t in profile.timings)
-        assert profile.wall_s >= max(t.seconds for t in profile.timings)
+        record = RunRecord()
+        sweep(jacobi_tasks(), record=record)
+        assert len(record.runs) == 2
+        assert all(row.tier == EVENT for row in record.runs)
+        assert all(row.seconds > 0 for row in record.runs)
+        assert all(row.lookup_s == 0.0 for row in record.runs)
+        assert record.wall_s >= max(row.seconds for row in record.runs)
 
     def test_cached_sweep_records_miss_then_hit_latencies(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cold, warm = ExecProfile(), ExecProfile()
-        sweep(jacobi_tasks(), cache=ResultCache(), profile=cold)
-        sweep(jacobi_tasks(), cache=ResultCache(), profile=warm)
-        assert cold.cache_misses == 2 and cold.cache_hits == 0
-        assert all(t.lookup_s > 0 and t.store_s > 0 for t in cold.timings)
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert all(t.seconds == 0.0 for t in warm.timings)
+        cold, warm = RunRecord(), RunRecord()
+        sweep(jacobi_tasks(), cache=ResultCache(), record=cold)
+        sweep(jacobi_tasks(), cache=ResultCache(), record=warm)
+        assert [row.tier for row in cold.runs] == [EVENT, EVENT]
+        assert all(row.lookup_s > 0 and row.store_s > 0 for row in cold.runs)
+        assert [row.tier for row in warm.runs] == [CACHE, CACHE]
+        assert all(row.seconds == 0.0 for row in warm.runs)
 
     def test_pool_sweep_reports_worker_count(self):
-        profile = ExecProfile()
-        results = sweep(jacobi_tasks((1, 2, 3)), jobs=2, profile=profile)
+        record = RunRecord()
+        results = sweep(jacobi_tasks((1, 2, 3)), jobs=2, record=record)
         assert len(results) == 3
-        assert profile.workers == 2
-        assert profile.task_count == 3
+        assert record.workers == 2
+        assert len(record.runs) == 3
 
     def test_profiling_does_not_change_results(self):
         plain = sweep(jacobi_tasks())
-        profiled = sweep(jacobi_tasks(), profile=ExecProfile())
+        profiled = sweep(jacobi_tasks(), record=RunRecord())
         assert [m.energy for m in plain] == [m.energy for m in profiled]

@@ -24,12 +24,13 @@ from repro.exec import (
     GearSweepTask,
     MeasurementTask,
     ResultCache,
+    RunRecord,
     RunTask,
     code_version_token,
     sweep,
 )
 from repro.exec.batch_sweep import _Unit
-from repro.exec.profile import SOURCE_RUN, ExecProfile
+from repro.exec.record import CACHE, EVENT
 from repro.exec.sweep import (
     _auto_chunk_size,
     _ChunkPointError,
@@ -280,29 +281,29 @@ class TestChunkedProfile:
         start = time.perf_counter()
         outcomes = _run_chunk(chunk)
         wall = time.perf_counter() - start
-        assert [len(results) for results, *_ in outcomes] == [1, 1]
-        assert [ff_skips for *_, ff_skips in outcomes] == [0, 0]
-        seconds = [outcome[4] for outcome in outcomes]
-        assert all(s > 0 for s in seconds)
-        # The loop bookkeeping is spread over the units, so their times
-        # sum to the chunk's own wall, inside the caller's wall.
-        assert sum(seconds) <= wall
+        assert [len(outcome.results) for outcome in outcomes] == [1, 1]
+        assert [outcome.group for outcome in outcomes] == [None, None]
+        rows = [row for outcome in outcomes for row in outcome.rows]
+        assert [row.ff for row in rows] == [None, None]
+        assert all(row.seconds > 0 for row in rows)
+        # The units' in-worker times fit inside the caller's wall.
+        assert sum(row.seconds for row in rows) <= wall
 
     def test_chunked_sweep_profile_accounting(self, tasks):
-        profile = ExecProfile()
-        sweep(tasks, jobs=2, chunk_size=2, profile=profile)
-        assert profile.task_count == _runs(tasks)
-        # One SOURCE_RUN entry per run, merged back in task order.
-        assert [t.key for t in profile.timings] == [
-            str(run.key) for task in tasks for run in task.runs()
+        record = RunRecord()
+        sweep(tasks, jobs=2, chunk_size=2, record=record)
+        assert len(record.runs) == _runs(tasks)
+        # One event row per run, merged back in task order.
+        assert [row.key for row in record.runs] == [
+            run.key for task in tasks for run in task.runs()
         ]
-        assert all(t.source == SOURCE_RUN for t in profile.timings)
-        assert all(t.seconds > 0 for t in profile.timings)
+        assert all(row.tier == EVENT for row in record.runs)
+        assert all(row.seconds > 0 for row in record.runs)
         # Fifteen runs in chunks of two -> eight chunks, both workers used.
-        assert profile.workers == 2
+        assert record.workers == 2
         # Per-point times are in-worker walls (startup and IPC excluded),
         # so busy time fits inside workers * host wall time.
-        assert profile.busy_s <= profile.wall_s * profile.workers
+        assert record.busy_s <= record.wall_s * record.workers
 
 
 class TestRunsAreShared:
@@ -330,7 +331,7 @@ class TestRunsAreShared:
             simulated.append(world.nodes)
             return world_run(world)
 
-        # Pool workers count in their own memory; the profile and the
+        # Pool workers count in their own memory; the record and the
         # cache count for them.
         if jobs == 1:
             monkeypatch.setattr(World, "run", counting_run)
@@ -338,7 +339,6 @@ class TestRunsAreShared:
             jobs=jobs,
             chunk_size=chunk_size,
             cache=ResultCache(root=tmp_path),
-            profile=True,
         )
         (one_node,) = executor.run([GearSweepTask(cluster, workload, nodes=1)])
         measured, calibration = executor.run(
@@ -351,8 +351,8 @@ class TestRunsAreShared:
         (two_measured,) = executor.run(
             [MeasurementTask(cluster, workload, nodes=2, gear=1)]
         )
-        sources = [timing.source for timing in executor.profile.timings]
-        assert sources.count(SOURCE_RUN) == 12
+        tiers = [row.tier for row in executor.record.runs]
+        assert (tiers.count(EVENT), tiers.count(CACHE)) == (12, 8)
         assert executor.stats.stores == 12
         assert (executor.stats.hits, executor.stats.misses) == (8, 12)
         if jobs == 1:

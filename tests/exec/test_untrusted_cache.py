@@ -30,7 +30,7 @@ from repro.exec import (
     TapeCache,
     tape_key,
 )
-from repro.exec.batch_sweep import BatchReport
+from repro.exec.record import RunRecord
 from repro.exec.sweep import cache_key, sweep
 from repro.policy.adaptive import IdleLowPolicy
 from repro.workloads import CheckpointedStencil, Jacobi
@@ -291,11 +291,11 @@ def test_reproduced_tape_defect_is_a_miss(tmp_path, corrupt):
     payload = tapes.load(tape_key(task, 1))
     corrupt(payload)
     tapes.store(tape_key(task, 1), payload)
-    report = BatchReport()
-    again = sweep([task], backend="batch", tape_cache=tapes, batch_report=report)
+    record = RunRecord()
+    again = sweep([task], backend="batch", tape_cache=tapes, record=record)
     assert _encoded([task], again) == _encoded([task], clean)
     assert tapes.stats.invalidated == 1
-    assert (report.tape_hits, report.tape_misses) == (0, 1)
+    assert [group.loaded for group in record.groups] == [False]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -306,36 +306,32 @@ def test_tape_failing_its_self_check_is_re_recorded(tmp_path, jobs):
     cluster = athlon_cluster()
     tasks = [GearSweepTask(cluster, Jacobi(SCALE), nodes=n) for n in (2, 3)]
     tapes = TapeCache(tmp_path)
-    report = BatchReport()
+    record = RunRecord()
     clean = _encoded(
         tasks,
-        sweep(tasks, backend="batch", tape_cache=tapes, jobs=jobs, batch_report=report),
+        sweep(tasks, backend="batch", tape_cache=tapes, jobs=jobs, record=record),
     )
-    # Fresh recordings are misses, pooled (warm phase) or not.
-    assert (report.tape_hits, report.tape_misses) == (0, 2)
+    # Fresh recordings are misses, pooled or not.
+    assert [group.loaded for group in record.groups] == [False, False]
     key = tape_key(tasks[0], 1)
     payload = tapes.load(key)
     stale = dict(payload, recording_energy=payload["recording_energy"] * 1.001)
     tapes.store(key, stale)
     invalidated = tapes.stats.invalidated
 
-    report = BatchReport()
-    again = sweep(
-        tasks, backend="batch", tape_cache=tapes, jobs=jobs, batch_report=report
-    )
-    assert report.fallbacks == []
+    record = RunRecord()
+    again = sweep(tasks, backend="batch", tape_cache=tapes, jobs=jobs, record=record)
+    assert record.fallback_points == 0
     # The stale tape was recorded afresh, so it is a miss.
-    assert (report.tape_hits, report.tape_misses) == (1, 1)
-    assert report.record_s > 0.0
+    assert [group.loaded for group in record.groups] == [False, True]
+    assert record.groups[0].record_s > 0.0
     assert tapes.stats.invalidated == invalidated + 1
     assert _encoded(tasks, again) == clean
     assert tapes.load(key) == payload
 
-    report = BatchReport()
-    third = sweep(
-        tasks, backend="batch", tape_cache=tapes, jobs=jobs, batch_report=report
-    )
-    assert report.fallbacks == []
-    assert (report.tape_hits, report.tape_misses) == (2, 0)
+    record = RunRecord()
+    third = sweep(tasks, backend="batch", tape_cache=tapes, jobs=jobs, record=record)
+    assert record.fallback_points == 0
+    assert [group.loaded for group in record.groups] == [True, True]
     assert tapes.stats.invalidated == invalidated + 1
     assert _encoded(tasks, third) == clean

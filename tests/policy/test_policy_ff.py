@@ -79,6 +79,6 @@ def test_fast_forward_agrees_with_full_simulation(
         # Jacobi settles for every family; the equivalence above must
         # not be vacuous.  (CG's rotating bottleneck is checked for
         # agreement only — whether it engages depends on the period.)
-        assert config.aggregate.skipped_iterations > 0, (
+        assert jumped.result.fast_forward.skipped_iterations > 0, (
             f"{pname}: steady-state detector never engaged"
         )

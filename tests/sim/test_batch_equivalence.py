@@ -456,7 +456,7 @@ class TestWildcardReceivesFallBack:
         would serve rank 1 first at every gear, and so come back several
         times too slow at gears 3-6.
         """
-        from repro.exec import BatchReport, sweep
+        from repro.exec import RunRecord, sweep
         from repro.exec.tasks import MeasurementTask
 
         cluster = athlon_cluster()
@@ -464,11 +464,11 @@ class TestWildcardReceivesFallBack:
             MeasurementTask(cluster, _FirstComeServed(), nodes=3, gear=g)
             for g in ALL_GEARS
         ]
-        report = BatchReport()
-        batch_results = sweep(tasks, backend="batch", batch_report=report)
+        record = RunRecord()
+        batch_results = sweep(tasks, backend="batch", record=record)
         event_results = [task.run() for task in tasks]
-        assert report.fallback_points == len(tasks)
-        assert "wildcard receive" in report.fallbacks[0].reason
+        assert record.fallback_points == len(tasks)
+        assert "wildcard receive" in record.groups[0].fallback
         for ours, theirs in zip(batch_results, event_results):
             assert ours == theirs
 

@@ -90,21 +90,6 @@ class TestFileIO:
 class TestHarnessStatusReporting:
     """Cache-stats and profile output is owned by reporting, not the CLI."""
 
-    def test_cache_stats_to_dict(self):
-        from repro.exec.cache import CacheStats
-        from repro.reporting import cache_stats_to_dict
-
-        stats = CacheStats(hits=3, misses=1, stores=1, invalidated=0)
-        exported = cache_stats_to_dict(stats)
-        assert exported == {
-            "hits": 3,
-            "misses": 1,
-            "stores": 1,
-            "invalidated": 0,
-            "hit_rate": 0.75,
-        }
-        json.dumps(exported)
-
     def test_render_cache_stats_is_bracketed(self):
         from repro.exec.cache import CacheStats
         from repro.reporting import render_cache_stats
@@ -115,9 +100,9 @@ class TestHarnessStatusReporting:
     def test_emit_profile_writes_report_to_stream(self):
         import io
 
-        from repro.exec import ExecProfile
+        from repro.exec import RunRecord
         from repro.reporting import emit_profile
 
         stream = io.StringIO()
-        emit_profile(ExecProfile(), stream=stream)
+        emit_profile(RunRecord(), stream=stream)
         assert "Executor profile" in stream.getvalue()
