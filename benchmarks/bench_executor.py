@@ -14,9 +14,11 @@ Regenerates the full paper suite (Figures 1-5 + Table 1) four ways:
 The asserted contract: all five produce identical exported artifacts,
 the warm rerun simulates and stores nothing and is >= 5x faster than
 the cold one, and observer hook dispatch stays within 1.5x of the
-serial baseline.  Run standalone
-(``PYTHONPATH=src python benchmarks/bench_executor.py``) for the timing
-table alone.
+serial baseline.  The warm pass's mean lookup time per run (computing
+the run's key plus loading its entry), read from the executor's
+:class:`~repro.exec.record.RunRecord`, is printed with no floor.  Run
+standalone (``PYTHONPATH=src python benchmarks/bench_executor.py``) for
+the timing table alone.
 """
 
 from __future__ import annotations
@@ -61,15 +63,24 @@ def _timed(scale: float, executor: Executor) -> tuple[float, dict[str, str]]:
     return time.perf_counter() - start, artifacts
 
 
-def compare_modes(scale: float) -> tuple[TextTable, dict[str, float]]:
-    """Time the five execution modes; returns the table and raw seconds."""
+def warm_lookup_line(executor: Executor) -> str:
+    """The mean per-run lookup time (key + load) of ``executor``'s runs."""
+    rows = executor.record.runs
+    mean_us = 1e6 * sum(row.lookup_s for row in rows) / len(rows)
+    return f"warm cache: {len(rows)} runs, mean lookup (key + load) {mean_us:.0f} us/run"
+
+
+def compare_modes(scale: float) -> tuple[TextTable, dict[str, float], str]:
+    """Time the five execution modes; returns the table, raw seconds and
+    the warm pass's :func:`warm_lookup_line`."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root:
         cache = ResultCache(root=root)
         t_serial, baseline = _timed(scale, Executor())
         t_parallel, parallel = _timed(scale, Executor(jobs=4))
         t_cold, cold = _timed(scale, Executor(cache=cache))
         misses, stores = cache.stats.misses, cache.stats.stores
-        t_warm, warm = _timed(scale, Executor(cache=cache))
+        warm_executor = Executor(cache=cache)
+        t_warm, warm = _timed(scale, warm_executor)
         assert (cache.stats.misses, cache.stats.stores) == (misses, stores), (
             "the warm-cache pass missed or stored entries"
         )
@@ -93,14 +104,15 @@ def compare_modes(scale: float) -> tuple[TextTable, dict[str, float]]:
     )
     for mode, seconds in times.items():
         table.add_row([mode, f"{seconds:.2f}", f"{t_serial / seconds:.1f}x"])
-    return table, times
+    return table, times, warm_lookup_line(warm_executor)
 
 
 def test_executor_modes(benchmark, bench_scale):
     """Serial vs parallel vs cold/warm cache on the full suite."""
-    table, times = run_once(benchmark, compare_modes, bench_scale)
+    table, times, lookup = run_once(benchmark, compare_modes, bench_scale)
     print()
     print(table.render())
+    print(lookup)
     assert times["cold cache"] / times["warm cache"] >= 5.0
     # Hook dispatch on a no-op observer is bounded (the generous margin
     # absorbs shared-runner noise); with no observer the hooks vanish
@@ -113,5 +125,6 @@ if __name__ == "__main__":
     import os
 
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
-    table, times = compare_modes(scale)
+    table, times, lookup = compare_modes(scale)
     print(table.render())
+    print(lookup)

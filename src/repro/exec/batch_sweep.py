@@ -64,7 +64,7 @@ from repro.core.run import RunMeasurement
 from repro.exec.cache import TapeCache
 from repro.exec.fingerprint import code_version_token, fingerprint
 from repro.exec.record import GroupRow
-from repro.exec.tasks import MeasurementTask, RunTask, SimTask
+from repro.exec.tasks import Digest, MeasurementTask, RunTask, SimTask
 from repro.mpi.fastforward import FastForwardStats
 
 #: Fingerprint token that keys batch-computed results apart from event
@@ -77,18 +77,21 @@ BACKEND_TOKEN = "batch"
 BATCHABLE = (MeasurementTask,)
 
 
-def batch_cache_key(task: RunTask) -> str:
-    """Cache key of a run executed through the batch backend."""
+def batch_cache_key(task: RunTask, digest: Digest | None = None) -> str:
+    """Cache key of a run executed through the batch backend (``digest``
+    as in :func:`repro.exec.sweep.cache_key`)."""
     return fingerprint(
         {
-            "task": task.describe(),
+            "task": task.describe(digest),
             "code_version": code_version_token(),
             "backend": BACKEND_TOKEN,
         }
     )
 
 
-def tape_key(task: SimTask, recording_gear: int) -> str:
+def tape_key(
+    task: SimTask, recording_gear: int, digest: Digest | None = None
+) -> str:
     """Persistent-cache key of the tape ``task``'s runs share.
 
     The fingerprint covers the description of the task's first run
@@ -99,10 +102,11 @@ def tape_key(task: SimTask, recording_gear: int) -> str:
     to one tape), plus the recording gear, the code-version token, and
     the tape format version, so stale tapes are never hit and
     :meth:`~repro.exec.cache.ResultCache.prune` invalidates them.
+    ``digest`` is as in :func:`repro.exec.sweep.cache_key`.
     """
     from repro.sim.batch import TAPE_FORMAT_VERSION
 
-    desc = dict(task.runs()[0].describe())
+    desc = dict(task.runs()[0].describe(digest))
     for axis in ("kind", "gear"):
         desc.pop(axis, None)
     return fingerprint(
@@ -128,9 +132,11 @@ class _Unit:
     #: Positions of each run in the sweep's pending list (for the merge).
     indices: list[int]
     batch: bool = False
+    #: A batch group's :func:`tape_key`, at its first run's gear.
+    tape: str | None = None
 
 
-def _group_token(task: MeasurementTask) -> str:
+def _group_token(task: MeasurementTask, digest: Digest | None) -> str:
     """Identity under which standalone measurements share a recording.
 
     The fingerprint of the run's description *minus the gear*: two
@@ -138,18 +144,22 @@ def _group_token(task: MeasurementTask) -> str:
     state, node count, fast-forward config — is identical, which is
     exactly the condition for a shared gear-invariant tape.
     """
-    desc = dict(task.describe())
+    desc = dict(task.describe(digest))
     desc.pop("gear")
     return fingerprint(desc)
 
 
-def _form_units(pending: Sequence[tuple[SimTask, RunTask]]) -> list[_Unit]:
+def _form_units(
+    pending: Sequence[tuple[SimTask, RunTask]], digest: Digest | None = None
+) -> list[_Unit]:
     """Partition pending runs into execution units, in first-seen order.
 
     ``pending`` pairs each run with the point that asked for it.  The
     pending runs of one composite form one batch group; standalone
     :class:`MeasurementTask` points group by :func:`_group_token`; any
-    other run passes through on the event engine.
+    other run passes through on the event engine.  Group tokens and
+    tape keys name their specs through ``digest`` (see
+    :func:`repro.exec.sweep.cache_key`).
     """
     units: list[_Unit] = []
     groups: dict[Any, _Unit] = {}
@@ -157,10 +167,11 @@ def _form_units(pending: Sequence[tuple[SimTask, RunTask]]) -> list[_Unit]:
         if type(run) not in BATCHABLE:
             units.append(_Unit([run], [index]))
             continue
-        token = _group_token(run) if point is run else id(point)
+        token = _group_token(run, digest) if point is run else id(point)
         unit = groups.get(token)
         if unit is None:
-            unit = groups[token] = _Unit([], [], batch=True)
+            tape = tape_key(run, run.gear, digest)  # type: ignore[attr-defined]
+            unit = groups[token] = _Unit([], [], batch=True, tape=tape)
             units.append(unit)
         unit.tasks.append(run)
         unit.indices.append(index)
@@ -219,7 +230,7 @@ def _run_unit(
     unit: _Unit, tapes: TapeCache | None
 ) -> tuple[list[Any], GroupRow, FastForwardStats | None]:
     """Execute one batch group, whose tape is keyed at its first run's
-    gear (:func:`tape_key`).
+    gear (``unit.tape``).
 
     Returns (results in run order, the group's row, the fast-forward
     stats of the recording the results were replayed from — None for a
@@ -238,7 +249,7 @@ def _run_unit(
 
     tasks: list[MeasurementTask] = unit.tasks  # type: ignore[assignment]
     first = tasks[0]
-    key = tape_key(first, first.gear)
+    key: str = unit.tape  # type: ignore[assignment]
     record_s = replay_s = 0.0
 
     def row(loaded: bool, fallback: str | None = None) -> GroupRow:

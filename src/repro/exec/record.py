@@ -44,7 +44,8 @@ class RunRow(NamedTuple):
     #: Host seconds of the run's unit, shared evenly by its runs (0.0 for
     #: a cache hit).
     seconds: float = 0.0
-    #: Result-cache lookup and store latency (0.0 without a cache).
+    #: Result-cache lookup and store latency (0.0 without a cache).  The
+    #: lookup includes computing the run's key.
     lookup_s: float = 0.0
     store_s: float = 0.0
     #: Fast-forward stats of the World whose measurement this is: the

@@ -14,7 +14,11 @@ the experiment harness:
 - **Cache transparency.**  With a cache, each run is looked up by its
   content fingerprint first and only misses are executed (then stored).
   A warm sweep does no simulation at all, and a point whose runs another
-  point already computed is served from their entries.
+  point already computed is served from their entries.  A run's key
+  names its cluster and workload by content digest
+  (:meth:`~repro.exec.tasks.RunTask.describe`), and one
+  :class:`~repro.exec.tasks.Digests` memo serves every key of the
+  sweep, so each distinct spec object is encoded once per sweep.
 - **Failure naming.**  Any exception in a worker is re-raised in the
   caller as a :class:`~repro.util.errors.SimulationError` naming the
   failing run's key, with the original exception chained as the cause;
@@ -74,7 +78,7 @@ from repro.exec.record import (
     RunRecord,
     RunRow,
 )
-from repro.exec.tasks import RunTask, SimTask
+from repro.exec.tasks import Digest, Digests, RunTask, SimTask
 from repro.mpi.fastforward import FastForwardStats
 from repro.util.errors import ConfigurationError, SimulationError
 
@@ -94,10 +98,15 @@ def check_backend(backend: str) -> None:
         )
 
 
-def cache_key(task: RunTask) -> str:
-    """The content-addressed cache key of one run."""
+def cache_key(task: RunTask, digest: Digest | None = None) -> str:
+    """The content-addressed cache key of one run.
+
+    ``digest`` names the run's cluster and workload
+    (:meth:`~repro.exec.tasks.RunTask.describe`); a sweep passes the
+    :class:`~repro.exec.tasks.Digests` of its key pass.
+    """
     return fingerprint(
-        {"task": task.describe(), "code_version": code_version_token()}
+        {"task": task.describe(digest), "code_version": code_version_token()}
     )
 
 
@@ -314,6 +323,8 @@ def sweep(
     measured: list[list[Any]] = [[None] * len(runs) for runs in plans]
     rows: list[list[Any]] = [[None] * len(runs) for runs in plans]
     pending: list[_Pending] = []
+    # Every key of this sweep names its specs through one memo.
+    digest = Digests()
     for slot, runs in enumerate(plans):
         for position, run in enumerate(runs):
             if cache is None:
@@ -321,9 +332,9 @@ def sweep(
                 continue
             lookup_start = time.perf_counter()
             if batched and type(run) in BATCHABLE:
-                key = batch_cache_key(run)
+                key = batch_cache_key(run, digest)
             else:
-                key = cache_key(run)
+                key = cache_key(run, digest)
             result = cache.load(key, run.decode)
             lookup_s = time.perf_counter() - lookup_start
             if result is None:
@@ -333,7 +344,7 @@ def sweep(
             rows[slot][position] = RunRow(run.key, CACHE, lookup_s=lookup_s)
 
     if batched:
-        units = _form_units([(ordered[p.slot], p.run) for p in pending])
+        units = _form_units([(ordered[p.slot], p.run) for p in pending], digest)
     else:
         units = [_Unit([p.run], [index]) for index, p in enumerate(pending)]
     tape_root = None

@@ -29,11 +29,18 @@ assembly is the same function its library twin
 Each run is a frozen, picklable dataclass that knows how to
 
 - ``run()`` itself (in a worker process),
-- ``describe()`` itself as the canonical structure its cache key is
-  fingerprinted from (full cluster + workload state — see
-  :mod:`repro.exec.fingerprint`), and
+- ``describe()`` itself as the structure its cache key is fingerprinted
+  from: its kind and knobs (node count, gear or policy, fast-forward
+  config), with its cluster and its workload named by content digest,
+  the :func:`~repro.exec.fingerprint.fingerprint` of the full spec
+  object, and
 - ``encode``/``decode`` its measurement to/from the JSON payload the
   cache stores.
+
+The runs of one gear sweep or calibration share their cluster and
+workload objects and differ only in gear, so a sweep names them through
+one :class:`Digests` memo for its whole key pass: each distinct spec
+object is walked once, not once per run.
 
 Every point can ``encode`` its result: the validation sweep and the
 scenario CLI compare and print those payloads.
@@ -43,13 +50,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cluster.cluster import ClusterSpec
 from repro.core.calibration import GearCalibration, calibration_from_runs
 from repro.core.curves import EnergyTimeCurve
 from repro.core.run import RunMeasurement, curve_from_runs, run_workload
-from repro.exec.fingerprint import jsonable
+from repro.exec.fingerprint import fingerprint
 from repro.reporting import curve_to_dict
 from repro.util.units import is_amount
 from repro.workloads.base import Workload
@@ -60,9 +67,33 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.policy.base import GearPolicy
 
 
-def _describe_workload(workload: Workload) -> Any:
-    """Canonical state of a workload instance (class + all attributes)."""
-    return jsonable(workload)
+#: Names a spec object by content: :func:`fingerprint`, or a
+#: :class:`Digests` memo of it.
+Digest = Callable[[Any], str]
+
+
+class Digests:
+    """The :func:`fingerprint` of each spec object, computed once.
+
+    A sweep keeps one for its key pass, so the runs of a gear sweep,
+    which share their cluster and workload objects, walk each of them
+    once instead of once per key.  Entries are keyed by object
+    identity, never by equality: a cluster whose link latency is ``0``
+    equals, and hashes like, one whose latency is ``0.0`` (so do ``1``,
+    ``1.0`` and ``True``, and ``0.0`` and ``-0.0``), but their digests
+    differ, and so must their runs' keys.  Each entry holds its object,
+    so no id is reused while the memo lives; and it lives for one pass
+    only, so a spec object changed between sweeps is digested afresh.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[int, tuple[Any, str]] = {}
+
+    def __call__(self, obj: Any) -> str:
+        entry = self._memo.get(id(obj))
+        if entry is None:
+            entry = self._memo[id(obj)] = (obj, fingerprint(obj))
+        return entry[1]
 
 
 def _ff_key(config: "FastForwardConfig | None") -> tuple | None:
@@ -137,11 +168,6 @@ def _decode_measurement(
     )
 
 
-def _describe_cluster(cluster: ClusterSpec) -> Any:
-    """Canonical state of a cluster spec (nested frozen dataclasses)."""
-    return jsonable(cluster)
-
-
 def _scenario_key(base: tuple, scenario: str | None) -> tuple:
     """Qualify a task key with its scenario name, when one is set.
 
@@ -202,8 +228,14 @@ class RunTask(SimTask):
         return result
 
     @abstractmethod
-    def describe(self) -> Any:
-        """Canonical structure the cache key is fingerprinted from."""
+    def describe(self, digest: Digest | None = None) -> Any:
+        """Canonical structure the cache key is fingerprinted from.
+
+        Args:
+            digest: names the run's cluster and workload by content;
+                :func:`fingerprint` when None.  A sweep passes its
+                :class:`Digests`.
+        """
 
     @abstractmethod
     def run(self, observer: "RunObserver | None" = None) -> Any:
@@ -290,12 +322,13 @@ class MeasurementTask(RunTask):
             self.scenario,
         )
 
-    def describe(self) -> Any:
+    def describe(self, digest: Digest | None = None) -> Any:
+        digest = digest or fingerprint
         return _with_ff(
             {
                 "kind": "measurement",
-                "cluster": _describe_cluster(self.cluster),
-                "workload": _describe_workload(self.workload),
+                "cluster": digest(self.cluster),
+                "workload": digest(self.workload),
                 "nodes": self.nodes,
                 "gear": self.gear,
             },
@@ -367,12 +400,13 @@ class PolicyMeasurementTask(RunTask):
             self.scenario,
         )
 
-    def describe(self) -> Any:
+    def describe(self, digest: Digest | None = None) -> Any:
+        digest = digest or fingerprint
         return _with_ff(
             {
                 "kind": "policy_measurement",
-                "cluster": _describe_cluster(self.cluster),
-                "workload": _describe_workload(self.workload),
+                "cluster": digest(self.cluster),
+                "workload": digest(self.workload),
                 "nodes": self.nodes,
                 "policy": self.policy.describe(),
             },

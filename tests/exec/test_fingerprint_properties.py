@@ -8,6 +8,11 @@ order) must not.
 The encoder is also pinned to a reference: a verbatim copy of the
 original isinstance-chain encoder.  Every input must give the same
 canonical text (hence the same key) and the same error under both.
+
+A sweep names each spec object by one digest for all its keys
+(:class:`~repro.exec.tasks.Digests`); the last tests check that this
+sharing never changes a key, and never merges or keeps what it must
+not.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import importlib
 import json
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
@@ -26,12 +32,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.machines import athlon_cluster
-from repro.exec import ResultCache, code_version_token, fingerprint, jsonable
+from repro.exec import (
+    Executor,
+    ResultCache,
+    code_version_token,
+    fingerprint,
+    jsonable,
+    sweep,
+)
+from repro.exec.batch_sweep import (
+    BATCHABLE,
+    _form_units,
+    batch_cache_key,
+    tape_key,
+)
 from repro.exec.sweep import cache_key
-from repro.exec.tasks import MeasurementTask
+from repro.exec.tasks import Digests, MeasurementTask
 from repro.scenarios import REGISTRY, validation_pack
 from repro.util.errors import ConfigurationError
-from repro.workloads import Jacobi
+from repro.workloads import EP, Jacobi
 
 # ---------------------------------------------------------------------------
 # Reference encoder: the original ``jsonable``, ``_sorted_items`` and
@@ -363,34 +382,60 @@ class TestReferenceEncoder:
             jsonable(_Float("inf"))
 
     def test_pack_and_paper_keys_match_reference(self, monkeypatch):
-        # Every key the validation sweep and the paper suite compute: the
-        # result-cache key of each run and the identity of each spec.
-        import repro.exec.tasks as tasks_module
-        import repro.scenarios.spec as spec_module
-
-        specs = validation_pack(min_points=600)
-        for name in REGISTRY.names(tag="paper"):
-            specs += REGISTRY.build(name)
-        token = code_version_token()
+        # Every key the validation sweep and the paper suite compute, by
+        # the functions the executor computes them with: the identity of
+        # each spec, and for each run its result-cache key under both
+        # backends and its tape key, through one digest memo as a sweep
+        # does.  Patched in, the reference encoder digests every cluster
+        # and workload and encodes every description.
+        modules = [
+            importlib.import_module(f"repro.{name}")
+            for name in ("exec.tasks", "exec.sweep", "exec.batch_sweep", "scenarios.spec")
+        ]
+        specs = _pack_and_paper_specs()
 
         def keys() -> list[str]:
+            digest = Digests()
             out = []
             for spec in specs:
-                out.append(spec_module.fingerprint(spec.identity()))
-                out.extend(
-                    spec_module.fingerprint({"task": r.describe(), "code_version": token})
-                    for t in spec.tasks()
-                    for r in t.runs()
-                )
+                out.append(spec.fingerprint())
+                for run in (r for t in spec.tasks() for r in t.runs()):
+                    out.append(cache_key(run, digest))
+                    if type(run) in BATCHABLE:
+                        out.append(batch_cache_key(run, digest))
+                        out.append(tape_key(run, run.gear, digest))
             return out
 
         got = keys()
-        assert got[0] == specs[0].fingerprint()
-        monkeypatch.setattr(tasks_module, "jsonable", _reference_jsonable)
-        monkeypatch.setattr(spec_module, "jsonable", _reference_jsonable)
-        monkeypatch.setattr(spec_module, "fingerprint", _reference_fingerprint)
-        assert len(got) > 600
+        assert len(got) > 2 * 1000
+        for module in modules:
+            monkeypatch.setattr(module, "fingerprint", _reference_fingerprint)
+        monkeypatch.setattr(modules[-1], "jsonable", _reference_jsonable)
         assert keys() == got
+
+
+def _pack_and_paper_specs() -> list:
+    """The validation sweep's pack and every paper scenario."""
+    specs = validation_pack(min_points=600)
+    for name in REGISTRY.names(tag="paper"):
+        specs += REGISTRY.build(name)
+    return specs
+
+
+def _equal_clusters() -> list:
+    """Two clusters that compare and hash equal: link latency 0 and 0.0."""
+    base = athlon_cluster()
+    return [
+        dataclasses.replace(base, link=dataclasses.replace(base.link, latency=latency))
+        for latency in (0, 0.0)
+    ]
+
+
+class _KeyLog:
+    """A result cache that serves every run its own key as its result."""
+
+    def load(self, key: str, decode: Any = None) -> str:
+        return key
 
 
 class TestTypeExactTaskKeys:
@@ -398,17 +443,62 @@ class TestTypeExactTaskKeys:
         # 0 == 0.0 and hash(0) == hash(0.0), so the two clusters compare
         # and hash equal; a cache keyed by the spec objects would serve
         # one's results for the other.  Their keys must differ.
-        base = athlon_cluster()
-        clusters = [
-            dataclasses.replace(base, link=dataclasses.replace(base.link, latency=latency))
-            for latency in (0, 0.0)
-        ]
+        clusters = _equal_clusters()
         assert clusters[0] == clusters[1]
         assert hash(clusters[0]) == hash(clusters[1])
         workload = Jacobi(0.2)
         tasks = [MeasurementTask(c, workload, nodes=2, gear=1) for c in clusters]
         assert tasks[0] == tasks[1]
         assert cache_key(tasks[0]) != cache_key(tasks[1])
+
+    def test_one_sweep_stores_each_equal_cluster_apart(self, tmp_path):
+        # One digest memo serves both runs' keys; it must not take the
+        # second cluster for the first.  The scenario names only keep
+        # the two points' key tuples apart: they are not in the cache key.
+        workload = Jacobi(0.2)
+        tasks = [
+            MeasurementTask(c, workload, nodes=2, gear=1, scenario=name)
+            for c, name in zip(_equal_clusters(), ("int latency", "float latency"))
+        ]
+        cache = ResultCache(root=tmp_path)
+        sweep(tasks, cache=cache)
+        assert cache.stats.misses == cache.stats.stores == 2
+        assert len(cache) == 2
+
+
+class TestSharedDigests:
+    """A sweep digests each spec object once, for every key it computes."""
+
+    def test_a_sweep_keys_every_run_as_it_keys_it_alone(self):
+        runs = [r for s in _pack_and_paper_specs() for t in s.tasks() for r in t.runs()]
+        assert len(runs) > 1000
+        alone = [cache_key(run) for run in runs]
+        # The log serves each run its key, so a sweep returns its keys.
+        assert sweep(runs, cache=_KeyLog()) == alone
+        assert sweep(runs, cache=_KeyLog(), backend="batch") == [
+            batch_cache_key(run) if type(run) in BATCHABLE else key
+            for run, key in zip(runs, alone)
+        ]
+        # Batch groups and their tape keys, with one memo and without.
+        pending = [(run, run) for run in runs]
+        shared = _form_units(pending, Digests())
+        assert [(u.indices, u.tape) for u in shared] == [
+            (u.indices, u.tape) for u in _form_units(pending)
+        ]
+        assert sum(u.batch for u in shared) > 100
+
+    def test_a_workload_changed_between_sweeps_misses(self, tmp_path):
+        # Nothing is kept from one sweep to the next: a spec object
+        # changed in between is digested afresh, so its run misses.
+        workload = EP(0.25)
+        task = MeasurementTask(athlon_cluster(), workload, nodes=1)
+        executor = Executor(cache=ResultCache(root=tmp_path))
+        (before,) = executor.run([task])
+        workload.spec = EP(0.5).spec
+        (after,) = executor.run([task])
+        assert executor.stats.misses == executor.stats.stores == 2
+        assert len(executor.cache) == 2
+        assert after.time > before.time
 
 
 # ---------------------------------------------------------------------------

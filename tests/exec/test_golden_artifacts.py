@@ -19,12 +19,15 @@ never silently pass in CI; rerun without the flag to verify.)
 
 from __future__ import annotations
 
+import importlib
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.exec import Executor, ResultCache
+from repro.exec import Executor, ResultCache, sweep
 from repro.mpi import FastForwardConfig
 from repro.mpi.world import World
 from repro.experiments import (
@@ -37,6 +40,8 @@ from repro.experiments import (
     table1,
 )
 from repro.reporting import result_to_dict
+from repro.scenarios.paper import figure2_scenarios
+from repro.scenarios.spec import expand
 
 #: Scale the goldens are generated at — small enough to run in seconds,
 #: large enough that every workload still takes >= 3 iterations.
@@ -215,3 +220,42 @@ def test_cached_suite_simulates_each_run_once(tmp_path, monkeypatch):
         assert len(simulated) == 231
         assert executor.stats.stores == 231
     assert executor.stats.misses == 231
+
+
+def _count_fingerprints(monkeypatch) -> Counter:
+    """Count ``fingerprint`` calls by argument type, through every binding."""
+    original = importlib.import_module("repro.exec.fingerprint").fingerprint
+    calls: Counter = Counter()
+
+    def counting(obj):
+        calls[type(obj).__name__] += 1
+        return original(obj)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and vars(module).get("fingerprint") is original:
+            monkeypatch.setattr(module, "fingerprint", counting)
+    return calls
+
+
+@pytest.mark.parametrize("backend,tapes", [("event", 0), ("batch", 22)])
+def test_cold_figure2_sweep_encodes_each_spec_object_once(
+    tmp_path, monkeypatch, backend, tapes
+):
+    """A cold cached sweep of Figure 2 digests each spec object once.
+
+    Its 22 curves list 132 runs over 6 cluster and 6 workload objects,
+    one of each per scenario.  The sweep digests each of those objects
+    once and fingerprints one small description per key: the result-cache
+    key of each run and, under the batch backend, the tape key of each
+    of the 22 groups.  Encoding the specs per key instead would digest
+    132 clusters, or walk them without a digest call at all.
+    """
+    tasks = expand(figure2_scenarios(scale=GOLDEN_SCALE))
+    runs = [run for task in tasks for run in task.runs()]
+    assert len({id(run.cluster) for run in runs}) == 6
+    assert len({id(run.workload) for run in runs}) == 6
+    calls = _count_fingerprints(monkeypatch)
+    sweep(tasks, cache=ResultCache(root=tmp_path), backend=backend)
+    assert calls == Counter(
+        dict=132 + tapes, ClusterSpec=6, BT=1, CG=1, EP=1, LU=1, MG=1, SP=1
+    )
