@@ -5,9 +5,9 @@ Times one Jacobi run per zoo family through
 report (``BENCH_policy_zoo.json``):
 
 - **static** — the reference: a fixed-gear policy through the same
-  PolicyComm path, so the comparison isolates each family's *decision*
-  cost (predictors, trial windows, the budget arbiter's ledger) from
-  the shared per-op wrapper cost;
+  gear governor in :class:`~repro.mpi.world.World`, so the comparison
+  isolates each family's *decision* cost (predictors, trial windows,
+  the budget arbiter's ledger) from the governor's shared per-op cost;
 - **per family** — CPU time, simulated time/energy, and the overhead
   ratio versus static.
 

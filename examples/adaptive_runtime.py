@@ -14,7 +14,6 @@ Run:
 from repro import athlon_cluster
 from repro.core.run import run_workload
 from repro.policy import IdleLowPolicy, SlackPolicy, run_with_policy
-from repro.policy.comm import PolicyComm
 from repro.mpi.world import World
 from repro.workloads import LU
 
@@ -33,15 +32,13 @@ def main() -> None:
         f"{idle.time / base.time - 1:+.1%} time)"
     )
 
-    # Run the slack policy with direct access to each rank's policy
-    # object so we can print the gear trajectories afterwards.
-    policies = [SlackPolicy() for _ in range(8)]
-
-    def program(comm):
-        managed = PolicyComm(comm.rank, comm.size, policies[comm.rank])
-        return workload.program(managed)
-
-    result = World(cluster, program, nodes=8, gear=1).run()
+    # Attach the slack policy to the World ourselves, one instance per
+    # rank, so we can print the gear trajectories afterwards.  The
+    # runtime's gear governor consults them; the program is unchanged.
+    policies = SlackPolicy().prepare(cluster, 8)
+    result = World(
+        cluster, workload.program, nodes=8, gear=1, policies=policies
+    ).run()
     print(
         f"trial-slack   : {result.elapsed:7.2f} s  {result.total_energy:8.0f} J "
         f"({result.total_energy / base.energy - 1:+.1%} energy, "

@@ -7,7 +7,9 @@ latencies, and the fast-forward stats of the World that produced it —
 and one :class:`GroupRow` per batch group.  Every accounting line of the
 harness is a view of it:
 
-- :meth:`RunRecord.fast_forward`, the sweeps' fast-forward ledger;
+- :meth:`RunRecord.fast_forward`, the sweeps' fast-forward ledger, and
+  :meth:`RunRecord.fast_forward_summary`, its line, which names each
+  run whose signature deviated;
 - :meth:`RunRecord.batch_summary`, the batch backend's line;
 - :meth:`RunRecord.render`, the ``--profile`` tables: wall time against
   summed run time, worker utilization, and cache economics, so a cache
@@ -113,6 +115,32 @@ class RunRecord:
             if row.ff is not None:
                 total.merge(row.ff)
         return total
+
+    def deviations(self) -> list[tuple[tuple, int]]:
+        """Each run whose World's signatures deviated, as (key, count),
+        in run order.  A deviation stops that run's jumps for good."""
+        return [
+            (row.key, row.ff.deviations)
+            for row in self.runs
+            if row.ff is not None and row.ff.deviations
+        ]
+
+    def fast_forward_summary(self) -> str:
+        """The fast-forward line: the ledger, then the runs that
+        deviated by key and count, as :meth:`batch_summary` names the
+        groups that fell back."""
+        ledger = self.fast_forward()
+        line = (
+            f"fast-forward: {ledger.skipped_iterations} iterations "
+            f"macro-stepped across {ledger.jumps} jumps, "
+            f"{ledger.deviations} deviations"
+        )
+        deviated = self.deviations()
+        if deviated:
+            line += f", in {len(deviated)} run(s):"
+            for key, count in deviated:
+                line += f"\n  {key}: {count} deviation(s)"
+        return line
 
     @property
     def busy_s(self) -> float:

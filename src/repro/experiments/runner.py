@@ -278,12 +278,7 @@ def main(argv: list[str] | None = None) -> int:
                 destination = write_metrics(args.metrics, collector.registry)
                 print(f"[metrics written to {destination}]")
     if fast_forward is not None:
-        ledger = executor.record.fast_forward()
-        print(
-            f"[fast-forward: {ledger.skipped_iterations} iterations "
-            f"macro-stepped across {ledger.jumps} jumps, "
-            f"{ledger.deviations} deviations]"
-        )
+        print(f"[{executor.record.fast_forward_summary()}]")
     if args.backend == "batch":
         print(f"[{executor.record.batch_summary()}]")
     if args.profile:

@@ -24,6 +24,7 @@ from repro.mpi.requests import (
     SetGear,
     TraceMark,
     Wait,
+    Waitall,
 )
 from repro.mpi.fastforward import FastForwardConfig, FastForwardStats
 from repro.mpi.tracing import TraceRecord, RankTrace
@@ -45,6 +46,7 @@ __all__ = [
     "SetGear",
     "TraceMark",
     "Wait",
+    "Waitall",
     "TraceRecord",
     "RankTrace",
     "Comm",

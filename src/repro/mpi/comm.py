@@ -38,6 +38,7 @@ from repro.mpi.requests import (
     SetGear,
     TraceMark,
     Wait,
+    Waitall,
 )
 from repro.util.errors import ConfigurationError
 
@@ -161,14 +162,12 @@ class Comm:
     def waitall(self, handles: Sequence[Handle]) -> Op:
         """Block until every handle completes; returns payloads in order.
 
-        Routed through :meth:`wait` so subclasses that manage gears
-        around blocking operations (:class:`repro.policy.PolicyComm`)
-        see every wait.
+        One :class:`~repro.mpi.requests.Waitall` request, which the
+        runtime runs as a wait on each handle in turn.  A gear governor
+        (:func:`repro.policy.run_with_policy`) brackets the whole call
+        as one blocking span.
         """
-        results = []
-        for handle in handles:
-            results.append((yield from self.wait(handle)))
-        return results
+        return (yield Waitall(tuple(handles)))
 
     def send(
         self, dest: int, *, nbytes: int, tag: int = 0, payload: Any = None

@@ -313,7 +313,9 @@ def _enc_trace_mark(rt: "_RankRuntime", r: TraceMark) -> tuple[tuple, bool]:
 
 
 #: Request class -> (signature tuple, counts as communication).
-#: IterationMark is deliberately absent: its index varies per iteration.
+#: IterationMark is deliberately absent: its index varies per iteration,
+#: and so is Waitall: the runtime signs each of its waits as it starts
+#: (:meth:`FastForward.sign`).
 _ENCODERS = {
     Compute: _enc_compute,
     Isend: _enc_isend,
@@ -326,6 +328,16 @@ _ENCODERS = {
     SetDiskSpeed: _enc_set_disk_speed,
     Now: _enc_now,
     TraceMark: _enc_trace_mark,
+}
+
+#: The encoders of a governed World's program requests.  Its governor
+#: signs computes, waits and brackets itself, after the gear decision
+#: that precedes each (:meth:`FastForward.sign`), so every signature
+#: sees the decision and then the operation it governs.
+_GOVERNED_ENCODERS = {
+    cls: encode
+    for cls, encode in _ENCODERS.items()
+    if cls not in (Compute, Wait, TraceMark)
 }
 
 
@@ -354,8 +366,11 @@ def _detect_period(cfg: FastForwardConfig, deltas: list[float]) -> int:
 class FastForward:
     """Per-:class:`~repro.mpi.world.World` fast-forward engine."""
 
-    def __init__(self, config: FastForwardConfig, nranks: int) -> None:
+    def __init__(
+        self, config: FastForwardConfig, nranks: int, *, governed: bool = False
+    ) -> None:
         self.config = config
+        self._encoders = _GOVERNED_ENCODERS if governed else _ENCODERS
         self.stats = FastForwardStats()
         self.ranks = [_RankState() for _ in range(nranks)]
         self.any_deviation = False
@@ -374,11 +389,21 @@ class FastForward:
 
     def feed(self, rt: "_RankRuntime", request: Any) -> None:
         """Fold one yielded request into the rank's iteration signature."""
-        encode = _ENCODERS.get(request.__class__)
+        encode = self._encoders.get(request.__class__)
         if encode is None:
             return
         st = self.ranks[rt.rank]
         tup, is_comm = encode(rt, request)
+        st.sig = hash((st.sig, tup))
+        if is_comm:
+            st.saw_comm = True
+
+    def sign(self, rt: "_RankRuntime", request: Any) -> None:
+        """Fold a request the runtime runs on the rank's behalf: a gear
+        decision of its governor (as a ``SetGear``), or a wait it starts
+        inside a larger operation."""
+        st = self.ranks[rt.rank]
+        tup, is_comm = _ENCODERS[request.__class__](rt, request)
         st.sig = hash((st.sig, tup))
         if is_comm:
             st.saw_comm = True

@@ -14,6 +14,7 @@ Now           read the simulated clock                       float seconds
 Isend         post an eager asynchronous send                Handle
 Irecv         post a receive                                 Handle
 Wait          block until a handle completes                 recv payload
+Waitall       block until every handle completes, in order   list of payloads
 Exchange      receive and send at once, waiting on both      recv payload
 TraceMark     bracket a logical (collective) operation       None
 IterationMark declare an iteration boundary (fast-forward)   int skipped
@@ -24,7 +25,9 @@ of yielding these directly.  ``Comm.sendrecv`` and every round of the
 exchanging collectives (barrier, recursive-doubling allreduce, the
 allgathers, alltoall) are one :class:`Exchange` each; it performs
 exactly the ``Irecv``/``Isend``/``Wait``/``TraceMark`` sequence the
-runtime would otherwise be handed one request at a time.
+runtime would otherwise be handed one request at a time.  Likewise
+``Comm.waitall`` is one :class:`Waitall`, run as the ``Wait`` on each
+of its handles in turn.
 """
 
 from __future__ import annotations
@@ -199,6 +202,18 @@ class Wait(NamedTuple):
     """Block until the handle completes; resumes with its payload."""
 
     handle: Handle
+
+
+class Waitall(NamedTuple):
+    """Block until every handle completes; resumes with their payloads.
+
+    The runtime waits on the handles in order, exactly as one ``Wait``
+    request per handle would: the same trace spans, meter records and
+    resumes.  It exists so a blocking ``waitall`` reaches the runtime as
+    one operation (a gear governor brackets it as one observation).
+    """
+
+    handles: tuple[Handle, ...]
 
 
 class Exchange(

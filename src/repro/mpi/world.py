@@ -24,6 +24,18 @@ Execution semantics (matching the paper's platform assumptions):
 Energy is accounted until the *last* rank finishes: nodes that finish
 early keep drawing idle power, exactly as the paper's wall-outlet meters
 would record.
+
+Gear governor: a World built with ``policies=`` (one
+:class:`~repro.policy.base.GearPolicy` per rank) shifts each rank's gear
+itself, as an MPI library's prologue and epilogue would, and the
+program's own requests stay unchanged.  It shifts to the compute gear
+before every ``Compute``, and brackets every blocking span: a top-level
+``Wait`` or ``Waitall``, each of a ``sendrecv`` exchange's two waits,
+and every collective from its depth-0 ``TraceMark`` begin to its end.
+A bracket shifts to the blocked gear on entry and back to the compute
+gear on exit, then reports the span to the policy's ``observe_wait``.
+Waits inside a collective are not bracketed.  A World without policies
+dispatches through the plain handler table and never consults one.
 """
 
 from __future__ import annotations
@@ -55,6 +67,7 @@ from repro.mpi.requests import (
     SetGear,
     TraceMark,
     Wait,
+    Waitall,
 )
 from repro.mpi.tracing import (
     CATEGORY_COMPUTE,
@@ -73,6 +86,7 @@ from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.observer import RunObserver
+    from repro.policy.base import GearPolicy
 
 #: Type of the per-rank program factory: called with this rank's Comm.
 ProgramFactory = Callable[[Comm], Any]
@@ -119,11 +133,20 @@ class _RankRuntime:
         # the World sets it) and the value its pending resume delivers.
         self.wake: Callable[[], None] | None = None
         self.resume_value: Any = _NO_RESUME
-        # The exchange the rank is blocked inside, whose continuation
-        # runs at its next resume, and the exchange's receive while its
-        # waits are still to run (None once it waits on the receive).
+        # What runs at the rank's next resume before its program does,
+        # called as cont(world, rt, value), for an operation the rank is
+        # blocked inside; None when a resume goes straight to the program.
+        self.cont: Callable[[Any, Any, Any], Any] | None = None
+        # The exchange in progress and its receive.
         self.exchange: Exchange | None = None
         self.exchange_recv: Handle | None = None
+        # A blocked waitall: (handles, payloads so far, continuation).
+        self.waitall: tuple | None = None
+        # The gear governor's state: the rank's policy, and the start of
+        # its open blocking span and the time of its last observation.
+        self.policy: "GearPolicy | None" = None
+        self.blocked_from = 0.0
+        self.observed_at = 0.0
 
 
 @dataclass
@@ -221,7 +244,16 @@ class World:
         max_events: int | None = 50_000_000,
         observer: "RunObserver | None" = None,
         fast_forward: FastForwardConfig | None = None,
+        policies: "Sequence[GearPolicy] | None" = None,
     ):
+        """Build the runtime; ``program(comm)`` is called once per rank.
+
+        Args:
+            policies: one gear policy per rank (from
+                :meth:`~repro.policy.base.GearPolicy.prepare`, which has
+                validated their gears), to run the gear governor; None
+                runs the program's own gear requests only.
+        """
         if isinstance(gear, int):
             gears = [gear] * nodes
         else:
@@ -232,12 +264,20 @@ class World:
                 )
         for g in gears:
             cluster.validate_run(nodes, g)
+        governed = policies is not None
+        if governed and len(policies) != nodes:
+            raise ConfigurationError(
+                f"{len(policies)} policies given for {nodes} nodes"
+            )
 
         self.cluster = cluster
         self.nodes = nodes
         self._observer = observer
+        self._handlers = World._GOVERNED_HANDLERS if governed else World._HANDLERS
         self._ff = (
-            FastForward(fast_forward, nodes) if fast_forward is not None else None
+            FastForward(fast_forward, nodes, governed=governed)
+            if fast_forward is not None
+            else None
         )
         self.engine = Simulator()
         self.network = cluster.network_model()
@@ -272,6 +312,8 @@ class World:
             gen = program(comm)
             rt = _RankRuntime(rank, node, RankProcess(rank, gen), trace_rows)
             rt.wake = partial(self._wake, rt)
+            if governed:
+                rt.policy = policies[rank]
             self._runtimes.append(rt)
         self._started = False
 
@@ -352,14 +394,17 @@ class World:
         Each handler returns the value to resume the program with, or
         the :data:`~repro.sim.process.BLOCKED` sentinel once the rank's
         resume is scheduled or armed on a handle.  A rank blocked inside
-        an :class:`Exchange` first runs the exchange's continuation,
-        and resumes its program only once that completes.
+        an operation (an :class:`Exchange`, a :class:`Waitall`, a gear
+        switch of the governor) first runs its continuation, and resumes
+        its program only once that completes.
         """
-        if rt.exchange is not None:
-            value = self._continue_exchange(rt, value)
+        cont = rt.cont
+        if cont is not None:
+            rt.cont = None
+            value = cont(self, rt, value)
             if value is BLOCKED:
                 return
-        handlers = self._HANDLERS
+        handlers = self._handlers
         ff = self._ff
         process = rt.process
         send = process._gen.send
@@ -434,25 +479,34 @@ class World:
     def _do_now(self, rt: _RankRuntime, request: Now) -> float:
         return self.engine._now
 
-    def _do_set_gear(self, rt: _RankRuntime, request: SetGear) -> Any:
-        now = self.engine._now
-        self.cluster.validate_run(self.nodes, request.gear_index)
-        if request.gear_index == rt.node.gear.index:
-            return None
-        switch = self.cluster.node.cpu.gear_switch_latency
+    def _switch_gear(self, rt: _RankRuntime, gear: int) -> float:
+        """Shift the rank's node to ``gear`` now; returns the switch stall.
+
+        A shift to another gear is published and traced as ``set_gear``,
+        and its stall (0.0 for none, or when the gear is unchanged) is
+        metered; the caller schedules the resume at its end.
+        """
         old_gear = rt.node.gear.index
-        rt.node.set_gear(request.gear_index)
+        if gear == old_gear:
+            return 0.0
+        now = self.engine._now
+        switch = self.cluster.node.cpu.gear_switch_latency
+        rt.node.set_gear(gear)
         if self._observer is not None:
-            self._observer.gear_change(
-                rt.rank, now, request.gear_index, old_gear
-            )
+            self._observer.gear_change(rt.rank, now, gear, old_gear)
         self._trace(rt, "set_gear", CATEGORY_OTHER, now, now + switch)
+        if switch:
+            # The core stalls through the PLL relock/voltage ramp,
+            # drawing idle power at the *new* operating point.
+            rt.meter.record(now, now + switch, rt.node.idle_power())
+        return switch
+
+    def _do_set_gear(self, rt: _RankRuntime, request: SetGear) -> Any:
+        self.cluster.validate_run(self.nodes, request.gear_index)
+        switch = self._switch_gear(rt, request.gear_index)
         if switch == 0:
             return None
-        # The core stalls through the PLL relock/voltage ramp,
-        # drawing idle power at the *new* operating point.
-        rt.meter.record(now, now + switch, rt.node.idle_power())
-        self._resume_later(rt, now + switch)
+        self._resume_later(rt, self.engine._now + switch)
         rt.process.block("gear switch")
         return BLOCKED
 
@@ -605,8 +659,8 @@ class World:
     def _do_irecv(self, rt: _RankRuntime, request: Irecv) -> Handle:
         return self._post_recv(rt, self.engine._now, request.source, request.tag)
 
-    def _do_wait(self, rt: _RankRuntime, request: Wait) -> Any:
-        handle = request.handle
+    def _wait(self, rt: _RankRuntime, handle: Handle) -> Any:
+        """Wait on a handle the program passed in (see :meth:`_wait_on`)."""
         if handle.rank != rt.rank:
             raise SimulationError(
                 f"rank {rt.rank} waits on rank {handle.rank}'s handle"
@@ -615,29 +669,81 @@ class World:
             rt, handle, "wait_recv" if handle.kind == "recv" else "wait_send"
         )
 
-    def _do_exchange(self, rt: _RankRuntime, request: Exchange) -> Any:
-        """Post the receive and inject the send at once.
+    def _do_wait(self, rt: _RankRuntime, request: Wait) -> Any:
+        return self._wait(rt, request.handle)
 
-        A ``sendrecv`` exchange opens its bracket first.  With an
-        endpoint overhead the rank then blocks until the inject time, as
-        an ``Isend`` does; the waits run at that time, in
-        :meth:`_exchange_waits`.
+    def _do_waitall(self, rt: _RankRuntime, request: Waitall) -> Any:
+        return self._waitall(rt, request.handles, [], None)
+
+    def _waitall(
+        self,
+        rt: _RankRuntime,
+        handles: tuple[Handle, ...],
+        payloads: list,
+        then: Callable | None,
+    ) -> Any:
+        """Wait on ``handles[len(payloads):]`` in turn, as one ``Wait``
+        request each would, collecting their payloads.
+
+        Returns the payloads, or ``then(self, rt, payloads)`` when a
+        continuation is given; BLOCKED while a wait blocks, resuming at
+        :meth:`_continue_waitall`.
+        """
+        ff = self._ff
+        for handle in handles[len(payloads) :]:
+            if ff is not None:
+                ff.sign(rt, Wait(handle))
+            value = self._wait(rt, handle)
+            if value is BLOCKED:
+                rt.waitall = (handles, payloads, then)
+                rt.cont = World._continue_waitall
+                return BLOCKED
+            payloads.append(value)
+        if then is None:
+            return payloads
+        return then(self, rt, payloads)
+
+    def _continue_waitall(self, rt: _RankRuntime, value: Any) -> Any:
+        handles, payloads, then = rt.waitall
+        rt.waitall = None
+        payloads.append(value)
+        return self._waitall(rt, handles, payloads, then)
+
+    def _exchange_post(self, rt: _RankRuntime, request: Exchange) -> float:
+        """Post an exchange's receive and inject its send; returns the
+        inject time.
+
+        A ``sendrecv`` exchange opens its bracket first.  The exchange
+        and its receive stay on the rank until the exchange closes.
         """
         now = self.engine._now
         dest, source, tag, nbytes, payload, sendrecv = request
         if sendrecv:
             rt.collective_stack.append(("sendrecv", now, nbytes))
             rt.nested = True
-        recv = self._post_recv(rt, now, source, tag)
-        inject = self._inject(rt, now, dest, tag, nbytes, payload)
-        if self._endpoint_overhead == 0:
-            return self._exchange_waits(rt, request, recv)
-        rt.pending_idle_from = now
         rt.exchange = request
-        rt.exchange_recv = recv
+        rt.exchange_recv = self._post_recv(rt, now, source, tag)
+        return self._inject(rt, now, dest, tag, nbytes, payload)
+
+    def _until_inject(self, rt: _RankRuntime, inject: float, then: Callable) -> Any:
+        """Idle until an exchange's inject time, then continue at ``then``,
+        as an ``Isend`` with an endpoint overhead blocks."""
+        rt.pending_idle_from = self.engine._now
+        rt.cont = then
         self._resume_later(rt, inject)
         rt.process.block("isend overhead")
         return BLOCKED
+
+    def _do_exchange(self, rt: _RankRuntime, request: Exchange) -> Any:
+        """Post the receive and inject the send at once.
+
+        With an endpoint overhead the rank then blocks until the inject
+        time; the waits run at that time, in :meth:`_exchange_waits`.
+        """
+        inject = self._exchange_post(rt, request)
+        if self._endpoint_overhead == 0:
+            return self._exchange_waits(rt, None)
+        return self._until_inject(rt, inject, World._exchange_waits)
 
     def _exchange_send_wait(self, rt: _RankRuntime, request: Exchange) -> None:
         """The wait on an exchange's send: a zero-length span, since the
@@ -653,55 +759,53 @@ class World:
             rt.nested,
         )
 
-    def _exchange_waits(
-        self, rt: _RankRuntime, request: Exchange, recv: Handle
-    ) -> Any:
-        """An exchange's waits, from the inject time on: the send's first
-        for a collective round, then the receive's."""
-        if not request.sendrecv:
-            self._exchange_send_wait(rt, request)
-        if request.source == ANY_SOURCE and self._ff is not None:
+    def _wait_exchange_recv(self, rt: _RankRuntime, then: Callable) -> Any:
+        """Wait on the exchange's receive, then ``then(self, rt, payload)``."""
+        recv = rt.exchange_recv
+        if rt.exchange.source == ANY_SOURCE and self._ff is not None:
             # The wait on a wildcard receive signs the peer it has
             # matched so far, as a Wait request on the handle would.
-            self._ff.feed(rt, Wait(recv))
+            self._ff.sign(rt, Wait(recv))
         value = self._wait_on(rt, recv, "wait_recv")
         if value is BLOCKED:
-            rt.exchange = request
+            rt.cont = then
             return BLOCKED
-        return self._exchange_close(rt, request, value)
+        return then(self, rt, value)
 
-    def _exchange_close(
-        self, rt: _RankRuntime, request: Exchange, value: Any
-    ) -> Any:
+    def _exchange_waits(self, rt: _RankRuntime, _value: Any = None) -> Any:
+        """An exchange's waits, from the inject time on: the send's first
+        for a collective round, then the receive's."""
+        request = rt.exchange
+        if not request.sendrecv:
+            self._exchange_send_wait(rt, request)
+        return self._wait_exchange_recv(rt, World._exchange_close)
+
+    def _exchange_close(self, rt: _RankRuntime, value: Any) -> Any:
         """Finish an exchange whose receive completed; returns ``value``.
 
         A ``sendrecv`` waits on its send now, then closes its bracket.
         """
+        request = rt.exchange
+        rt.exchange = rt.exchange_recv = None
         if request.sendrecv:
             self._exchange_send_wait(rt, request)
-            stack = rt.collective_stack
-            op, t_begin, nbytes = stack.pop()
-            nested = rt.nested = bool(stack)
-            rt.trace.add_span(
-                op,
-                CATEGORY_COLLECTIVE,
-                t_begin,
-                self.engine._now,
-                nbytes,
-                None,
-                nested,
-            )
+            self._close_sendrecv(rt)
         return value
 
-    def _continue_exchange(self, rt: _RankRuntime, value: Any) -> Any:
-        """Resume a rank inside an exchange: run its waits after the
-        inject block, or close it after the receive."""
-        request = rt.exchange
-        recv = rt.exchange_recv
-        rt.exchange = rt.exchange_recv = None
-        if recv is not None:
-            return self._exchange_waits(rt, request, recv)
-        return self._exchange_close(rt, request, value)
+    def _close_sendrecv(self, rt: _RankRuntime) -> None:
+        """Close a ``sendrecv`` bracket: its traced call ends now."""
+        stack = rt.collective_stack
+        op, t_begin, nbytes = stack.pop()
+        nested = rt.nested = bool(stack)
+        rt.trace.add_span(
+            op,
+            CATEGORY_COLLECTIVE,
+            t_begin,
+            self.engine._now,
+            nbytes,
+            None,
+            nested,
+        )
 
     def _do_iteration_mark(self, rt: _RankRuntime, request: IterationMark) -> Any:
         ff = self._ff
@@ -740,6 +844,145 @@ class World:
             nested,
         )
         return None
+
+    # ------------------------------------------------------------------
+    # Gear governor: the handlers of a World built with policies.  Each
+    # step that may stall on a gear switch names the step after it, which
+    # runs now or, after the stall, at the rank's resume (rt.cont).
+
+    def _govern(
+        self, rt: _RankRuntime, gear: int, then: Callable, value: Any
+    ) -> Any:
+        """Apply one gear decision, then continue with
+        ``then(self, rt, value)``: now, or when the switch stall ends.
+
+        A decision skips :meth:`ClusterSpec.validate_run`: the policy's
+        gears were validated when it was attached.
+        """
+        ff = self._ff
+        if ff is not None:
+            ff.sign(rt, SetGear(gear))
+        switch = self._switch_gear(rt, gear)
+        if switch == 0:
+            return then(self, rt, value)
+        rt.cont = then
+        self._resume_later(rt, self.engine._now + switch, value)
+        rt.process.block("gear switch")
+        return BLOCKED
+
+    def _gov_open(self, rt: _RankRuntime, then: Callable, value: Any) -> Any:
+        """Open a blocking span at the policy's blocked gear."""
+        rt.blocked_from = self.engine._now
+        return self._govern(rt, rt.policy.blocked_gear(), then, value)
+
+    def _gov_close(self, rt: _RankRuntime, value: Any) -> Any:
+        """Close a blocking span: back to the policy's compute gear, then
+        report the span and resume the program with ``value``."""
+        return self._govern(
+            rt, rt.policy.compute_gear(), World._gov_observe, value
+        )
+
+    def _gov_observe(self, rt: _RankRuntime, value: Any) -> Any:
+        """Report the span that closed now to the policy."""
+        now = self.engine._now
+        rt.policy.observe_wait(now - rt.blocked_from, now - rt.observed_at)
+        rt.observed_at = now
+        return value
+
+    def _gov_compute(self, rt: _RankRuntime, request: Compute) -> Any:
+        """Shift to the compute gear, then compute."""
+        return self._govern(
+            rt, rt.policy.compute_gear(), World._gov_compute_body, request
+        )
+
+    def _gov_compute_body(self, rt: _RankRuntime, request: Compute) -> Any:
+        if self._ff is not None:
+            self._ff.sign(rt, request)
+        return self._do_compute(rt, request)
+
+    def _gov_wait(self, rt: _RankRuntime, request: Wait) -> Any:
+        """A top-level wait is one blocking span; a wait inside a
+        collective runs plain, inside the collective's span."""
+        if rt.nested:
+            if self._ff is not None:
+                self._ff.sign(rt, request)
+            return self._do_wait(rt, request)
+        return self._gov_open(rt, World._gov_wait_body, request)
+
+    def _gov_wait_body(self, rt: _RankRuntime, request: Wait) -> Any:
+        if self._ff is not None:
+            self._ff.sign(rt, request)
+        value = self._wait(rt, request.handle)
+        if value is BLOCKED:
+            rt.cont = World._gov_close
+            return BLOCKED
+        return self._gov_close(rt, value)
+
+    def _gov_waitall(self, rt: _RankRuntime, request: Waitall) -> Any:
+        """A top-level waitall is one blocking span over all its waits."""
+        if rt.nested:
+            return self._do_waitall(rt, request)
+        return self._gov_open(rt, World._gov_waitall_body, request)
+
+    def _gov_waitall_body(self, rt: _RankRuntime, request: Waitall) -> Any:
+        return self._waitall(rt, request.handles, [], World._gov_close)
+
+    def _gov_trace_mark(self, rt: _RankRuntime, request: TraceMark) -> Any:
+        """A depth-0 bracket is one blocking span, from its begin (after
+        the switch to the blocked gear) to its end."""
+        if request.phase == "begin" and not rt.collective_stack:
+            return self._gov_open(rt, World._gov_mark_body, request)
+        self._gov_mark_body(rt, request)
+        if rt.collective_stack:
+            return None
+        # The end of a depth-0 bracket.
+        return self._gov_close(rt, None)
+
+    def _gov_mark_body(self, rt: _RankRuntime, request: TraceMark) -> Any:
+        if self._ff is not None:
+            self._ff.sign(rt, request)
+        return self._do_trace_mark(rt, request)
+
+    def _gov_exchange(self, rt: _RankRuntime, request: Exchange) -> Any:
+        """A ``sendrecv`` brackets each of its two waits; a collective
+        round is a plain exchange, inside its collective's bracket."""
+        if not request.sendrecv:
+            return self._do_exchange(rt, request)
+        inject = self._exchange_post(rt, request)
+        if self._endpoint_overhead == 0:
+            return self._gov_sendrecv_open(rt, None)
+        return self._until_inject(rt, inject, World._gov_sendrecv_open)
+
+    def _gov_sendrecv_open(self, rt: _RankRuntime, _value: Any) -> Any:
+        """A sendrecv's waits, from its inject time on: the receive's
+        span (open, wait, shift back), then the send's span (observe the
+        first, open, the send's zero-length wait, shift back), then
+        observe the second and end the traced call."""
+        return self._gov_open(rt, World._gov_sendrecv_recv, None)
+
+    def _gov_sendrecv_recv(self, rt: _RankRuntime, _value: Any) -> Any:
+        return self._wait_exchange_recv(rt, World._gov_sendrecv_received)
+
+    def _gov_sendrecv_received(self, rt: _RankRuntime, value: Any) -> Any:
+        return self._govern(
+            rt, rt.policy.compute_gear(), World._gov_sendrecv_send, value
+        )
+
+    def _gov_sendrecv_send(self, rt: _RankRuntime, value: Any) -> Any:
+        self._gov_observe(rt, None)
+        return self._gov_open(rt, World._gov_sendrecv_sent, value)
+
+    def _gov_sendrecv_sent(self, rt: _RankRuntime, value: Any) -> Any:
+        self._exchange_send_wait(rt, rt.exchange)
+        return self._govern(
+            rt, rt.policy.compute_gear(), World._gov_sendrecv_close, value
+        )
+
+    def _gov_sendrecv_close(self, rt: _RankRuntime, value: Any) -> Any:
+        self._gov_observe(rt, None)
+        rt.exchange = rt.exchange_recv = None
+        self._close_sendrecv(rt)
+        return value
 
     # ------------------------------------------------------------------
     # Message routing
@@ -848,6 +1091,7 @@ World._HANDLERS = {
     Isend: World._do_isend,
     Irecv: World._do_irecv,
     Wait: World._do_wait,
+    Waitall: World._do_waitall,
     Exchange: World._do_exchange,
     Now: World._do_now,
     SetGear: World._do_set_gear,
@@ -856,4 +1100,15 @@ World._HANDLERS = {
     SetDiskSpeed: World._do_set_disk_speed,
     TraceMark: World._do_trace_mark,
     IterationMark: World._do_iteration_mark,
+}
+
+#: The dispatch table of a World built with policies: the gear governor
+#: handles the operations it acts around, the rest dispatch as above.
+World._GOVERNED_HANDLERS = {
+    **World._HANDLERS,
+    Compute: World._gov_compute,
+    Wait: World._gov_wait,
+    Waitall: World._gov_waitall,
+    Exchange: World._gov_exchange,
+    TraceMark: World._gov_trace_mark,
 }

@@ -13,10 +13,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class GearPolicy:
     """Decides which gear a rank should run, per phase.
 
-    The policy is consulted by :class:`repro.policy.comm.PolicyComm`:
+    The policy is consulted by the gear governor of
+    :class:`repro.mpi.world.World` (attached by
+    :func:`repro.policy.run_with_policy`):
 
-    - :meth:`compute_gear` — the gear for application compute;
-    - :meth:`blocked_gear` — the gear while blocked inside MPI;
+    - :meth:`compute_gear` — the gear for application compute, asked
+      before every compute block and at the end of every blocking span;
+    - :meth:`blocked_gear` — the gear while blocked inside MPI, asked as
+      each blocking span opens;
     - :meth:`observe_wait` — called after every blocking span with the
       time spent blocked, so adaptive policies can learn.
 

@@ -1,34 +1,29 @@
-"""PolicyComm: the gear-managing MPI layer, and a run helper.
+"""Run a workload under a gear policy.
 
-:class:`PolicyComm` is a drop-in :class:`repro.mpi.comm.Comm` whose
-blocking operations consult a :class:`GearPolicy`:
+The paper's future work is "a new MPI implementation that will
+automatically monitor executing programs and automatically reduce the
+energy gear appropriately".  Here that implementation is the runtime
+itself: :func:`run_with_policy` hands :class:`~repro.mpi.world.World`
+one policy instance per rank, and the World's gear governor shifts
+gears around the program's operations, as COUNTDOWN does in the
+prologue and epilogue of each intercepted MPI call:
 
-- before blocking (a wait, or any collective) the node shifts to the
-  policy's blocked gear;
-- on resumption it shifts to the policy's compute gear;
-- the measured blocking time is fed back via ``observe_wait`` so
-  adaptive policies can learn.
+- before every compute block, to the policy's compute gear;
+- around every blocking span — a top-level ``wait``, ``send`` or
+  ``recv``, a whole ``waitall``, each of a ``sendrecv``'s two waits, and
+  every collective — to the policy's blocked gear on entry and back to
+  the compute gear on exit, reporting the span to ``observe_wait``.
 
-A ``sendrecv`` is not a collective here: each of its two waits is
-bracketed on its own, as :meth:`PolicyComm.wait` brackets any wait.
-:meth:`Comm.sendrecv` hands the runtime one
-:class:`~repro.mpi.requests.Exchange`, which waits inside the runtime
-where no gear can shift, so :meth:`PolicyComm.sendrecv` composes the
-exchange from its own ``irecv``, ``isend`` and ``wait`` instead.
-
-The application program is unchanged — this is exactly the paper's
-"new MPI implementation that will automatically monitor executing
-programs and automatically reduce the energy gear appropriately".
+The application program and its request stream are unchanged: it
+yields no gear or clock request for the policy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING
 
 from repro.cluster.cluster import ClusterSpec
 from repro.core.run import RunMeasurement
-from repro.mpi.comm import Comm, Op
-from repro.mpi.requests import Handle, Now, SetGear, TraceMark, Wait
 from repro.mpi.world import World
 from repro.policy.base import GearPolicy
 from repro.workloads.base import Workload
@@ -36,85 +31,6 @@ from repro.workloads.base import Workload
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mpi.fastforward import FastForwardConfig
     from repro.obs.observer import RunObserver
-
-
-class PolicyComm(Comm):
-    """A communicator that delegates gear control to a policy."""
-
-    def __init__(self, rank: int, size: int, policy: GearPolicy):
-        super().__init__(rank, size)
-        self.policy = policy
-        self._last_observation = 0.0
-
-    # ------------------------------------------------------------------
-    # Gear management around compute and blocking
-
-    def _sync_compute_gear(self) -> Op:
-        yield SetGear(self.policy.compute_gear())
-
-    def compute(self, uops, l2_misses=0.0, *, miss_latency=None) -> Op:
-        """Compute at the policy's current compute gear."""
-        yield from self._sync_compute_gear()
-        yield from super().compute(uops, l2_misses, miss_latency=miss_latency)
-
-    def compute_block(self, block) -> Op:
-        """Compute a pre-built block at the policy's compute gear."""
-        yield from self._sync_compute_gear()
-        yield from super().compute_block(block)
-
-    def _blocking(self, body: Op) -> Op:
-        """Run a blocking operation at the blocked gear and observe it."""
-        start = yield Now()
-        yield SetGear(self.policy.blocked_gear())
-        result = yield from body
-        yield SetGear(self.policy.compute_gear())
-        end = yield Now()
-        self.policy.observe_wait(end - start, end - self._last_observation)
-        self._last_observation = end
-        return result
-
-    def wait(self, handle: Handle) -> Op:
-        """Wait at the blocked gear; feeds the policy."""
-        return (yield from self._blocking(super().wait(handle)))
-
-    def waitall(self, handles: Sequence[Handle]) -> Op:
-        """Wait for all handles at the blocked gear (one observation)."""
-
-        def body() -> Op:
-            results = []
-            for handle in handles:
-                results.append((yield Wait(handle)))
-            return results
-
-        return (yield from self._blocking(body()))
-
-    def sendrecv(
-        self,
-        dest: int,
-        source: int,
-        *,
-        send_bytes: int,
-        tag: int = 0,
-        payload: Any = None,
-    ) -> Op:
-        """Send and receive, each of the two waits at the blocked gear."""
-        yield TraceMark("sendrecv", "begin", send_bytes)
-        recv_handle = yield from self.irecv(source, tag=tag)
-        send_handle = yield from self.isend(
-            dest, nbytes=send_bytes, tag=tag, payload=payload
-        )
-        value = yield from self.wait(recv_handle)
-        yield from self.wait(send_handle)
-        yield TraceMark("sendrecv", "end")
-        return value
-
-    def _bracketed(self, op: str, nbytes: int, body: Op) -> Op:
-        """Collectives run wholly at the blocked gear (no compute inside)."""
-
-        def managed() -> Op:
-            return (yield from super(PolicyComm, self)._bracketed(op, nbytes, body))
-
-        return (yield from self._blocking(managed()))
 
 
 def run_with_policy(
@@ -133,7 +49,8 @@ def run_with_policy(
     rank its own instance — independent clones for per-node policies
     (exactly as a per-node runtime daemon would run), or instances woven
     through shared per-run state for coordinated families like
-    :class:`repro.policy.budget.PowerBudgetPolicy`.
+    :class:`repro.policy.budget.PowerBudgetPolicy`.  The World starts
+    every node at gear 1 and governs them with those instances.
 
     Args:
         observer: optional run observer (trace/metrics capture); the run
@@ -145,11 +62,6 @@ def run_with_policy(
     """
     workload.validate_nodes(nodes)
     policies = policy.prepare(cluster, nodes)
-
-    def program(comm: Comm):
-        managed = PolicyComm(comm.rank, comm.size, policies[comm.rank])
-        return workload.program(managed)
-
     if observer is not None:
         from repro.obs.observer import RunLabel
 
@@ -159,11 +71,12 @@ def run_with_policy(
         observer.run_started(label)
     world = World(
         cluster,
-        program,
+        workload.program,
         nodes=nodes,
         gear=1,
         observer=observer,
         fast_forward=fast_forward,
+        policies=policies,
     )
     result = world.run()
     if observer is not None:

@@ -9,7 +9,8 @@ nothing and, on hardware with a non-zero DVFS transition stall, costs
 real time.
 
 :class:`SlackThresholdPolicy` reproduces that structure against the
-:class:`repro.policy.comm.PolicyComm` hooks:
+hooks of the runtime's gear governor (:class:`repro.mpi.world.World`,
+which acts where COUNTDOWN's MPI prologue and epilogue do):
 
 - :meth:`compute_gear` is pinned to ``compute_gear`` (gear 1 by
   default) — the policy never touches application compute;

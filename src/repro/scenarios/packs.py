@@ -393,12 +393,13 @@ def policy_zoo_pack(
     """Policy-managed measurement scenarios: one per zoo family.
 
     Covers every registered policy family at least once — the static
-    baseline through :class:`~repro.policy.base.StaticPolicy` (a
-    distinct cache key from a plain gear-1 measurement: the run goes
-    through :class:`~repro.policy.comm.PolicyComm`), the idle-harvesting
-    pair, the trial-slack adaptive policy, a hysteretic slack-threshold
-    variant, and two power-budget caps (one generous, one that forces
-    the arbiter to ration upgrades on the larger node count).
+    family through :class:`~repro.policy.base.StaticPolicy` at gear 2 (a
+    distinct cache key from a plain gear-2 measurement: the run starts
+    at gear 1 and the runtime's gear governor shifts it), the
+    idle-harvesting pair, the trial-slack adaptive policy, a hysteretic
+    slack-threshold variant, and two power-budget caps (one generous,
+    one that forces the arbiter to ration upgrades on the larger node
+    count).
     """
     policies: list[tuple[str, PolicyRef, tuple[int, ...]]] = [
         ("static-g2", PolicyRef("static", (("gear", 2),)), tuple(node_counts)),

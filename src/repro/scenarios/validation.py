@@ -36,6 +36,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.exec.cache import ResultCache
 from repro.exec.executor import Executor
+from repro.exec.record import CACHE
 from repro.exec.tasks import MeasurementTask, SimTask
 from repro.scenarios.packs import BATCH_ELIGIBLE_TAG, FF_ELIGIBLE_TAG, FF_KNOBS
 from repro.scenarios.spec import ScenarioSpec, _pairs
@@ -280,13 +281,15 @@ def run_validation(
     sample = list(range(0, len(tasks), recheck_stride))
     say(f"recheck: {len(sample)} of {len(tasks)} points, serial")
     serial = Executor(jobs=1, cache=cache)
-    for index in sample:
-        task = tasks[index]
-        misses = cache.stats.misses
-        (result,) = serial.run([task])
+    sampled = [tasks[index] for index in sample]
+    results = serial.run(sampled)
+    # The record has one row per run, in the order the points list them;
+    # a point is a hit when every run it lists came from the cache.
+    rows = iter(serial.record.runs)
+    for index, task, result in zip(sample, sampled, results):
         report.rechecked += 1
-        # A point is a hit when every run it lists came from the cache.
-        report.recheck_hits += cache.stats.misses == misses
+        tiers = [next(rows).tier for _ in task.runs()]
+        report.recheck_hits += all(tier == CACHE for tier in tiers)
         got = canonical_payload(task, result)
         if got != baseline[index]:
             report.mismatches.append(
@@ -324,9 +327,9 @@ def run_validation(
         report.ff_twins += 1
         report.ff_points += len(twin_tasks)
         twin_results = ff_executor.run(twin_tasks)
-        exact_tasks = exact_tasks_by_name[spec.name]
-        for exact_task, twin_task, twin_result in zip(
-            exact_tasks, twin_tasks, twin_results
+        exact_results = serial.run(exact_tasks_by_name[spec.name])
+        for exact_result, twin_task, twin_result in zip(
+            exact_results, twin_tasks, twin_results
         ):
             if not isinstance(twin_task, MeasurementTask):
                 report.mismatches.append(
@@ -341,7 +344,6 @@ def run_validation(
                     )
                 )
                 continue
-            (exact_result,) = serial.run([exact_task])
             for quantity in ("time", "energy"):
                 err = _rel_err(
                     getattr(exact_result, quantity),
@@ -381,11 +383,10 @@ def run_validation(
             report.batch_twins += 1
             report.batch_points += len(twin_tasks)
             twin_results = batch_executor.run(twin_tasks)
-            exact_tasks = exact_tasks_by_name[spec.name]
-            for exact_task, twin_task, twin_result in zip(
-                exact_tasks, twin_tasks, twin_results
+            exact_results = serial.run(exact_tasks_by_name[spec.name])
+            for exact_result, twin_task, twin_result in zip(
+                exact_results, twin_tasks, twin_results
             ):
-                (exact_result,) = serial.run([exact_task])
                 for quantity in ("time", "energy"):
                     err = _rel_err(
                         getattr(exact_result, quantity),

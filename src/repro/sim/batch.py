@@ -117,6 +117,7 @@ from repro.mpi.requests import (
     SetGear,
     TraceMark,
     Wait,
+    Waitall,
 )
 from repro.mpi.tracing import BLOCKING_OPS
 from repro.mpi.world import World, WorldResult
@@ -204,7 +205,10 @@ class Tape:
     disk_excess: list[float]
     #: Per-rank number of receive slots.
     recv_slots: list[int]
-    #: Weighted hardware-counter totals over all ranks.
+    #: The recording's hardware-counter totals over all ranks.  Uops and
+    #: misses do not change with the gear, and the engine accumulated
+    #: these in call order, so every column's ``upm`` is the event
+    #: engine's own.
     total_uops: float
     total_misses: float
     #: Disk idle power at the initial spindle speed (0.0 without a disk).
@@ -337,8 +341,6 @@ def _build_tape(
     seg_reducible: list[np.ndarray] = []
     disk_excess: list[float] = []
     recv_slots: list[int] = []
-    total_uops = 0.0
-    total_misses = 0.0
 
     for rank in range(nodes):
         ops: list[tuple] = []
@@ -417,13 +419,18 @@ def _build_tape(
                         reducible.update(pending)
                     pending = []
                     seen_send = False
-            elif cls is Wait:
-                kind, slot = handle_map[request.handle.uid]
-                if kind == "recv":
-                    # Waits on sends never block (eager sends complete at
-                    # inject, before the program can reach the wait) and
-                    # are not blocking points for the reducible walk, so
-                    # they are dropped from the tape entirely.
+            elif cls is Wait or cls is Waitall:
+                # A Waitall records as the Wait on each of its handles.
+                handles = (request.handle,) if cls is Wait else request.handles
+                for handle in handles:
+                    kind, slot = handle_map[handle.uid]
+                    if kind != "recv":
+                        # Waits on sends never block (eager sends complete
+                        # at inject, before the program can reach the
+                        # wait) and are not blocking points for the
+                        # reducible walk, so they are dropped from the
+                        # tape entirely.
+                        continue
                     ops.append((_OP_WAIT, slot))
                     if depth == 0:
                         reducible.update(pending)
@@ -548,9 +555,8 @@ def _build_tape(
             math.fsum(disk_w[pos] * excess for pos, excess in disk_ops)
         )
         recv_slots.append(slots)
-        total_uops += float(np.sum(weight * uops_arr))
-        total_misses += float(np.sum(weight * misses_arr))
 
+    counters = recording.counters
     return Tape(
         cluster=cluster,
         workload_name=workload.name,
@@ -563,8 +569,8 @@ def _build_tape(
         seg_reducible=seg_reducible,
         disk_excess=disk_excess,
         recv_slots=recv_slots,
-        total_uops=total_uops,
-        total_misses=total_misses,
+        total_uops=counters.uops,
+        total_misses=counters.l2_misses,
         initial_disk_idle=initial_disk_idle,
         recording_time=recording.elapsed,
         recording_energy=recording.total_energy,

@@ -13,6 +13,7 @@ from repro.exec import (
     Executor,
     GearSweepTask,
     MeasurementTask,
+    PolicyMeasurementTask,
     ResultCache,
     RunRecord,
     sweep,
@@ -22,6 +23,7 @@ from repro.exec.sweep import cache_key
 from repro.experiments.figure3 import figure3
 from repro.experiments.table1 import table1
 from repro.mpi import FastForwardConfig, FastForwardStats
+from repro.policy import IdleLowPolicy, SlackPolicy
 from repro.workloads import EP, Jacobi
 
 #: Engages within Jacobi's 100 iterations.
@@ -93,6 +95,38 @@ class TestLedger:
             armed_rounds=30,
             vetoed_rounds=0,
         )
+
+
+    def test_summary_names_each_run_that_deviated(self, cluster):
+        # The trial-slack policy shifts one rank's compute gear mid-run,
+        # which changes its iteration signature: one deviation.  The
+        # idle-low run settles and deviates nowhere.
+        config = FastForwardConfig(max_period=4)
+        slack, idle = (
+            PolicyMeasurementTask(
+                cluster, Jacobi(scale=0.1), nodes=4, policy=policy,
+                fast_forward=config,
+            )
+            for policy in (SlackPolicy(), IdleLowPolicy())
+        )
+        record = RunRecord()
+        sweep([slack, idle], record=record)
+        assert record.deviations() == [(slack.key, 1)]
+        summary = record.fast_forward_summary()
+        assert summary.splitlines() == [
+            f"fast-forward: {record.fast_forward().skipped_iterations} "
+            "iterations macro-stepped across "
+            f"{record.fast_forward().jumps} jumps, 1 deviations, in 1 run(s):",
+            f"  {slack.key}: 1 deviation(s)",
+        ]
+
+    def test_summary_without_deviations_is_one_line(self, cluster):
+        record = RunRecord()
+        task = MeasurementTask(cluster, Jacobi(), nodes=2, fast_forward=FF)
+        sweep([task], record=record)
+        assert record.deviations() == []
+        assert "\n" not in record.fast_forward_summary()
+        assert "0 deviations" in record.fast_forward_summary()
 
 
 class TestProfileAccounting:

@@ -186,6 +186,21 @@ def test_batch_artifact_matches_golden(name, fast_forward):
     _assert_close(json.loads(path.read_text()), got)
 
 
+def test_plain_batch_table1_carries_the_event_upm():
+    """Batch replay takes ``upm`` from the recording's own counters.
+
+    Uops and misses do not change with the gear, and the event engine
+    summed them in call order, so a plain-recorded batch Table 1 carries
+    every ``upm`` of the event golden bit for bit (its slopes agree to
+    1e-9 only).
+    """
+    golden = json.loads((GOLDEN_DIR / "table1.json").read_text())
+    got = json.loads(render_artifact("table1", executor=Executor(backend="batch")))
+    assert [row["upm"] for row in got["rows"]] == [
+        row["upm"] for row in golden["rows"]
+    ]
+
+
 def test_regeneration_is_deterministic():
     """Two fresh in-process runs of one artifact are byte-identical.
 
@@ -196,10 +211,11 @@ def test_regeneration_is_deterministic():
 
 
 def test_cached_suite_simulates_each_run_once(tmp_path, monkeypatch):
-    """The seven experiments through one cached executor simulate 231 runs.
+    """The seven experiments through one cached executor simulate 225 runs.
 
-    That is 192 fixed-gear runs plus the 39 policy runs: every Table 1
-    and Figure 5 run repeats a Figure 1 or Figure 2 run, and the result
+    That is 192 fixed-gear runs plus the 33 policy runs: every Table 1
+    and Figure 5 run repeats a Figure 1 or Figure 2 run, and so does
+    each of the policy zoo's six gear-1 baseline cells, and the result
     cache serves it.  Caching whole points instead of runs simulated 307
     (268 + 39).  A second pass over the same cache simulates and stores
     nothing.  Both passes reproduce the goldens byte for byte.
@@ -217,9 +233,9 @@ def test_cached_suite_simulates_each_run_once(tmp_path, monkeypatch):
         for name in EXPERIMENTS:
             golden = (GOLDEN_DIR / f"{name}.json").read_text()
             assert render_artifact(name, executor=executor) == golden, name
-        assert len(simulated) == 231
-        assert executor.stats.stores == 231
-    assert executor.stats.misses == 231
+        assert len(simulated) == 225
+        assert executor.stats.stores == 225
+    assert executor.stats.misses == 225
 
 
 def _count_fingerprints(monkeypatch) -> Counter:

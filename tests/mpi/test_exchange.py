@@ -1,8 +1,10 @@
-"""The Exchange request against the raw requests it stands for.
+"""The Exchange and Waitall requests against the raw requests they
+stand for.
 
 ``Comm.sendrecv`` and every round of barrier, recursive-doubling
 allreduce, both allgathers and alltoall yield one
-:class:`~repro.mpi.requests.Exchange`.  :class:`_RawComm` below is the
+:class:`~repro.mpi.requests.Exchange`, and ``Comm.waitall`` one
+:class:`~repro.mpi.requests.Waitall`.  :class:`_RawComm` below is the
 oracle: it yields the ``TraceMark``/``Irecv``/``Isend``/``Wait``
 sequence each of them is equivalent to, one request at a time.
 Generated programs run through both must agree bit for bit: times,
@@ -130,6 +132,13 @@ class _RawComm(Comm):
             ),
         )
 
+    def waitall(self, handles):
+        """One Wait per handle, in order."""
+        results = []
+        for handle in handles:
+            results.append((yield from self.wait(handle)))
+        return results
+
     def sendrecv(self, dest, source, *, send_bytes, tag=0, payload=None):
         """A traced call: waits on the receive, then the send."""
         yield TraceMark("sendrecv", "begin", send_bytes)
@@ -168,7 +177,10 @@ def _body(comm, phases, iterations):
 
     A ``"send"`` phase posts a send, whose receive and wait close the
     iteration, then computes: candidate reducible work that the next
-    blocking call banks.
+    blocking call banks.  The other point-to-point phases move one
+    message along each edge of a permutation: ``"pair"`` posts both
+    ends and waits on each, ``"waitall"`` waits on both at once, and
+    ``"blocking"`` sends, then receives (eager sends never block).
     """
     rank, size = comm.rank, comm.size
     got = []
@@ -193,6 +205,24 @@ def _body(comm, phases, iterations):
                 )
                 sends.append((perm.index(rank), index, handle))
                 yield from comm.compute(*work[rank])
+            elif kind in ("pair", "waitall", "blocking"):
+                _, perm, nbytes = phase
+                dest, source = perm[rank], perm.index(rank)
+                if kind == "blocking":
+                    yield from comm.send(
+                        dest, nbytes=nbytes, tag=index, payload=(rank, index)
+                    )
+                    got.append((yield from comm.recv(source, tag=index)))
+                    continue
+                recv = yield from comm.irecv(source, tag=index)
+                send = yield from comm.isend(
+                    dest, nbytes=nbytes, tag=index, payload=(rank, index)
+                )
+                if kind == "waitall":
+                    got.append((yield from comm.waitall([recv, send])))
+                else:
+                    got.append((yield from comm.wait(recv)))
+                    yield from comm.wait(send)
             elif kind == "sendrecv":
                 _, perm, nbytes, wildcard = phase
                 source = ANY_SOURCE if wildcard[rank] else perm.index(rank)
@@ -257,8 +287,9 @@ def _link(software_overhead, concurrency):
 
 
 @st.composite
-def _cases(draw):
-    nodes = draw(st.integers(min_value=1, max_value=8))
+def _cases(draw, min_nodes=1, max_nodes=8):
+    """(cluster, nodes, gear, phases, iterations) of a generated run."""
+    nodes = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     # Few distinct sizes, so exact time ties are common.
     work = st.tuples(
         st.sampled_from((1.0e6, 2.5e7, 4.0e7)), st.sampled_from((0.0, 2.0e5))
@@ -284,6 +315,11 @@ def _cases(draw):
             st.permutations(range(nodes)),
             nbytes,
             st.lists(work, min_size=nodes, max_size=nodes),
+        ),
+        st.tuples(
+            st.sampled_from(("pair", "waitall", "blocking")),
+            st.permutations(range(nodes)),
+            nbytes,
         ),
         st.tuples(st.just("barrier")),
         st.tuples(st.just("allreduce"), nbytes),

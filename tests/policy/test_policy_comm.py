@@ -1,4 +1,5 @@
-"""PolicyComm end-to-end: gear management around blocking operations."""
+"""The runtime's gear governor end-to-end: gear management around
+compute and blocking operations."""
 
 import pytest
 
@@ -90,17 +91,15 @@ class TestSlackPolicy:
         # Run an imbalanced program: rank 1 computes 4x more, so rank 0
         # has genuine slack and should downshift while rank 1 stays fast.
         from repro.mpi.world import World
-        from repro.policy.comm import PolicyComm
 
         policies = [SlackPolicy(window=2) for _ in range(2)]
 
         def program(comm):
-            managed = PolicyComm(comm.rank, comm.size, policies[comm.rank])
             for _ in range(30):
-                factor = 4.0 if managed.rank == 1 else 1.0
-                yield from managed.compute(uops=factor * 2.6e8)
-                yield from managed.barrier()
+                factor = 4.0 if comm.rank == 1 else 1.0
+                yield from comm.compute(uops=factor * 2.6e8)
+                yield from comm.barrier()
 
-        World(athlon_cluster(), program, nodes=2, gear=1).run()
+        World(athlon_cluster(), program, nodes=2, gear=1, policies=policies).run()
         assert policies[0].compute_gear() > 1
         assert policies[1].compute_gear() == 1

@@ -10,18 +10,14 @@ import pytest
 from repro.cluster.machines import athlon_cluster
 from repro.mpi.world import World
 from repro.policy import IdleLowPolicy, SlackPolicy
-from repro.policy.comm import PolicyComm, run_with_policy
+from repro.policy.comm import run_with_policy
 from repro.workloads.jacobi import Jacobi
 from repro.workloads.nas import CG, LU, MG
 
 
 def managed_world(program, nodes, policy):
     policies = [policy.clone() for _ in range(nodes)]
-
-    def factory(comm):
-        return program(PolicyComm(comm.rank, comm.size, policies[comm.rank]))
-
-    return World(athlon_cluster(), factory, nodes=nodes, gear=1)
+    return World(athlon_cluster(), program, nodes=nodes, gear=1, policies=policies)
 
 
 POLICIES = [IdleLowPolicy(), SlackPolicy(window=3)]

@@ -76,6 +76,35 @@ class TestSmokeSweep:
         assert data["mismatches"] == []
 
 
+def test_each_phase_step_is_one_executor_call(tmp_path, monkeypatch):
+    """The recheck is one sweep over the sampled points, and each twin
+    spec's exact baselines one sweep, so no spec is digested again per
+    point: the waves, the recheck, then two calls per twin."""
+    from repro.exec import Executor
+
+    calls = []
+    run = Executor.run
+
+    def counting(executor, tasks, *args, **kwargs):
+        tasks = list(tasks)
+        calls.append(len(tasks))
+        return run(executor, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(Executor, "run", counting)
+    report = run_validation(
+        validation_pack(min_points=60),
+        cache=ResultCache(root=tmp_path),
+        max_cache_bytes=8_000,
+        recheck_stride=3,
+    )
+    assert report.ok
+    assert len(calls) == report.waves + 1 + 2 * (
+        report.ff_twins + report.batch_twins
+    )
+    assert len(calls) == 21
+    assert calls[report.waves] == report.rechecked
+
+
 class TestReportSemantics:
     def test_not_ok_when_bound_set_but_nothing_evicted(self):
         report = ValidationReport(cache_bound_bytes=1, cache_evicted=0)
