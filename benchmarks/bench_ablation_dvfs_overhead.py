@@ -12,7 +12,7 @@ from conftest import run_once
 
 from repro.cluster.machines import athlon_cluster
 from repro.core.run import run_workload
-from repro.policy import IdleLowPolicy, SlackPolicy, run_with_policy
+from repro.policy import IdleLowPolicy, SlackPolicy
 from repro.util.tables import TextTable
 from repro.workloads.nas import CG, LU
 
@@ -26,10 +26,10 @@ def _run_ablation(scale):
         for workload_cls in (CG, LU):
             workload = workload_cls(scale)
             base = run_workload(cluster, workload, nodes=8, gear=1)
-            idle = run_with_policy(
+            idle = run_workload(
                 cluster, workload, nodes=8, policy=IdleLowPolicy()
             )
-            slack = run_with_policy(
+            slack = run_workload(
                 cluster, workload, nodes=8, policy=SlackPolicy()
             )
             rows.append((latency, workload.name, base, idle, slack))

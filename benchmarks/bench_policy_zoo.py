@@ -1,7 +1,7 @@
 """POL-1: policy-zoo dispatch overhead and the 1.1x floor.
 
 Times one Jacobi run per zoo family through
-:func:`repro.policy.comm.run_with_policy` and writes a machine-readable
+:func:`repro.core.run.run_workload` and writes a machine-readable
 report (``BENCH_policy_zoo.json``):
 
 - **static** — the reference: a fixed-gear policy through the same
@@ -36,13 +36,13 @@ import time
 from pathlib import Path
 
 from repro.cluster.machines import athlon_cluster
+from repro.core.run import run_workload
 from repro.policy import (
     IdleLowPolicy,
     PowerBudgetPolicy,
     SlackPolicy,
     SlackThresholdPolicy,
     StaticPolicy,
-    run_with_policy,
 )
 from repro.util.tables import TextTable
 from repro.workloads import Jacobi
@@ -85,7 +85,7 @@ def _run_once(make_policy, scale: float, nodes: int) -> tuple[float, object]:
     cluster = athlon_cluster()
     workload = Jacobi(scale=scale)
     start = time.process_time()
-    measurement = run_with_policy(
+    measurement = run_workload(
         cluster, workload, nodes=nodes, policy=make_policy()
     )
     return time.process_time() - start, measurement

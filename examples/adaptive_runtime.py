@@ -13,7 +13,7 @@ Run:
 
 from repro import athlon_cluster
 from repro.core.run import run_workload
-from repro.policy import IdleLowPolicy, SlackPolicy, run_with_policy
+from repro.policy import IdleLowPolicy, SlackPolicy
 from repro.mpi.world import World
 from repro.workloads import LU
 
@@ -25,7 +25,7 @@ def main() -> None:
     base = run_workload(cluster, workload, nodes=8, gear=1)
     print(f"static gear 1 : {base.time:7.2f} s  {base.energy:8.0f} J")
 
-    idle = run_with_policy(cluster, workload, nodes=8, policy=IdleLowPolicy())
+    idle = run_workload(cluster, workload, nodes=8, policy=IdleLowPolicy())
     print(
         f"idle-low      : {idle.time:7.2f} s  {idle.energy:8.0f} J "
         f"({idle.energy / base.energy - 1:+.1%} energy, "

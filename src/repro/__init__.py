@@ -40,7 +40,7 @@ from repro.core import (
 from repro.core.model import gather_inputs
 from repro.exec import Executor, ResultCache
 from repro.mpi import Comm, World
-from repro.policy import IdleLowPolicy, SlackPolicy, StaticPolicy, run_with_policy
+from repro.policy import IdleLowPolicy, SlackPolicy, StaticPolicy
 from repro.workloads import (
     BT,
     CG,
@@ -84,7 +84,6 @@ __all__ = [
     "IdleLowPolicy",
     "SlackPolicy",
     "StaticPolicy",
-    "run_with_policy",
     "BT",
     "CG",
     "EP",

@@ -20,6 +20,7 @@ from repro.workloads.base import Workload
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mpi.fastforward import FastForwardConfig
     from repro.obs.observer import RunObserver
+    from repro.policy.base import GearPolicy
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,8 @@ class RunMeasurement:
         workload: benchmark name.
         cluster: cluster name.
         nodes: rank/node count.
-        gear: gear index used on every node.
+        gear: gear index used on every node; 0 for a policy-managed
+            run.
         time: execution time (wall clock), seconds.
         energy: cumulative energy of all nodes, joules.
         active_time: T^A — max per-rank computation time.
@@ -78,6 +80,7 @@ def run_workload(
     gear: int = 1,
     observer: "RunObserver | None" = None,
     fast_forward: "FastForwardConfig | None" = None,
+    policy: "GearPolicy | None" = None,
 ) -> RunMeasurement:
     """Execute one workload configuration and measure it.
 
@@ -88,14 +91,31 @@ def run_workload(
     ``fast_forward`` config, steady-state iteration stretches of
     mark-declaring workloads are macro-stepped analytically; ``None``
     (the default) simulates every event.
+
+    With a ``policy``, every node starts at ``gear`` and the World's
+    gear governor shifts it from there.  :meth:`GearPolicy.prepare`
+    validates the policy's gears against the cluster and hands each rank
+    its own instance: independent clones for per-node policies, or
+    instances sharing per-run state for coordinated families like
+    :class:`repro.policy.budget.PowerBudgetPolicy`.  The run and its
+    observer label carry gear 0, marking "policy-managed".  Fast-forward
+    is only sound once the policy's decisions settle into the periodic
+    pattern the detector keys on; the policy-zoo conformance tests pin
+    the 1e-9 equivalence.
     """
     workload.validate_nodes(nodes)
     cluster.validate_run(nodes, gear)
+    policies = policy.prepare(cluster, nodes) if policy is not None else None
+    # 0 marks "policy-managed" rather than a fixed gear.
+    label_gear = gear if policy is None else 0
     if observer is not None:
         from repro.obs.observer import RunLabel
 
         label = RunLabel(
-            workload=workload.name, cluster=cluster.name, nodes=nodes, gear=gear
+            workload=workload.name,
+            cluster=cluster.name,
+            nodes=nodes,
+            gear=label_gear,
         )
         observer.run_started(label)
     world = World(
@@ -105,6 +125,7 @@ def run_workload(
         gear=gear,
         observer=observer,
         fast_forward=fast_forward,
+        policies=policies,
     )
     result = world.run()
     if observer is not None:
@@ -113,7 +134,7 @@ def run_workload(
         workload=workload.name,
         cluster=cluster.name,
         nodes=nodes,
-        gear=gear,
+        gear=label_gear,
         time=result.elapsed,
         energy=result.total_energy,
         active_time=result.active_time,

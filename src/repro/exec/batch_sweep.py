@@ -280,17 +280,17 @@ def _run_unit(
 def _replay_unit(tasks: list[MeasurementTask], tape: Any) -> list[RunMeasurement]:
     """Revalue one batch group's gears from its tape (see :func:`_run_unit`).
 
+    The group's node count and gears are validated first, as
+    :func:`~repro.sim.batch.batch_gear_grid` validates its grid.
+
     Raises:
         BatchUnsupported: the replay failed, its self-check included.
     """
-    from repro.sim.batch import batch_gear_grid
+    from repro.sim.batch import replay_grid
 
     first = tasks[0]
-    return batch_gear_grid(
-        first.cluster,
-        first.workload,
-        nodes=first.nodes,
-        gears=[task.gear for task in tasks],
-        fast_forward=first.fast_forward,
-        tape=tape,
-    )
+    gears = [task.gear for task in tasks]
+    first.workload.validate_nodes(first.nodes)
+    for gear in gears:
+        first.cluster.validate_run(first.nodes, gear)
+    return replay_grid(tape, gears)

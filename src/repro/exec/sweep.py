@@ -170,10 +170,7 @@ def _run_chunk(
             if unit.batch:
                 results, group, recording_ff = _run_unit(unit, tapes)
             else:
-                # Only pass the observer when one is attached: tasks that
-                # predate observability keep their plain run() signature.
-                extra = {"observer": observer} if observer is not None else {}
-                results = [unit.tasks[0].run(**extra)]
+                results = [unit.tasks[0].run(observer=observer)]
                 group = recording_ff = None
         except Exception as exc:
             raise _ChunkPointError(index, exc) from exc

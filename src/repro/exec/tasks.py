@@ -415,15 +415,13 @@ class PolicyMeasurementTask(RunTask):
 
     def run(self, observer: "RunObserver | None" = None) -> RunMeasurement:
         """Simulate the policy-managed run (optionally observed)."""
-        from repro.policy.comm import run_with_policy
-
-        return run_with_policy(
+        return run_workload(
             self.cluster,
             self.workload,
             nodes=self.nodes,
-            policy=self.policy,
             observer=observer,
             fast_forward=self.fast_forward,
+            policy=self.policy,
         )
 
     def encode(self, result: RunMeasurement) -> Any:

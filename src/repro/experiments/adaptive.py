@@ -26,7 +26,7 @@ from repro.cluster.cluster import ClusterSpec
 from repro.cluster.machines import athlon_cluster
 from repro.core.metrics import energy_delay_product
 from repro.core.run import RunMeasurement, gear_sweep, run_workload
-from repro.policy import IdleLowPolicy, SlackPolicy, run_with_policy
+from repro.policy import IdleLowPolicy, SlackPolicy
 from repro.util.tables import TextTable
 from repro.workloads.base import Workload
 from repro.workloads.jacobi import Jacobi
@@ -120,7 +120,7 @@ def adaptive_policies(
         )
         rows.append(
             _measure(
-                run_with_policy(
+                run_workload(
                     cluster, workload, nodes=nodes, policy=IdleLowPolicy()
                 ),
                 "idle-low",
@@ -128,7 +128,7 @@ def adaptive_policies(
         )
         rows.append(
             _measure(
-                run_with_policy(
+                run_workload(
                     cluster, workload, nodes=nodes, policy=SlackPolicy()
                 ),
                 "trial-slack",

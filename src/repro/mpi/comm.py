@@ -164,8 +164,8 @@ class Comm:
 
         One :class:`~repro.mpi.requests.Waitall` request, which the
         runtime runs as a wait on each handle in turn.  A gear governor
-        (:func:`repro.policy.run_with_policy`) brackets the whole call
-        as one blocking span.
+        (``run_workload(..., policy=...)``) brackets the whole call as
+        one blocking span.
         """
         return (yield Waitall(tuple(handles)))
 

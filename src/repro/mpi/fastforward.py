@@ -26,7 +26,7 @@ one iteration (CG on four nodes cycles with period 3, on eight nodes
 with period 7, even though every iteration is structurally identical).
 Each rank therefore also keeps a window of inter-mark clock deltas and
 detects the smallest period ``p <= max_period`` under which the whole
-window is ``delta_rtol``-periodic.  The window must be full
+window is :data:`DELTA_RTOL`-periodic.  The window must be full
 (``2 * max_period`` deltas beyond the warmup iteration) before any
 period is trusted, so a rare per-cycle blip cannot masquerade as a
 shorter period — which means jumps can engage only on runs longer than
@@ -48,7 +48,7 @@ A macro-step replays the last observed cycle analytically:
   so the program advances its loop counter (and replays any
   per-iteration payload recurrence exactly).
 
-The ``reserve`` epilogue iterations (plus any remainder that is not a
+The :data:`RESERVE` epilogue iterations (plus any remainder that is not a
 whole number of cycles) then run event-by-event, so run tails (final
 reductions, result collection) stay exact.
 
@@ -103,6 +103,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.mpi.comm import COLLECTIVE_TAG_BASE
 from repro.mpi.requests import (
+    BLOCKED,
     Compute,
     DiskIO,
     Elapse,
@@ -116,25 +117,32 @@ from repro.mpi.requests import (
     TraceMark,
     Wait,
 )
-from repro.sim.process import BLOCKED
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mpi.world import World, _RankRuntime
 
 
+#: Consecutive identical iteration signatures (after the warmup
+#: iteration) required before a jump is considered.
+K = 3
+
+#: Trailing iterations always simulated event-by-event.
+RESERVE = 1
+
+#: Smallest number of iterations worth macro-stepping.
+MIN_JUMP = 2
+
+#: Relative tolerance for inter-mark clock-delta periodicity (steady
+#: state must hold in time, not just in event structure).
+DELTA_RTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class FastForwardConfig:
-    """Tuning knobs for steady-state detection.
+    """The steady-state detector's one tuning knob.
 
     Attributes:
-        k: consecutive identical iteration signatures (after the warmup
-            iteration) required before a jump is considered.
-        reserve: trailing iterations always simulated event-by-event.
-        min_jump: smallest number of iterations worth macro-stepping.
-        delta_rtol: relative tolerance for inter-mark clock-delta
-            periodicity (steady state must hold in time, not just in
-            event structure).
         max_period: largest limit-cycle period, in iterations, the
             detector will consider.  Jumps require ``2 * max_period``
             post-warmup deltas of history, so smaller values engage
@@ -142,27 +150,9 @@ class FastForwardConfig:
             cycles (CG needs ``nodes - 1``).
     """
 
-    k: int = 3
-    reserve: int = 1
-    min_jump: int = 2
-    delta_rtol: float = 1e-9
     max_period: int = 16
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigurationError(f"fast-forward k must be >= 1, got {self.k}")
-        if self.reserve < 0:
-            raise ConfigurationError(
-                f"fast-forward reserve must be >= 0, got {self.reserve}"
-            )
-        if self.min_jump < 1:
-            raise ConfigurationError(
-                f"fast-forward min_jump must be >= 1, got {self.min_jump}"
-            )
-        if self.delta_rtol < 0:
-            raise ConfigurationError(
-                f"fast-forward delta_rtol must be >= 0, got {self.delta_rtol}"
-            )
         if self.max_period < 1:
             raise ConfigurationError(
                 f"fast-forward max_period must be >= 1, got {self.max_period}"
@@ -170,13 +160,7 @@ class FastForwardConfig:
 
     def describe(self) -> dict:
         """Stable mapping for cache keys and reports."""
-        return {
-            "k": self.k,
-            "reserve": self.reserve,
-            "min_jump": self.min_jump,
-            "delta_rtol": self.delta_rtol,
-            "max_period": self.max_period,
-        }
+        return {"max_period": self.max_period}
 
 
 @dataclass
@@ -352,7 +336,7 @@ def _detect_period(cfg: FastForwardConfig, deltas: list[float]) -> int:
     window = 2 * cfg.max_period
     if len(deltas) < window:
         return 0
-    rtol = cfg.delta_rtol
+    rtol = DELTA_RTOL
     for p in range(1, cfg.max_period + 1):
         for i in range(1, window - p + 1):
             a, b = deltas[-i], deltas[-i - p]
@@ -414,7 +398,7 @@ class FastForward:
         """Handle one iteration boundary.
 
         Returns the iterations skipped (the mark's resume value), or
-        :data:`~repro.sim.process.BLOCKED` when the rank parks or jumps.
+        :data:`~repro.mpi.requests.BLOCKED` when the rank parks or jumps.
         """
         st = self.ranks[rt.rank]
         self.stats.marks += 1
@@ -515,7 +499,7 @@ class FastForward:
                 st.marks_seen != nxt
                 or st.total != total
                 or not st.prefix_ok
-                or st.stable < cfg.k
+                or st.stable < K
                 or not st.ref_comm
                 or not st.clean
             ):
@@ -527,9 +511,9 @@ class FastForward:
             lcm = lcm * period // gcd(lcm, period)
             if lcm > cfg.max_period:
                 return
-        remaining = total - cfg.reserve - nxt
+        remaining = total - RESERVE - nxt
         jump = (remaining // lcm) * lcm
-        if jump < cfg.min_jump:
+        if jump < MIN_JUMP:
             return
         self.armed = (nxt, jump)
         self.stats.armed_rounds += 1
@@ -554,7 +538,7 @@ class FastForward:
         self.votes.append((rt, st))
         if len(self.votes) == len(self.ranks):
             self._commit(world, jump)
-        rt.process.block("fast-forward")
+        rt.blocked_on = "fast-forward"
         return BLOCKED
 
     def _on_cycle(self, st: _RankState) -> bool:
@@ -564,7 +548,7 @@ class FastForward:
         if not st.prefix_ok or period == 0 or len(deltas) < period + 1:
             return False
         a, b = deltas[-1], deltas[-1 - period]
-        return a > 0 and abs(a - b) <= self.config.delta_rtol * max(a, b)
+        return a > 0 and abs(a - b) <= DELTA_RTOL * max(a, b)
 
     def _commit(self, world: "World", jump: int) -> None:
         """Unanimity: macro-step every parked rank from its own recorded
@@ -595,14 +579,14 @@ class FastForward:
     ) -> int:
         """Iterations a communication-free rank may jump alone (0 = none)."""
         cfg = self.config
-        if not st.prefix_ok or st.stable < cfg.k or not st.clean:
+        if not st.prefix_ok or st.stable < K or not st.clean:
             return 0
         period = _detect_period(cfg, st.deltas)
         if not period:
             return 0
-        remaining = total - cfg.reserve - idx
+        remaining = total - RESERVE - idx
         jump = (remaining // period) * period
-        if jump < cfg.min_jump:
+        if jump < MIN_JUMP:
             return 0
         st.period = period
         return jump
@@ -617,7 +601,6 @@ class FastForward:
             world.engine.jump_to(target)
             return jump
         world._resume_later(rt, target, jump)
-        rt.process.block("fast-forward")
         return BLOCKED
 
     def _replicate(

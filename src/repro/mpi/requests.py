@@ -46,6 +46,19 @@ ANY_TAG = -1
 _handle_ids = itertools.count()
 
 
+class _Blocked:
+    """Sentinel a request handler returns when its rank blocked."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<rank blocked>"
+
+
+#: What a runtime's request handler returns instead of a resume value
+#: when the request blocked the rank (its resume is scheduled, or armed
+#: on a handle).
+BLOCKED = _Blocked()
+
+
 class Handle:
     """Completion handle for a non-blocking operation.
 

@@ -3,8 +3,9 @@
 :class:`World` couples three things:
 
 - a :class:`repro.sim.engine.Simulator` event loop,
-- one :class:`repro.sim.process.RankProcess` per MPI rank, each on its own
-  simulated node (the paper runs one rank per node),
+- one generator per MPI rank, each on its own simulated node (the paper
+  runs one rank per node), which the World drives itself: it sends each
+  resume value in and dispatches the request that comes out,
 - per-rank accounting: a wall-outlet :class:`PowerMeter`, a hardware
   :class:`CounterBank`, and an MPI :class:`RankTrace`.  The trace
   streams T^A and T^R as spans arrive; it stores every span's row only
@@ -54,6 +55,7 @@ from repro.mpi.fastforward import FastForward, FastForwardConfig, FastForwardSta
 from repro.mpi.requests import (
     ANY_SOURCE,
     ANY_TAG,
+    BLOCKED,
     Compute,
     DiskIO,
     Elapse,
@@ -81,7 +83,6 @@ from repro.mpi.tracing import (
     RankTrace,
 )
 from repro.sim.engine import Simulator
-from repro.sim.process import BLOCKED, ProcessState, RankProcess
 from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -93,6 +94,10 @@ ProgramFactory = Callable[[Comm], Any]
 
 #: ``_RankRuntime.resume_value`` while the rank has no resume scheduled.
 _NO_RESUME = object()
+
+#: Safety bound on the events of one run: a program that never drains
+#: raises instead of spinning forever.
+MAX_EVENTS = 50_000_000
 
 
 @dataclass(slots=True)
@@ -112,14 +117,26 @@ class _RankRuntime:
     """Mutable bookkeeping for one rank."""
 
     def __init__(
-        self, rank: int, node: NodeState, process: RankProcess, trace_rows: str
+        self,
+        rank: int,
+        node: NodeState,
+        send: Callable[[Any], Any],
+        trace_rows: str,
     ):
         self.rank = rank
         self.node = node
-        self.process = process
+        # The program generator's send; the World drives it directly.
+        self.send = send
+        # The generator's return value, once finish_time is set.
+        self.result: Any = None
+        # What the rank waits on where it can wait forever, for the
+        # deadlock report: the handle of a wait, or "fast-forward" while
+        # parked at a jump vote.  Only read for ranks that never finish.
+        self.blocked_on: object = None
         self.meter = PowerMeter()
         self.counters = CounterBank()
         self.trace = RankTrace(rank, rows=trace_rows)
+        # When the program returned; None while it is still running.
         self.finish_time: float | None = None
         # Start of a blocked span whose idle energy is recorded on resume.
         self.pending_idle_from: float | None = None
@@ -241,7 +258,6 @@ class World:
         *,
         nodes: int,
         gear: int | Sequence[int] = 1,
-        max_events: int | None = 50_000_000,
         observer: "RunObserver | None" = None,
         fast_forward: FastForwardConfig | None = None,
         policies: "Sequence[GearPolicy] | None" = None,
@@ -253,6 +269,10 @@ class World:
                 :meth:`~repro.policy.base.GearPolicy.prepare`, which has
                 validated their gears), to run the gear governor; None
                 runs the program's own gear requests only.
+
+        Raises:
+            SimulationError: ``program(comm)`` returned something other
+                than a generator.
         """
         if isinstance(gear, int):
             gears = [gear] * nodes
@@ -284,7 +304,6 @@ class World:
         # The per-endpoint software overhead is a link constant; one
         # attribute read per message instead of two calls per match.
         self._endpoint_overhead = self.network.endpoint_overhead()
-        self._max_events = max_events
         self._msg_seq = 0
         # Per-destination matching indexes: (source, tag) -> FIFO queue.
         # Wildcard receives are resolved by comparing queue heads, so
@@ -310,7 +329,12 @@ class World:
             comm = Comm(rank=rank, size=nodes)
             node = NodeState(cluster.node, gears[rank])
             gen = program(comm)
-            rt = _RankRuntime(rank, node, RankProcess(rank, gen), trace_rows)
+            if not hasattr(gen, "send"):
+                raise SimulationError(
+                    f"rank {rank} program must be a generator, "
+                    f"got {type(gen).__name__}"
+                )
+            rt = _RankRuntime(rank, node, gen.send, trace_rows)
             rt.wake = partial(self._wake, rt)
             if governed:
                 rt.policy = policies[rank]
@@ -338,17 +362,17 @@ class World:
         try:
             for rt in self._runtimes:
                 self._advance(rt, None)
-            self.engine.run(max_events=self._max_events)
+            self.engine.run(max_events=MAX_EVENTS)
         finally:
             # Each wake refers back to this World: drop them, so a
             # finished World is freed by reference counting alone.
             for rt in self._runtimes:
                 rt.wake = None
 
-        stuck = [rt for rt in self._runtimes if not rt.process.done]
+        stuck = [rt for rt in self._runtimes if rt.finish_time is None]
         if stuck:
             detail = "; ".join(
-                f"rank {rt.rank} blocked on {_describe(rt.process.blocked_on)}"
+                f"rank {rt.rank} blocked on {_describe(rt.blocked_on)}"
                 for rt in stuck
             )
             raise DeadlockError(f"simulation deadlocked: {detail}")
@@ -358,7 +382,6 @@ class World:
         for rt in self._runtimes:
             # Nodes that finished early idle (at their gear) until the
             # last rank completes — the meter at the wall keeps running.
-            assert rt.finish_time is not None
             if rt.finish_time < end_time:
                 rt.meter.record(rt.finish_time, end_time, rt.node.idle_power())
             results.append(
@@ -368,7 +391,7 @@ class World:
                     meter=rt.meter,
                     counters=rt.counters,
                     trace=rt.trace,
-                    return_value=rt.process.result,
+                    return_value=rt.result,
                     final_gear=rt.node.gear.index,
                 )
             )
@@ -386,13 +409,11 @@ class World:
     def _advance(self, rt: _RankRuntime, value: Any) -> None:
         """Resume a rank and dispatch its requests until it blocks/finishes.
 
-        The generator protocol is driven directly (rather than through
-        :meth:`RankProcess.resume`) — this loop runs once per yielded
-        request and the wrapper call was measurable.  The process state
-        invariants are identical: DONE + result on return, FAILED on an
-        escaping exception, BLOCKED set by the handler that blocks.
+        The loop sends the resume value into the rank's generator and
+        dispatches the request it yields; on return the rank records its
+        finish time and result, and a program exception propagates.
         Each handler returns the value to resume the program with, or
-        the :data:`~repro.sim.process.BLOCKED` sentinel once the rank's
+        the :data:`~repro.mpi.requests.BLOCKED` sentinel once the rank's
         resume is scheduled or armed on a handle.  A rank blocked inside
         an operation (an :class:`Exchange`, a :class:`Waitall`, a gear
         switch of the governor) first runs its continuation, and resumes
@@ -406,20 +427,14 @@ class World:
                 return
         handlers = self._handlers
         ff = self._ff
-        process = rt.process
-        send = process._gen.send
+        send = rt.send
         while True:
             try:
                 request = send(value)
             except StopIteration as stop:
-                process.state = ProcessState.DONE
-                process.result = stop.value
-                process.blocked_on = None
+                rt.result = stop.value
                 rt.finish_time = self.engine._now
                 return
-            except Exception:
-                process.state = ProcessState.FAILED
-                raise
             if ff is not None:
                 ff.feed(rt, request)
             handler = handlers.get(request.__class__)
@@ -507,7 +522,6 @@ class World:
         if switch == 0:
             return None
         self._resume_later(rt, self.engine._now + switch)
-        rt.process.block("gear switch")
         return BLOCKED
 
     def _do_elapse(self, rt: _RankRuntime, request: Elapse) -> Any:
@@ -517,7 +531,6 @@ class World:
         rt.meter.record(now, now + request.seconds, rt.node.idle_power())
         self._trace(rt, "elapse", CATEGORY_OTHER, now, now + request.seconds)
         self._resume_later(rt, now + request.seconds)
-        rt.process.block("elapse")
         return BLOCKED
 
     def _do_disk_io(self, rt: _RankRuntime, request: DiskIO) -> Any:
@@ -530,7 +543,6 @@ class World:
         if duration == 0:
             return None
         self._resume_later(rt, now + duration)
-        rt.process.block("disk I/O")
         return BLOCKED
 
     def _do_set_disk_speed(self, rt: _RankRuntime, request: SetDiskSpeed) -> Any:
@@ -543,7 +555,6 @@ class World:
             return None
         rt.meter.record(now, now + transition, rt.node.idle_power())
         self._resume_later(rt, now + transition)
-        rt.process.block("disk speed transition")
         return BLOCKED
 
     def _do_compute(self, rt: _RankRuntime, request: Compute) -> Any:
@@ -559,7 +570,6 @@ class World:
         if duration == 0:
             return None
         self._resume_later(rt, end)
-        rt.process.block("compute")
         return BLOCKED
 
     def _inject(
@@ -641,7 +651,7 @@ class World:
             self._resume_later(rt, complete_at, handle.payload)
         else:
             handle._waiter = rt
-        rt.process.block(handle)
+            rt.blocked_on = handle
         return BLOCKED
 
     def _do_isend(self, rt: _RankRuntime, request: Isend) -> Any:
@@ -653,7 +663,6 @@ class World:
             return handle
         rt.pending_idle_from = now
         self._resume_later(rt, inject, handle)
-        rt.process.block("isend overhead")
         return BLOCKED
 
     def _do_irecv(self, rt: _RankRuntime, request: Irecv) -> Handle:
@@ -731,7 +740,6 @@ class World:
         rt.pending_idle_from = self.engine._now
         rt.cont = then
         self._resume_later(rt, inject)
-        rt.process.block("isend overhead")
         return BLOCKED
 
     def _do_exchange(self, rt: _RankRuntime, request: Exchange) -> Any:
@@ -867,7 +875,6 @@ class World:
             return then(self, rt, value)
         rt.cont = then
         self._resume_later(rt, self.engine._now + switch, value)
-        rt.process.block("gear switch")
         return BLOCKED
 
     def _gov_open(self, rt: _RankRuntime, then: Callable, value: Any) -> Any:

@@ -9,10 +9,10 @@ Section 5 of the paper sketches two follow-ons this package provides:
 - "a new MPI implementation that will automatically monitor executing
   programs and automatically reduce the energy gear appropriately" —
   the runtime's gear governor is that MPI layer:
-  :func:`run_with_policy` hands :class:`repro.mpi.world.World` one
-  :class:`GearPolicy` per rank, and the World consults it around
-  compute and blocking operations and shifts gears on the program's
-  behalf, leaving the program unchanged.
+  ``run_workload(..., policy=...)`` (:func:`repro.core.run.run_workload`)
+  hands :class:`repro.mpi.world.World` one :class:`GearPolicy` per rank,
+  and the World consults it around compute and blocking operations and
+  shifts gears on the program's behalf, leaving the program unchanged.
 
 The policy zoo (see ``docs/POLICIES.md``):
 
@@ -41,7 +41,6 @@ from repro.policy.audit import PowerAudit, audit_cluster_power
 from repro.policy.base import GearPolicy, StaticPolicy
 from repro.policy.adaptive import IdleLowPolicy, SlackPolicy
 from repro.policy.budget import BudgetArbiter, PowerBudgetPolicy
-from repro.policy.comm import run_with_policy
 from repro.policy.countdown import SlackThresholdPolicy
 from repro.policy.registry import POLICIES, build_policy
 
@@ -55,7 +54,6 @@ __all__ = [
     "BudgetArbiter",
     "PowerAudit",
     "audit_cluster_power",
-    "run_with_policy",
     "POLICIES",
     "build_policy",
 ]

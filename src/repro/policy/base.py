@@ -15,7 +15,7 @@ class GearPolicy:
 
     The policy is consulted by the gear governor of
     :class:`repro.mpi.world.World` (attached by
-    :func:`repro.policy.run_with_policy`):
+    ``run_workload(..., policy=...)``):
 
     - :meth:`compute_gear` — the gear for application compute, asked
       before every compute block and at the end of every blocking span;

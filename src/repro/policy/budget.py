@@ -262,7 +262,7 @@ class PowerBudgetPolicy(GearPolicy):
     This is a *template*: it holds the knobs and builds the coordinated
     per-rank policies at attach time (:meth:`prepare`).  It cannot make
     gear decisions itself — attach it through
-    :func:`repro.policy.comm.run_with_policy`.
+    ``run_workload(..., policy=...)`` (:func:`repro.core.run.run_workload`).
 
     Args:
         cap_w: cluster-wide cap, watts, priced against the worst-case
@@ -302,7 +302,7 @@ class PowerBudgetPolicy(GearPolicy):
     def _unbound(self) -> ConfigurationError:
         return ConfigurationError(
             "PowerBudgetPolicy is a template; attach it to a run via "
-            "run_with_policy (prepare builds the shared arbiter)"
+            "run_workload(policy=...) (prepare builds the shared arbiter)"
         )
 
     def compute_gear(self) -> int:

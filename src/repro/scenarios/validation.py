@@ -186,6 +186,38 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _compare_twin(
+    report: ValidationReport,
+    check: str,
+    scenario: str,
+    twin_tasks: Sequence[SimTask],
+    exact_results: Sequence[Any],
+    twin_results: Sequence[Any],
+    rtol: float,
+) -> float:
+    """Compare a twin spec's time and energy with its exact spec's.
+
+    Adds a ``check`` mismatch to ``report`` for every point that is not
+    a measurement or whose relative error exceeds ``rtol``; returns the
+    largest relative error seen.
+    """
+    max_rel_err = 0.0
+    for exact, task, twin in zip(exact_results, twin_tasks, twin_results):
+        point = str(task.key)
+        if not isinstance(task, MeasurementTask):
+            kind = type(task).__name__
+            detail = f"{check} twins must be measurement kind, got {kind}"
+            report.mismatches.append(Mismatch(check, scenario, point, detail))
+            continue
+        for quantity in ("time", "energy"):
+            err = _rel_err(getattr(exact, quantity), getattr(twin, quantity))
+            max_rel_err = max(max_rel_err, err)
+            if err > rtol:
+                detail = f"{quantity} rel err {err:.3e} exceeds {rtol:.0e}"
+                report.mismatches.append(Mismatch(check, scenario, point, detail))
+    return max_rel_err
+
+
 def _ff_twin(spec: ScenarioSpec, knobs: Mapping[str, Any]) -> ScenarioSpec:
     """The fast-forwarded twin of an exact spec."""
     return replace(
@@ -328,40 +360,16 @@ def run_validation(
         report.ff_points += len(twin_tasks)
         twin_results = ff_executor.run(twin_tasks)
         exact_results = serial.run(exact_tasks_by_name[spec.name])
-        for exact_result, twin_task, twin_result in zip(
-            exact_results, twin_tasks, twin_results
-        ):
-            if not isinstance(twin_task, MeasurementTask):
-                report.mismatches.append(
-                    Mismatch(
-                        check="fast-forward",
-                        scenario=spec.name,
-                        point=str(twin_task.key),
-                        detail=(
-                            "ff-eligible specs must be measurement kind, "
-                            f"got {type(twin_task).__name__}"
-                        ),
-                    )
-                )
-                continue
-            for quantity in ("time", "energy"):
-                err = _rel_err(
-                    getattr(exact_result, quantity),
-                    getattr(twin_result, quantity),
-                )
-                report.ff_max_rel_err = max(report.ff_max_rel_err, err)
-                if err > ff_rtol:
-                    report.mismatches.append(
-                        Mismatch(
-                            check="fast-forward",
-                            scenario=spec.name,
-                            point=str(twin_task.key),
-                            detail=(
-                                f"{quantity} rel err {err:.3e} exceeds "
-                                f"{ff_rtol:.0e}"
-                            ),
-                        )
-                    )
+        err = _compare_twin(
+            report,
+            "fast-forward",
+            spec.name,
+            twin_tasks,
+            exact_results,
+            twin_results,
+            ff_rtol,
+        )
+        report.ff_max_rel_err = max(report.ff_max_rel_err, err)
     report.ff_skipped_iterations = (
         ff_executor.record.fast_forward().skipped_iterations
     )
@@ -384,29 +392,16 @@ def run_validation(
             report.batch_points += len(twin_tasks)
             twin_results = batch_executor.run(twin_tasks)
             exact_results = serial.run(exact_tasks_by_name[spec.name])
-            for exact_result, twin_task, twin_result in zip(
-                exact_results, twin_tasks, twin_results
-            ):
-                for quantity in ("time", "energy"):
-                    err = _rel_err(
-                        getattr(exact_result, quantity),
-                        getattr(twin_result, quantity),
-                    )
-                    report.batch_max_rel_err = max(
-                        report.batch_max_rel_err, err
-                    )
-                    if err > batch_rtol:
-                        report.mismatches.append(
-                            Mismatch(
-                                check="batch",
-                                scenario=spec.name,
-                                point=str(twin_task.key),
-                                detail=(
-                                    f"{quantity} rel err {err:.3e} exceeds "
-                                    f"{batch_rtol:.0e}"
-                                ),
-                            )
-                        )
+            err = _compare_twin(
+                report,
+                "batch",
+                spec.name,
+                twin_tasks,
+                exact_results,
+                twin_results,
+                batch_rtol,
+            )
+            report.batch_max_rel_err = max(report.batch_max_rel_err, err)
         record = batch_executor.record
         report.batch_groups = len(record.groups)
         report.batch_grouped_points = sum(g.runs for g in record.groups)

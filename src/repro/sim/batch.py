@@ -1562,7 +1562,6 @@ def batch_gear_grid(
     gears: Sequence[int] | None = None,
     fast_forward: "FastForwardConfig | None" = None,
     stats: ReplayStats | None = None,
-    tape: Tape | None = None,
 ) -> list[RunMeasurement]:
     """Measure a workload at every gear of a grid from one recording.
 
@@ -1571,10 +1570,6 @@ def batch_gear_grid(
     the grid's first gear, then one vectorized replay of the whole
     grid.  Results agree with the event engine to ~1e-9 relative
     (exactly the fast-forward tolerance class).
-
-    A pre-recorded ``tape`` (e.g. from the persistent tape cache)
-    skips the recording; it must come from the same (cluster, workload,
-    nodes, fast-forward) configuration — the tape cache key pins this.
 
     Raises:
         BatchUnsupported: the workload's structure cannot be certified
@@ -1586,17 +1581,11 @@ def batch_gear_grid(
     workload.validate_nodes(nodes)
     for g in gear_indices:
         cluster.validate_run(nodes, g)
-    if tape is None:
-        tape = record_tape(
-            cluster,
-            workload,
-            nodes=nodes,
-            gear=gear_indices[0],
-            fast_forward=fast_forward,
-        )
-    elif tape.workload_name != workload.name or tape.nodes != nodes:
-        raise ConfigurationError(
-            f"tape records {tape.workload_name!r} on {tape.nodes} node(s), "
-            f"not {workload.name!r} on {nodes}"
-        )
+    tape = record_tape(
+        cluster,
+        workload,
+        nodes=nodes,
+        gear=gear_indices[0],
+        fast_forward=fast_forward,
+    )
     return replay_grid(tape, gear_indices, stats=stats)

@@ -80,7 +80,7 @@ class ExplodingTask(RunTask):
     def describe(self) -> Any:
         return {"kind": "exploding", "label": self.label}
 
-    def run(self) -> Any:
+    def run(self, observer: Any = None) -> Any:
         raise ValueError(f"boom in {self.label}")
 
     def encode(self, result: Any) -> Any:  # pragma: no cover - never succeeds

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.machines import athlon_cluster
 from repro.core.run import run_workload
+from repro.mpi import fastforward
 from repro.mpi.fastforward import FastForwardConfig
 from repro.mpi.tracing import (
     CATEGORY_COMPUTE,
@@ -197,17 +198,14 @@ class TestRowRetention:
         assert repr(plain.reducible_time()) == repr(observed.reducible_time())
 
     @pytest.mark.parametrize(
-        "config",
-        [
-            FastForwardConfig(max_period=4),
-            FastForwardConfig(max_period=4, min_jump=10**9),
-        ],
-        ids=["jumping", "simulated"],
+        "min_jump", [fastforward.MIN_JUMP, 10**9], ids=["jumping", "simulated"]
     )
-    def test_fast_forward_holds_only_its_window(self, config, monkeypatch):
+    def test_fast_forward_holds_only_its_window(self, min_jump, monkeypatch):
         """A long unobserved Jacobi run never stores more than its last
         ``max_period + 1`` iterations of rows, whether fast-forward jumps
         or simulates every iteration."""
+        monkeypatch.setattr(fastforward, "MIN_JUMP", min_jump)
+        config = FastForwardConfig(max_period=4)
         peak: dict[int, int] = {}
         add_span = RankTrace.add_span
 
@@ -220,7 +218,7 @@ class TestRowRetention:
         result = run_workload(
             athlon_cluster(), workload, nodes=4, gear=1, fast_forward=config
         ).result
-        assert (result.fast_forward.jumps > 0) == (config.min_jump < 10**9)
+        assert (result.fast_forward.jumps > 0) == (min_jump < 10**9)
         iterations = workload.spec.iterations
         for rank in result.ranks:
             per_iteration = len(rank.trace) // iterations

@@ -8,7 +8,9 @@ import pytest
 from repro.cluster.machines import athlon_cluster
 from repro.mpi.comm import COLLECTIVE_TAG_BASE
 from repro.mpi.requests import ANY_SOURCE, ANY_TAG
+from repro.mpi.fastforward import FastForwardConfig
 from repro.mpi.world import World
+from repro.policy import IdleLowPolicy
 from repro.util.errors import ConfigurationError, DeadlockError, SimulationError
 
 
@@ -311,6 +313,81 @@ class TestDeadlocks:
             "simulation deadlocked: rank 0 blocked on wait_recv(peer=1, tag=7)"
         )
 
+    def test_waitall_without_partner_deadlocks(self):
+        def program(comm):
+            if comm.rank == 0:
+                recv = yield from comm.irecv(1, tag=3)
+                send = yield from comm.isend(1, nbytes=64, tag=3)
+                yield from comm.waitall([send, recv])
+            else:
+                yield from comm.compute(uops=1e6)
+
+        with pytest.raises(DeadlockError) as err:
+            run(program)
+        assert str(err.value) == (
+            "simulation deadlocked: rank 0 blocked on wait_recv(peer=1, tag=3)"
+        )
+
+    @pytest.mark.parametrize("call", ["sendrecv", "waitall"])
+    def test_governed_rank_reports_its_handle(self, call):
+        """The gear governor's brackets block on the same handle."""
+
+        def program(comm):
+            if comm.rank == 1:
+                yield from comm.compute(uops=1e6)
+            elif call == "sendrecv":
+                yield from comm.sendrecv(1, 1, send_bytes=64, tag=7)
+            else:
+                recv = yield from comm.irecv(1, tag=7)
+                yield from comm.waitall([recv])
+
+        cluster = athlon_cluster()
+        world = World(
+            cluster,
+            program,
+            nodes=2,
+            policies=IdleLowPolicy().prepare(cluster, 2),
+        )
+        with pytest.raises(DeadlockError) as err:
+            world.run()
+        assert str(err.value) == (
+            "simulation deadlocked: rank 0 blocked on wait_recv(peer=1, tag=7)"
+        )
+
+    def test_rank_parked_at_a_jump_vote_reports_fast_forward(self):
+        def program(stuck_in):
+            def ranks(comm):
+                iteration, total = 0, 40
+                while iteration < total:
+                    skipped = yield from comm.iteration_mark(iteration, total)
+                    if skipped:
+                        iteration += skipped
+                        continue
+                    yield from comm.compute(uops=1e6)
+                    yield from comm.allreduce(1, nbytes=8)
+                    if iteration == stuck_in and comm.rank == 1:
+                        yield from comm.recv(0, tag=99)
+                    iteration += 1
+
+            return ranks
+
+        cluster = athlon_cluster()
+        config = FastForwardConfig(max_period=1)
+        steady = World(cluster, program(None), nodes=2, fast_forward=config)
+        steady.run()
+        # The mark the ranks voted at; rank 1 now blocks for good in the
+        # iteration before it, after rank 0 has left for the vote.
+        voted_at = steady._ff.jump_log[0][1]
+        world = World(
+            cluster, program(voted_at - 1), nodes=2, fast_forward=config
+        )
+        with pytest.raises(DeadlockError) as err:
+            world.run()
+        assert str(err.value) == (
+            "simulation deadlocked: rank 0 blocked on fast-forward; "
+            "rank 1 blocked on wait_recv(peer=0, tag=99)"
+        )
+
     def test_allreduce_round_without_partner_deadlocks(self):
         def program(comm):
             if comm.rank == 0:
@@ -355,6 +432,12 @@ class TestDeadlocks:
 
         with pytest.raises(RuntimeError):
             run(program, nodes=1)
+
+    def test_rejects_non_generator_program(self):
+        with pytest.raises(
+            SimulationError, match="rank 0 program must be a generator, got list"
+        ):
+            World(athlon_cluster(), lambda comm: [1, 2], nodes=1)
 
 
 class TestDeterminism:

@@ -23,9 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.machines import athlon_cluster
+from repro.core.run import run_workload
 from repro.obs import TraceObserver
 from repro.policy.adaptive import IdleLowPolicy
-from repro.policy.comm import run_with_policy
 from repro.workloads.jacobi import Jacobi
 
 #: Small enough to run in well under a second, large enough that the
@@ -40,7 +40,7 @@ GOLDEN = GOLDEN_DIR / "jacobi-policy.trace.json"
 def render_trace(tmp_path: Path) -> str:
     """The traced Jacobi run's Chrome trace JSON, byte for byte."""
     observer = TraceObserver(tmp_path)
-    run_with_policy(
+    run_workload(
         athlon_cluster(),
         Jacobi(scale=GOLDEN_SCALE),
         nodes=2,

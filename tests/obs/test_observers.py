@@ -16,7 +16,6 @@ from repro.obs import (
     TraceObserver,
 )
 from repro.policy.adaptive import IdleLowPolicy
-from repro.policy.comm import run_with_policy
 from repro.workloads.jacobi import Jacobi
 
 SCALE = 0.03
@@ -69,7 +68,7 @@ class TestHookDelivery:
 
     def test_policy_run_reports_transitions_with_old_gear(self):
         observer = RecordingObserver()
-        run_with_policy(
+        run_workload(
             athlon_cluster(),
             Jacobi(scale=SCALE),
             nodes=2,
@@ -114,7 +113,7 @@ class TestTraceObserver:
 
     def test_gear_changes_do_not_leak_between_runs(self, tmp_path):
         observer = TraceObserver(tmp_path)
-        run_with_policy(
+        run_workload(
             athlon_cluster(),
             Jacobi(scale=SCALE),
             nodes=2,
@@ -166,7 +165,7 @@ class TestMetricsObserver:
             observer=observer,
         )
         assert observer.registry.counter("gear_changes.total") == 0.0
-        run_with_policy(
+        run_workload(
             athlon_cluster(), Jacobi(scale=SCALE), nodes=2,
             policy=IdleLowPolicy(), observer=observer,
         )

@@ -10,13 +10,13 @@ the failure to attach time for every family.
 import pytest
 
 from repro.cluster.machines import athlon_cluster, reference_cluster
+from repro.core.run import run_workload
 from repro.policy import (
     IdleLowPolicy,
     PowerBudgetPolicy,
     SlackPolicy,
     SlackThresholdPolicy,
     StaticPolicy,
-    run_with_policy,
 )
 from repro.util.errors import ConfigurationError
 from repro.workloads import Jacobi
@@ -56,7 +56,7 @@ class TestAttachTimeValidation:
         """The regression: the run must die at attach, not mid-run with
         a gear-table IndexError."""
         with pytest.raises(ConfigurationError, match=message):
-            run_with_policy(
+            run_workload(
                 CLUSTER, Jacobi(scale=0.05), nodes=2, policy=policy
             )
 

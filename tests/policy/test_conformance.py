@@ -20,13 +20,13 @@ import json
 import pytest
 
 from repro.cluster.machines import athlon_cluster
+from repro.core.run import run_workload
 from repro.exec import Executor
 from repro.policy import (
     PowerBudgetPolicy,
     SlackThresholdPolicy,
     StaticPolicy,
     audit_cluster_power,
-    run_with_policy,
 )
 from repro.scenarios import REGISTRY
 from repro.workloads import CG, Jacobi, SyntheticMemoryPressure
@@ -49,7 +49,7 @@ REL_TOL = 1e-9
 
 
 def run(workload, nodes, policy):
-    return run_with_policy(CLUSTER, workload, nodes=nodes, policy=policy)
+    return run_workload(CLUSTER, workload, nodes=nodes, policy=policy)
 
 
 def totals(measurement):

@@ -31,7 +31,6 @@ from repro.policy import (
     SlackPolicy,
     SlackThresholdPolicy,
     StaticPolicy,
-    run_with_policy,
 )
 from repro.workloads import CG, Jacobi
 from repro.workloads.synthetic import SyntheticMemoryPressure
@@ -205,7 +204,7 @@ def test_static_gear_1_is_the_plain_gear_1_run(workload, nodes):
     # shifts, so its run must be bit for bit the plain one.
     cluster = athlon_cluster()
     plain = run_workload(cluster, workload(scale=0.05), nodes=nodes, gear=1)
-    managed = run_with_policy(
+    managed = run_workload(
         cluster, workload(scale=0.05), nodes=nodes, policy=StaticPolicy(1)
     )
     assert _measured(managed.result) == _measured(plain.result)

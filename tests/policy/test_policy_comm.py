@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.machines import athlon_cluster
 from repro.core.run import run_workload
-from repro.policy import IdleLowPolicy, SlackPolicy, StaticPolicy, run_with_policy
+from repro.policy import IdleLowPolicy, SlackPolicy, StaticPolicy
 from repro.workloads.jacobi import Jacobi
 from repro.workloads.nas import CG, EP, LU
 
@@ -23,14 +23,14 @@ class TestStaticEquivalence:
     def test_static_policy_matches_fixed_gear(self, cluster):
         w = CG(scale=0.1)
         fixed = run_workload(cluster, w, nodes=4, gear=1)
-        managed = run_with_policy(cluster, w, nodes=4, policy=StaticPolicy(1))
+        managed = run_workload(cluster, w, nodes=4, policy=StaticPolicy(1))
         assert managed.time == pytest.approx(fixed.time, rel=1e-9)
         assert managed.energy == pytest.approx(fixed.energy, rel=1e-9)
 
     def test_static_policy_gear3(self, cluster):
         w = CG(scale=0.1)
         fixed = run_workload(cluster, w, nodes=4, gear=3)
-        managed = run_with_policy(cluster, w, nodes=4, policy=StaticPolicy(3))
+        managed = run_workload(cluster, w, nodes=4, policy=StaticPolicy(3))
         assert managed.time == pytest.approx(fixed.time, rel=1e-9)
         assert managed.energy == pytest.approx(fixed.energy, rel=1e-9)
 
@@ -38,7 +38,7 @@ class TestStaticEquivalence:
 class TestIdleLow:
     def test_never_slower(self, cluster, static_baseline):
         for name, cls in (("CG", CG), ("LU", LU), ("EP", EP)):
-            managed = run_with_policy(
+            managed = run_workload(
                 cluster, cls(scale=0.2), nodes=8, policy=IdleLowPolicy()
             )
             assert managed.time == pytest.approx(
@@ -46,13 +46,13 @@ class TestIdleLow:
             ), name
 
     def test_saves_energy_on_comm_heavy_code(self, cluster, static_baseline):
-        managed = run_with_policy(
+        managed = run_workload(
             cluster, CG(scale=0.2), nodes=8, policy=IdleLowPolicy()
         )
         assert managed.energy < static_baseline["CG"].energy * 0.99
 
     def test_negligible_on_compute_bound(self, cluster, static_baseline):
-        managed = run_with_policy(
+        managed = run_workload(
             cluster, EP(scale=0.2), nodes=8, policy=IdleLowPolicy()
         )
         assert managed.energy == pytest.approx(
@@ -62,7 +62,7 @@ class TestIdleLow:
 
 class TestSlackPolicy:
     def test_saves_energy_on_lu_without_slowdown(self, cluster, static_baseline):
-        managed = run_with_policy(
+        managed = run_workload(
             cluster, LU(scale=0.2), nodes=8, policy=SlackPolicy()
         )
         base = static_baseline["LU"]
@@ -72,17 +72,17 @@ class TestSlackPolicy:
     def test_improves_edp_on_jacobi(self, cluster):
         w = Jacobi(scale=0.2)
         base = run_workload(cluster, w, nodes=8, gear=1)
-        managed = run_with_policy(cluster, w, nodes=8, policy=SlackPolicy())
+        managed = run_workload(cluster, w, nodes=8, policy=SlackPolicy())
         assert managed.energy * managed.time < base.energy * base.time
 
     def test_leaves_ep_alone(self, cluster, static_baseline):
-        managed = run_with_policy(
+        managed = run_workload(
             cluster, EP(scale=0.2), nodes=8, policy=SlackPolicy()
         )
         assert managed.time == pytest.approx(static_baseline["EP"].time, rel=0.01)
 
     def test_gear_field_marks_policy_run(self, cluster):
-        managed = run_with_policy(
+        managed = run_workload(
             cluster, EP(scale=0.1), nodes=2, policy=SlackPolicy()
         )
         assert managed.gear == 0

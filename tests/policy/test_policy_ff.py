@@ -16,13 +16,13 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.machines import athlon_cluster
+from repro.core.run import run_workload
 from repro.mpi.fastforward import FastForwardConfig
 from repro.policy import (
     IdleLowPolicy,
     PowerBudgetPolicy,
     SlackThresholdPolicy,
     StaticPolicy,
-    run_with_policy,
 )
 from repro.workloads import CG, Jacobi
 
@@ -57,7 +57,7 @@ WORKLOADS = [("jacobi", Jacobi), ("cg", CG)]
 
 
 def measure(workload, policy, fast_forward=None):
-    return run_with_policy(
+    return run_workload(
         CLUSTER, workload, nodes=4, policy=policy, fast_forward=fast_forward
     )
 

@@ -8,9 +8,9 @@ all physical invariants must keep holding.
 import pytest
 
 from repro.cluster.machines import athlon_cluster
+from repro.core.run import run_workload
 from repro.mpi.world import World
 from repro.policy import IdleLowPolicy, SlackPolicy
-from repro.policy.comm import run_with_policy
 from repro.workloads.jacobi import Jacobi
 from repro.workloads.nas import CG, LU, MG
 
@@ -52,7 +52,7 @@ class TestSemanticParity:
     def test_jacobi_residual_identical(self, policy):
         workload = Jacobi(scale=0.1)
         plain = World(athlon_cluster(), workload.program, nodes=4, gear=1).run()
-        managed = run_with_policy(
+        managed = run_workload(
             athlon_cluster(), workload, nodes=4, policy=policy
         )
         assert plain.return_values() == managed.result.return_values()
@@ -61,7 +61,7 @@ class TestSemanticParity:
 @pytest.mark.parametrize("workload_cls", [CG, LU, MG], ids=lambda c: c.__name__)
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: type(p).__name__)
 def test_invariants_hold_under_policies(workload_cls, policy):
-    managed = run_with_policy(
+    managed = run_workload(
         athlon_cluster(), workload_cls(scale=0.1), nodes=4, policy=policy
     )
     result = managed.result

@@ -37,7 +37,7 @@ class ExplodingScenarioTask(RunTask):
     def describe(self) -> Any:
         return {"kind": "exploding", "label": self.label}
 
-    def run(self) -> Any:
+    def run(self, observer: Any = None) -> Any:
         raise ValueError(f"boom in {self.label}")
 
     def encode(self, result: Any) -> Any:  # pragma: no cover - never succeeds

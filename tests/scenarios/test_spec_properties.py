@@ -118,11 +118,7 @@ def scenario_specs(draw) -> ScenarioSpec:
             st.none(),
             st.fixed_dictionaries(
                 {},
-                optional={
-                    "max_period": st.sampled_from((2, 4, 16)),
-                    "k": st.sampled_from((2, 3)),
-                    "min_jump": st.sampled_from((2, 8)),
-                },
+                optional={"max_period": st.sampled_from((2, 4, 16))},
             ).map(lambda d: tuple(sorted(d.items()))),
         )
     )

@@ -134,3 +134,54 @@ class TestReportSemantics:
     def test_total_points_matches_report(self):
         specs = validation_pack(min_points=150)
         assert total_points(specs) >= 150
+
+
+class TestTwinComparison:
+    """Both twin phases compare through one helper."""
+
+    @staticmethod
+    def _tasks():
+        from repro.cluster.machines import athlon_cluster
+        from repro.exec.tasks import GearSweepTask, MeasurementTask
+        from repro.workloads import EP
+
+        cluster, workload = athlon_cluster(), EP(scale=0.05)
+        return (
+            MeasurementTask(cluster, workload, nodes=1, gear=1),
+            GearSweepTask(cluster, workload, nodes=1),
+        )
+
+    def test_error_beyond_rtol_is_a_mismatch(self):
+        from types import SimpleNamespace
+
+        from repro.scenarios.validation import _compare_twin
+
+        task, _ = self._tasks()
+        exact = SimpleNamespace(time=1.0, energy=10.0)
+        twin = SimpleNamespace(time=1.0, energy=10.0 + 1e-6)
+        report = ValidationReport()
+        err = _compare_twin(report, "batch", "s", [task], [exact], [twin], 1e-9)
+        assert err == pytest.approx(1e-7)
+        [mismatch] = report.mismatches
+        assert (mismatch.check, mismatch.scenario, mismatch.point) == (
+            "batch",
+            "s",
+            str(task.key),
+        )
+        assert mismatch.detail == "energy rel err 1.000e-07 exceeds 1e-09"
+        assert _compare_twin(report, "batch", "s", [task], [exact], [twin], 1e-6)
+        assert len(report.mismatches) == 1
+
+    def test_non_measurement_twin_is_a_mismatch(self):
+        from repro.scenarios.validation import _compare_twin
+
+        _, sweep = self._tasks()
+        report = ValidationReport()
+        err = _compare_twin(
+            report, "fast-forward", "s", [sweep], [None], [None], 1e-9
+        )
+        assert err == 0.0
+        [mismatch] = report.mismatches
+        assert mismatch.detail == (
+            "fast-forward twins must be measurement kind, got GearSweepTask"
+        )

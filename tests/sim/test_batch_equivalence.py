@@ -72,17 +72,23 @@ def _assert_grid_equivalent(
 ):
     """Batch grid vs one event run per gear, three quantities each.
 
-    One recording backs both replay modes, so this also pins the
-    replay's own contract: the vectorized gear-axis walk agrees with
+    The scalar reference interpreter replays a recording of its own
+    (recording is deterministic, so it is the grid's), so this also pins
+    the replay's own contract: the vectorized gear-axis walk agrees with
     the scalar reference interpreter at the same tolerance, for every
     workload and gear, and the mode accounting covers the whole grid.
     """
-    tape = record_tape(
-        cluster, workload, nodes=nodes, gear=gears[0], fast_forward=fast_forward
-    )
     stats = ReplayStats()
     batch = batch_gear_grid(
-        cluster, workload, nodes=nodes, gears=gears, stats=stats, tape=tape
+        cluster,
+        workload,
+        nodes=nodes,
+        gears=gears,
+        fast_forward=fast_forward,
+        stats=stats,
+    )
+    tape = record_tape(
+        cluster, workload, nodes=nodes, gear=gears[0], fast_forward=fast_forward
     )
     scalar = replay_grid(tape, list(gears), mode="scalar")
     assert len(batch) == len(gears)
@@ -529,9 +535,11 @@ class TestDeviationForcesExactFallback:
     )
     @settings(max_examples=10, deadline=None)
     def test_recording_deviation_rejects_the_tape(self, deviate_at, extra):
-        # A config that watches signatures but never jumps, so the
-        # deviation is seen whatever iteration it falls on.
-        config = FastForwardConfig(min_jump=1_000_000_000)
+        # The 16-iteration ring is too short to arm the default config
+        # (2 * max_period deltas of history), so the recording watches
+        # signatures but never jumps: the deviation is seen whatever
+        # iteration it falls on.
+        config = FastForwardConfig()
         workload = _DeviatingRing(deviate_at=deviate_at, extra=extra)
         with pytest.raises(BatchUnsupported, match="deviation"):
             record_tape(

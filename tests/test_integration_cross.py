@@ -7,7 +7,7 @@ from repro.cluster.machines import athlon_cluster
 from repro.core.imbalance import analyze_imbalance
 from repro.core.run import run_workload
 from repro.obs import RunObserver
-from repro.policy import IdleLowPolicy, run_with_policy
+from repro.policy import IdleLowPolicy
 from repro.viz.plot import plot_family
 from repro.viz.timeline import render_timeline
 from repro.workloads import CheckpointedStencil, Jacobi
@@ -19,7 +19,7 @@ class TestPolicyWithDisk:
         cluster = athlon_cluster(disk=drpm_disk())
         workload = CheckpointedStencil(0.2, checkpoint_every=5)
         base = run_workload(cluster, workload, nodes=4, gear=1)
-        managed = run_with_policy(
+        managed = run_workload(
             cluster, workload, nodes=4, policy=IdleLowPolicy()
         )
         assert managed.time == pytest.approx(base.time, rel=0.01)
@@ -28,7 +28,7 @@ class TestPolicyWithDisk:
 
 class TestVizOnRealRuns:
     def test_timeline_of_policy_run(self, cluster):
-        managed = run_with_policy(
+        managed = run_workload(
             cluster,
             Jacobi(scale=0.1),
             nodes=4,
